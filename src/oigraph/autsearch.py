@@ -90,8 +90,7 @@ def is_automorphism(g: OiGraph, perm) -> bool:
         raise ValueError("permutation length does not match vertex count")
     if not np.array_equal(np.sort(arr), np.arange(g.nv)):
         raise ValueError("image array is not a bijection")
-    A = g.adjacency_matrix(include_loops=True)
-    return bool(np.array_equal(A[np.ix_(arr, arr)], A))
+    return g.preserves_adjacency(arr)
 
 
 # ---------------------------------------------------------------------------

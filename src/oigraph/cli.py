@@ -76,7 +76,6 @@ def _build_parser():
     p = sub.add_parser("verify", help="run the claim-verification suite")
     p.add_argument("--suite", default="core", help="core or extended")
     p.add_argument("--budget", type=int, default=None, help="vertex budget override")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for independent checks")
     _add_output_flags(p, ("json", "csv"))
     return parser
 
@@ -213,7 +212,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, budget=args.budget, threads=args.threads)
+    report = run_suite(args.suite, budget=args.budget)
     if args.format == "json":
         _emit(report.to_json(), args)
     elif args.format == "csv":

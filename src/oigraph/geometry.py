@@ -26,17 +26,6 @@ from .gf import GF
 from .linalg import Mat, dot_form
 
 
-@dataclass(frozen=True)
-class SpaceParams:
-    """CLI-facing description of an ambient space."""
-
-    nu: int
-    delta: int
-    disc: str = "one"  # only meaningful when delta == 1
-    field: str = "3"
-    modulus: tuple | None = None
-
-
 class OSpace:
     """Ambient orthogonal space: field, (nu, delta, disc), and the form S."""
 
@@ -110,13 +99,6 @@ class OSpace:
 
 def space_make(nu: int, delta: int, field: GF, disc: str = "one") -> OSpace:
     return OSpace(nu, delta, field, disc)
-
-
-def space_from_params(params: SpaceParams) -> OSpace:
-    from .gf import parse_field
-
-    field = parse_field(params.field, params.modulus)
-    return OSpace(params.nu, params.delta, field, params.disc or "one")
 
 
 class Subspace:

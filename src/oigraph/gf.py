@@ -9,7 +9,11 @@ above the table cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import SimpleNamespace
+
+import numpy as np
 
 # Mul/inv tables are materialized for q*q up to this many cells.
 _TABLE_CAP = 512
@@ -107,12 +111,24 @@ def canonical_modulus(p: int, e: int):
     return _canonical_modulus_cache[key]
 
 
+def factor_prime_power(q: int):
+    """(p, e) with q = p^e and p prime; ValueError when q is no prime power."""
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    e, m = 0, q
+    while p and m % p == 0:
+        m //= p
+        e += 1
+    if p is None or m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
+
+
 class GF:
     """The field GF(p^e), p odd, with a fixed canonical modulus.
 
     Elements are ints in range(q); see module docstring for the encoding.
-    Immutable after construction (the lookup tables are built once here),
-    so instances can be shared freely across threads.
+    The scalar lookup tables are built here and the numpy ones (``arrays``)
+    on first use; neither changes afterwards.
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -173,48 +189,24 @@ class GF:
     # -- arithmetic --------------------------------------------------------
 
     def _build_tables(self):
-        q, p, e = self.q, self.p, self.e
-        # reduction of t^e .. t^(2e-2) by the modulus
-        red = []
-        top = [(-c) % p for c in self.modulus[:-1]]  # t^e = top(t)
-        cur = top
-        for _ in range(e - 1):
-            red.append(cur)
-            cur = [0] + cur[:]  # multiply by t
-            if len(cur) > e:
-                lead = cur.pop()
-                cur = [(ci + lead * ti) % p for ci, ti in zip(cur, top)]
-        table = [[0] * q for _ in range(q)]
-        coeff = [self.coeffs(a) for a in range(q)]
-        for a in range(q):
-            ca = coeff[a]
-            row = table[a]
-            for b in range(a, q):
-                prod = _poly_mul(list(ca), list(coeff[b]), p)
-                while len(prod) > e:
-                    lead = prod.pop()
-                    r = red[len(prod) - e]
-                    for i, ri in enumerate(r):
-                        prod[i] = (prod[i] + lead * ri) % p
-                v = self.element(prod + [0] * (e - len(prod)))
-                row[b] = v
-                table[b][a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            row = table[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a], inv[b] = b, a
-                    break
-        self._inv_table = inv
+        """Mul/inv tables from discrete logs to the first primitive element,
+        whose powers the polynomial path computes."""
+        q1 = self.q - 1
+        for g in range(2, self.q):
+            exp = [1]
+            while len(exp) < q1 and (x := self.mul(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == q1:
+                break
+        log = {x: k for k, x in enumerate(exp)}
+        self._mul_table = [[0] * self.q] + [
+            [0] + [exp[(log[a] + log[b]) % q1] for b in self.units()] for a in self.units()
+        ]
+        self._inv_table = [0] + [exp[-log[a] % q1] for a in self.units()]
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
         return self.element(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
@@ -297,6 +289,36 @@ class GF:
     def minus_one_is_square(self) -> bool:
         return self.q % 4 == 1
 
+    # -- vectorised arithmetic ---------------------------------------------
+
+    @functools.cached_property
+    def arrays(self) -> SimpleNamespace:
+        """numpy lookup tables indexed by element codes, built on first use
+        from the scalar operations, in the smallest unsigned dtype for q codes:
+        add[a, b], mul[a, b], inv[a] (0 at 0) and frob[j, a] = a^(p^j)."""
+        els = range(self.q)
+        frob = [list(els)]
+        for _ in range(1, self.e):
+            frob.append([self.pow(a, self.p) for a in frob[-1]])
+        tables = dict(
+            add=[[self.add(a, b) for b in els] for a in els],
+            mul=[[self.mul(a, b) for b in els] for a in els],
+            inv=[0] + [self.inv(a) for a in self.units()],
+            frob=frob,
+        )
+        dtype = np.min_scalar_type(self.q - 1)
+        return SimpleNamespace(**{k: np.array(v, dtype=dtype) for k, v in tables.items()})
+
+    def matmul(self, X, M) -> np.ndarray:
+        """X @ M over the field for integer arrays of element codes, with
+        numpy's broadcasting over leading axes."""
+        t = self.arrays
+        X, M = np.asarray(X), np.asarray(M)
+        out = 0
+        for k in range(X.shape[-1]):
+            out = t.add[out, t.mul[X[..., k, None], M[..., k, None, :]]]
+        return out
+
     # -- misc --------------------------------------------------------------
 
     def descriptor(self) -> str:
@@ -331,18 +353,7 @@ def parse_field(text: str, modulus=None) -> GF:
         q = int(text)
         if q < 3:
             raise ValueError(f"field size must be an odd prime power >= 3, got {q}")
-        p = None
-        for cand in range(2, q + 1):
-            if q % cand == 0:
-                p = cand
-                break
-        e = 0
-        qq = q
-        while qq % p == 0 and qq > 1:
-            qq //= p
-            e += 1
-        if qq != 1:
-            raise ValueError(f"{q} is not a prime power")
+        p, e = factor_prime_power(q)
     return GF(p, e, modulus)
 
 

@@ -5,6 +5,14 @@ A S Bt is the zero matrix (equivalently B lies inside the dual of A).  A
 totally isotropic vertex is adjacent to itself: such loops are recorded but
 contribute nothing to degrees or distances.
 
+Internally a vertex is the set of projective points it contains: row v of
+the vertex x point incidence matrix I, over the P = (q^n - 1)/(q - 1)
+points.  Only the P point vectors ever meet field arithmetic.  Adjacency is
+I N It == 0 for N the non-orthogonal point pairs; by bilinearity the basis
+points of each vertex suffice, so it is computed from them in row blocks.
+A semilinear map acts as a permutation of the points, which relabels I's
+columns; the relabelled rows are looked up among the vertices' rows.
+
 Adjacency lives in per-vertex Python-int bitsets (bit v of adj[u] set iff
 u ~ v, u != v); a numpy boolean matrix is materialized lazily for the
 routines that want one.
@@ -12,6 +20,8 @@ routines that want one.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -68,8 +78,7 @@ class OiGraph:
         self.adj = list(adj)  # bitsets, self-bit never set
         self.loops = loops  # bitset of totally isotropic vertices
         self.index = {P.rows: i for i, P in enumerate(self.verts)}
-        self._np_simple = None
-        self._np_looped = None
+        self._matrices = {}
 
     # -- basic queries -----------------------------------------------------
 
@@ -97,24 +106,71 @@ class OiGraph:
     def edge_pairs_with_loops(self):
         return self.edges() + [(v, v) for v in self.loop_ids()]
 
-    def vertex_dim(self, v: int) -> int:
-        return self.verts[v].m
-
     def adjacency_matrix(self, include_loops: bool = False) -> np.ndarray:
-        cached = self._np_looped if include_loops else self._np_simple
-        if cached is None:
-            M = np.zeros((self.nv, self.nv), dtype=bool)
-            for u in range(self.nv):
-                row = self.adj[u]
-                if row:
-                    M[u, _bit_array(row, self.nv)] = True
+        if include_loops not in self._matrices:
+            M = np.unpackbits(self._packed(), axis=1, count=self.nv, bitorder="little").view(bool)
             if include_loops:
-                for v in _bits(self.loops):
-                    M[v, v] = True
-                self._np_looped = M
-            else:
-                self._np_simple = M
-        return self._np_looped if include_loops else self._np_simple
+                ids = np.fromiter(self.loop_ids(), dtype=np.intp)
+                M[ids, ids] = True
+            self._matrices[include_loops] = M
+        return self._matrices[include_loops]
+
+    def _packed(self) -> np.ndarray:
+        """The bitsets as an (nv, ceil(nv / 8)) array of little-endian bytes."""
+        width = (self.nv + 7) // 8
+        rows = b"".join(x.to_bytes(width, "little") for x in self.adj)
+        return np.frombuffer(rows, np.uint8).reshape(self.nv, width)
+
+    def preserves_adjacency(self, arr: np.ndarray) -> bool:
+        """Whether the vertex bijection arr maps adjacent ordered pairs, loops
+        included, to adjacent pairs.  A bijection maps that finite set
+        injectively into itself, hence onto it, so this is A[arr][:, arr] == A."""
+        r, c = self._looped_pairs
+        return bool(self.adjacency_matrix(include_loops=True)[arr[r], arr[c]].all())
+
+    @functools.cached_property
+    def _looped_pairs(self):
+        return np.nonzero(self.adjacency_matrix(include_loops=True))
+
+    # -- point representation ----------------------------------------------
+
+    @functools.cached_property
+    def _points(self) -> "_Points":
+        return _Points(self.space)
+
+    @functools.cached_property
+    def _incidence(self):
+        """(I, I's packed rows in sorted order, the vertex id of each)."""
+        pts, f = self._points, self.space.field
+        blocks = []
+        for bases in _bases_by_dimension(self.verts):
+            coeffs = _normal_vectors(f.q, bases.shape[1])
+            block = np.zeros((len(bases), len(pts.vectors)), dtype=bool)
+            np.put_along_axis(block, pts.ids(f.matmul(coeffs, bases)), True, axis=1)
+            blocks.append(block)
+        inc = np.concatenate(blocks)
+        keys = _row_keys(inc)
+        order = np.argsort(keys, kind="stable")
+        return inc, keys[order], order
+
+    def vertex_action(self, vec_map) -> np.ndarray:
+        """The vertex array of an invertible semilinear map of the space.
+
+        vec_map takes a (k, n) array of field-element codes (one vector per
+        row) to their images.  It is applied to the P point vectors only;
+        the induced point map relabels I's columns and each relabelled row
+        is looked up among the vertices' rows.
+        """
+        pts = self._points
+        pi = pts.ids(vec_map(pts.vectors))
+        if not np.array_equal(np.sort(pi), np.arange(len(pi))):
+            raise ValueError("map does not permute the projective points")
+        inc, keys, order = self._incidence
+        found = _row_keys(inc[:, np.argsort(pi)])  # column pi[a] of the image is column a
+        pos = np.searchsorted(keys, found).clip(max=len(keys) - 1)
+        if not np.array_equal(keys[pos], found):
+            raise ValueError("map does not carry vertices to vertices")
+        return order[pos]
 
     def __eq__(self, other):
         return (
@@ -154,12 +210,30 @@ class OiGraph:
         return max(reached)
 
     def diameter(self):
+        """Largest eccentricity, or math.inf for a disconnected graph.
+
+        Breadth-first search from every source over the packed bitset rows:
+        a level is one OR-reduction of the frontier's rows, so the work per
+        source is about nv^2 / 8 bytes of numpy traffic and the temporaries
+        stay below one frontier's rows.
+        """
+        packed = self._packed()
+        everyone = np.packbits(np.ones(self.nv, dtype=bool), bitorder="little")
         best = 0
-        for v in range(self.nv):
-            ecc = self.eccentricity(v)
-            if ecc is math.inf:
+        for src in range(self.nv):
+            reached = np.zeros_like(everyone)
+            reached[src // 8] = 1 << (src % 8)
+            frontier, depth = [src], 0
+            while True:
+                fresh = np.bitwise_or.reduce(packed[frontier], axis=0) & ~reached
+                if not fresh.any():
+                    break
+                reached |= fresh
+                frontier = np.flatnonzero(np.unpackbits(fresh, count=self.nv, bitorder="little"))
+                depth += 1
+            if not np.array_equal(reached, everyone):
                 return math.inf
-            best = max(best, ecc)
+            best = max(best, depth)
         return best
 
     def _bfs(self, src: int):
@@ -239,11 +313,6 @@ def _bits(x: int):
         x ^= lsb
 
 
-def _bit_array(x: int, n: int) -> np.ndarray:
-    by = x.to_bytes((n + 7) // 8, "little")
-    return np.nonzero(np.unpackbits(np.frombuffer(by, dtype=np.uint8), bitorder="little")[:n])[0]
-
-
 def _pack_bool_row(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
@@ -258,84 +327,82 @@ def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
     for m in range(1, n):
         verts.extend(enumerate_subspaces(space, m))
     verts.sort(key=lambda P: (P.m, P.rows))
-    if space.field.e == 1:
-        adj_matrix = _adjacency_prime(space, verts)
-        adj = []
-        loops = 0
-        for i in range(len(verts)):
-            row = adj_matrix[i]
-            if row[i]:
-                loops |= 1 << i
-                row = row.copy()
-                row[i] = False
-            adj.append(_pack_bool_row(row))
-    else:
-        adj, loops = _adjacency_generic(space, verts)
-    return OiGraph(space, verts, adj, loops)
+    g = OiGraph(space, verts, [0] * len(verts), 0)
+    g.adj, g.loops = _adjacency(g)
+    return g
 
 
-def _adjacency_prime(space: OSpace, verts) -> np.ndarray:
-    """Vectorized A S Bt == 0 test for prime fields.
+class _Points:
+    """The projective points of a space and its vector code -> point id table.
 
-    Stack every basis row of every vertex, multiply once, then reduce the
-    nonzero indicators back to vertex blocks with add.reduceat.
+    A vector's code is its big-endian base-q digit value, so code order is
+    lexicographic order.  Point ids number the normalised vectors (first
+    nonzero entry 1) in that order, which is the order of the dimension-1
+    vertices.  The table covers all q^n codes and absorbs normalisation:
+    every nonzero multiple of a point's vector maps to its id, 0 maps to -1.
     """
-    p = space.field.p
-    S = np.array([list(r) for r in space.form.rows], dtype=np.int64)
-    starts = [0]
-    rows = []
-    for P in verts:
-        rows.extend([list(r) for r in P.rows])
-        starts.append(len(rows))
-    B = np.array(rows, dtype=np.int64)
-    XS = (B @ S) % p
-    bounds = np.array(starts[:-1], dtype=np.intp)
-    nv = len(verts)
-    out = np.empty((nv, nv), dtype=bool)
-    # block over left-hand vertices to bound the dense product size
-    rows_per_block = max(1, (1 << 24) // max(1, len(rows)))
-    vstart = 0
-    while vstart < nv:
-        vend = vstart
-        while vend < nv and starts[vend + 1] - starts[vstart] <= rows_per_block:
-            vend += 1
-        vend = max(vend, vstart + 1)
-        r0, r1 = starts[vstart], starts[vend]
-        Z = (XS[r0:r1] @ B.T) % p
-        nz = (Z != 0).astype(np.int32)
-        per_vertex_cols = np.add.reduceat(nz, bounds, axis=1)
-        local_bounds = np.array([starts[v] - r0 for v in range(vstart, vend)], dtype=np.intp)
-        per_vertex = np.add.reduceat(per_vertex_cols, local_bounds, axis=0)
-        out[vstart:vend] = per_vertex == 0
-        vstart = vend
-    return out
+
+    def __init__(self, space: OSpace):
+        f, n = space.field, space.n
+        self.vectors = _normal_vectors(f.q, n)
+        self.weights = f.q ** np.arange(n - 1, -1, -1)
+        self.id_of_code = np.full(f.q**n, -1, dtype=np.int32)
+        ids = np.arange(len(self.vectors), dtype=np.int32)
+        for c in f.units():
+            self.id_of_code[f.arrays.mul[c][self.vectors] @ self.weights] = ids
+
+    def ids(self, vecs) -> np.ndarray:
+        """Point ids of an array of vectors (last axis), -1 for zero."""
+        return self.id_of_code[np.asarray(vecs) @ self.weights]
 
 
-def _adjacency_generic(space: OSpace, verts):
-    """Pairwise bilinear test with exact field ops (extension fields)."""
-    nv = len(verts)
-    adj = [0] * nv
-    loops = 0
-    pair = space.pair
-    for i in range(nv):
-        A = verts[i]
-        for j in range(i, nv):
-            B = verts[j]
-            ok = True
-            for u in A.rows:
-                for v in B.rows:
-                    if pair(u, v) != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                if i == j:
-                    loops |= 1 << i
-                else:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-    return adj, loops
+def _normal_vectors(q: int, n: int) -> np.ndarray:
+    """One vector per projective point of F_q^n, the one whose first nonzero
+    entry is 1, in lexicographic order (later leading entries first)."""
+    blocks = []
+    for lead in reversed(range(n)):
+        free = n - 1 - lead
+        tail = np.arange(q**free)[:, None] // q ** np.arange(free - 1, -1, -1) % q
+        head = np.zeros((len(tail), lead + 1), dtype=tail.dtype)
+        head[:, lead] = 1
+        blocks.append(np.hstack([head, tail]))
+    return np.concatenate(blocks)
+
+
+def _bases_by_dimension(verts):
+    """The bases of each run of equal-dimension vertices, as (N, m, n) arrays."""
+    runs = itertools.groupby(verts, key=lambda P: P.m)
+    return [np.array([P.rows for P in run], dtype=np.intp) for _, run in runs]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each boolean row packed into one fixed-width bytes key."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _adjacency(g: OiGraph):
+    """(bitsets, loop bitset) from the basis points of each vertex.
+
+    perp[u] marks the points orthogonal to every basis point of u, i.e. the
+    points of the dual of u, and u ~ v iff every basis point of v lies in
+    perp[u].  Bases are padded to n - 1 rows by repeating their last row.
+    Rows are computed in small blocks and packed straight into bitsets.
+    """
+    pts, f, n = g._points, g.space.field, g.space.n
+    forms = f.matmul(pts.vectors, np.array(g.space.form.rows))  # x -> x S pt per point p
+    basis = [pts.ids(bases) for bases in _bases_by_dimension(g.verts)]
+    basis = np.concatenate([np.pad(ids, ((0, 0), (0, n - 1 - ids.shape[1])), mode="edge") for ids in basis])
+    step = max(1, (1 << 18) // (g.nv * (n - 1)))  # a block's gather stays near 256 KB
+    adj, loops = [], np.zeros(g.nv, dtype=bool)
+    for lo in range(0, g.nv, step):
+        own = np.arange(lo, min(lo + step, g.nv))
+        perp = (f.matmul(forms[basis[own]], pts.vectors.T) == 0).all(axis=1)
+        A = perp[:, basis].all(axis=2)
+        loops[own] = A[np.arange(len(own)), own]
+        A[np.arange(len(own)), own] = False
+        adj.extend(_pack_bool_row(row) for row in A)
+    return adj, _pack_bool_row(loops)
 
 
 # ---------------------------------------------------------------------------

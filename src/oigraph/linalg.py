@@ -82,10 +82,6 @@ class Mat:
         f = self.field
         return Mat(f, ((f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
-    def neg(self) -> "Mat":
-        f = self.field
-        return Mat(f, ((f.neg(a) for a in r) for r in self.rows))
-
     def scale(self, c: int) -> "Mat":
         f = self.field
         return Mat(f, ((f.mul(c, a) for a in r) for r in self.rows))

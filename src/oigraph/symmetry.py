@@ -4,9 +4,10 @@ Two generator families: reflections through anisotropic vectors (these
 generate the full orthogonal group of the form in odd characteristic), and
 diagonal-semilinear maps sigma_{(k_1..k_nu, d1, d2, pi)} acting as
 entrywise Frobenius followed by diag(k_1..k_nu, k_1^-1..k_nu^-1, d1, d2).
-Both act on vertices by right multiplication of canonical bases; +-T induce
-the same vertex map, so canonicalization quotients the matrix group by its
-center for free.
+Both act on row vectors; each is applied, with the field's lookup arrays,
+to the projective point vectors only, and OiGraph.vertex_action turns the
+induced point permutation into a vertex permutation.  +-T induce the same
+point map, so the action quotients the matrix group by its center for free.
 
 Orders are certified by a deterministic stabilizer chain over the vertex
 permutation action (base = first moved point, extended as needed), never by
@@ -21,9 +22,9 @@ import math
 
 import numpy as np
 
-from .gf import GF, primitive_unit
+from .gf import GF, factor_prime_power, primitive_unit
 from .graph import OiGraph
-from .geometry import OSpace, subspace_make
+from .geometry import OSpace
 from .linalg import Mat, vec_mat
 
 
@@ -81,8 +82,7 @@ class VertexPerm:
         if check:
             if not np.array_equal(np.sort(arr), np.arange(graph.nv)):
                 raise ValueError("not a bijection on vertices")
-            A = graph.adjacency_matrix(include_loops=True)
-            if not np.array_equal(A[np.ix_(arr, arr)], A):
+            if not graph.preserves_adjacency(arr):
                 raise ValueError("map does not preserve adjacency")
         self.graph = graph
         self.array = arr
@@ -108,11 +108,8 @@ def perm_from_matrix(g: OiGraph, T: Mat) -> VertexPerm:
     space = g.space
     if not is_orthogonal(space, T):
         raise ValueError("matrix is not orthogonal for the ambient form")
-    arr = np.empty(g.nv, dtype=np.int64)
-    for i, P in enumerate(g.verts):
-        M = P.basis_matrix() * T
-        arr[i] = g.index[subspace_make(space, M.rows).rows]
-    return VertexPerm(g, arr)
+    M = np.array(T.rows)
+    return VertexPerm(g, g.vertex_action(lambda X: space.field.matmul(X, M)))
 
 
 def _slot_factor(f: GF, sign: int, form_entry: int, pi: int) -> int:
@@ -148,14 +145,8 @@ def perm_from_semilinear(g: OiGraph, ks, d1: int = 1, d2: int = 1, pi: int = 0) 
         diag.append(_slot_factor(f, d1, space.form[eps, eps], pi))
     if space.delta == 2:
         diag.append(_slot_factor(f, d2, space.form[n - 1, n - 1], pi))
-    arr = np.empty(g.nv, dtype=np.int64)
-    for i, P in enumerate(g.verts):
-        rows = [
-            tuple(f.mul(f.frobenius(x, pi), diag[j]) for j, x in enumerate(row))
-            for row in P.rows
-        ]
-        arr[i] = g.index[subspace_make(space, rows).rows]
-    return VertexPerm(g, arr)
+    t, D = f.arrays, np.array(diag)
+    return VertexPerm(g, g.vertex_action(lambda X: t.mul[t.frob[pi][X], D]))
 
 
 def e_subgroup_generators(g: OiGraph):
@@ -417,27 +408,15 @@ def edge_orbits(g: OiGraph, perms):
 # closed-form orders
 
 
-def _prime_power(q: int):
-    if q < 3:
-        raise ValueError(f"{q} is not an odd prime power")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    if p == 2:
-        raise ValueError("even characteristic is out of scope")
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
-
-
 def aut_order_formula(nu: int, delta: int, q: int, disc: str = "one") -> int:
     """Closed-form |Aut| for the covered parameter ranges."""
     if disc not in ("one", "z"):
         raise ValueError("disc must be 'one' or 'z'")
-    _, e = _prime_power(q)
+    if q < 3:
+        raise ValueError(f"{q} is not an odd prime power")
+    if q % 2 == 0:
+        raise ValueError("even characteristic is out of scope")
+    _, e = factor_prime_power(q)
     half = q % 4 == 1  # -1 is a square exactly for q = 1 mod 4
     if nu == 1 and delta == 0:
         return 2 ** ((q + 1) // 2) * math.factorial((q - 1) // 2)

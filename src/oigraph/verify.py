@@ -15,8 +15,6 @@ import itertools
 import json
 import math
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -28,7 +26,7 @@ from .geometry import (
     witt_bruteforce_oracle,
     witt_decompose,
 )
-from .gf import GF
+from .gf import GF, factor_prime_power
 from .graph import build_graph, max_clique_dim1, recover_parameters
 from .linalg import Mat
 from .symmetry import (
@@ -138,25 +136,13 @@ class _Ctx:
     def __init__(self, budget=None):
         self.budget = budget
         self._graphs = {}
-        self._lock = threading.Lock()
 
     def graph(self, nu, delta, q, disc="one"):
         key = (nu, delta, q, disc)
-        with self._lock:
-            if key not in self._graphs:
-                f = GF(*_factor_prime_power(q))
-                self._graphs[key] = build_graph(space_make(nu, delta, f, disc), self.budget)
-            return self._graphs[key]
-
-
-def _factor_prime_power(q):
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    return p, e
+        if key not in self._graphs:
+            f = GF(*factor_prime_power(q))
+            self._graphs[key] = build_graph(space_make(nu, delta, f, disc), self.budget)
+        return self._graphs[key]
 
 
 # The six desk-scale spaces exercised by the connectivity suite.
@@ -436,33 +422,14 @@ SUITES = {
 }
 
 
-def run_suite(suite: str = "core", budget=None, threads: int = 1) -> VerifyReport:
+def run_suite(suite: str = "core", budget=None) -> VerifyReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    checks = SUITES[suite]
     ctx = _Ctx(budget)
-    records = [None] * len(checks)
-
-    def run_one(i):
-        name, anchor, fn = checks[i]
+    records = []
+    for name, anchor, fn in SUITES[suite]:
         t0 = perf_counter()
         expected, computed, status, note = fn(ctx)
-        records[i] = CheckRecord(
-            name=name,
-            anchor=anchor,
-            expected=expected,
-            computed=computed,
-            status=status,
-            seconds=perf_counter() - t0,
-            note=note,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_one, i) for i in range(len(checks))]
-            for fut in futures:
-                fut.result()
-    else:
-        for i in range(len(checks)):
-            run_one(i)
+        seconds = perf_counter() - t0
+        records.append(CheckRecord(name, anchor, expected, computed, status, seconds, note))
     return VerifyReport(suite=suite, records=records)

@@ -26,7 +26,7 @@ from oigraph.geometry import (
     witt_bruteforce_oracle,
     witt_decompose,
 )
-from oigraph.gf import GF
+from oigraph.gf import GF, factor_prime_power
 from oigraph.graph import build_graph, max_clique_dim1, recover_parameters
 from oigraph.linalg import Mat
 from oigraph.symmetry import (
@@ -57,9 +57,7 @@ def graphs():
     def get(nu, delta, q, disc="one"):
         key = (nu, delta, q, disc)
         if key not in cache:
-            p = min(d for d in range(2, q + 1) if q % d == 0)
-            e = round(math.log(q, p))
-            cache[key] = build_graph(space_make(nu, delta, GF(p, e), disc))
+            cache[key] = build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
         return cache[key]
 
     return get

@@ -203,11 +203,11 @@ def test_verify_forwards_flags(capsys, monkeypatch):
 
     seen = {}
 
-    def fake(suite, budget=None, threads=1):
-        seen.update(suite=suite, budget=budget, threads=threads)
+    def fake(suite, budget=None):
+        seen.update(suite=suite, budget=budget)
         return _stub_report(True)
 
     monkeypatch.setattr(cli_mod, "run_suite", fake)
-    code, _, _ = run(capsys, "verify", "--suite", "extended", "--budget", "5000", "--threads", "3")
+    code, _, _ = run(capsys, "verify", "--suite", "extended", "--budget", "5000")
     assert code == 0
-    assert seen == {"suite": "extended", "budget": 5000, "threads": 3}
+    assert seen == {"suite": "extended", "budget": 5000}

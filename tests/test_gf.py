@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oigraph.gf import GF, canonical_modulus, parse_field, poly_is_irreducible, primitive_unit
+from oigraph.gf import (
+    GF,
+    canonical_modulus,
+    factor_prime_power,
+    parse_field,
+    poly_is_irreducible,
+    primitive_unit,
+)
 
 
 def f9():
@@ -197,6 +204,33 @@ def test_parse_field():
         parse_field("12")
     f_alt = parse_field("9", modulus=(2, 2, 1))
     assert f_alt.modulus == (2, 2, 1) and f_alt != f9()
+
+
+def test_factor_prime_power():
+    assert factor_prime_power(9) == (3, 2)
+    assert factor_prime_power(7) == (7, 1)
+    assert factor_prime_power(4) == (2, 2)
+    for q in (1, 12, 45):
+        with pytest.raises(ValueError, match="not a prime power"):
+            factor_prime_power(q)
+
+
+def test_arrays_match_oracle9():
+    t = f9().arrays
+    for a in range(9):
+        for b in range(9):
+            assert t.add[a, b] == oracle9_add(a, b)
+            assert t.mul[a, b] == oracle9_mul(a, b)
+        assert a == 0 or oracle9_mul(a, int(t.inv[a])) == 1
+        assert t.frob[1, a] == oracle9_mul(a, oracle9_mul(a, a))
+    X = [[1, 4, 8], [3, 0, 7]]
+    M = [[2, 5], [6, 1], [8, 3]]
+    want = [[0, 0], [0, 0]]
+    for i in range(2):
+        for j in range(2):
+            for k in range(3):
+                want[i][j] = oracle9_add(want[i][j], oracle9_mul(X[i][k], M[k][j]))
+    assert f9().matmul(X, M).tolist() == want
 
 
 def test_primitive_unit():

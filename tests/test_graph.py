@@ -9,7 +9,6 @@ from oigraph.geometry import classify_type, dual, gram, space_make, subspace_mak
 from oigraph.graph import (
     BudgetExceeded,
     OiGraph,
-    _adjacency_generic,
     adjacent,
     build_graph,
     graph_from_json,
@@ -99,10 +98,13 @@ def test_adjacency_matches_dual_containment(g43):
         assert adjacent(A, B) == contained(B, dual_sub)
 
 
-def test_generic_route_agrees_with_vector_route(g33):
-    adj, loops = _adjacency_generic(g33.space, g33.verts)
-    assert adj == g33.adj
-    assert loops == g33.loops
+def test_adjacency_matches_defining_relation():
+    for space in (space_make(1, 1, F3), space_make(1, 0, F9), space_make(1, 1, F9, disc="z")):
+        g = build_graph(space)
+        for u in range(g.nv):
+            for v in range(g.nv):
+                got = g.loop_at(u) if u == v else bool((g.adj[u] >> v) & 1)
+                assert got == adjacent(g.verts[u], g.verts[v]), (space, u, v)
 
 
 def test_extension_field_graph():

@@ -147,10 +147,38 @@ def test_reflection_perm_preserves_adjacency(g43):
 def test_vertex_perm_rejects_bad_maps(g43):
     with pytest.raises(ValueError):
         VertexPerm(g43, np.zeros(g43.nv, dtype=np.int64))
-    arr = np.arange(g43.nv)
-    arr[0], arr[1] = arr[1], arr[0]
-    with pytest.raises(ValueError):
-        VertexPerm(g43, arr)  # ids 0,1 have different dimensions
+    # transpositions of two points (same dimension) that break adjacency:
+    # two isotropic ones (ids 0 and 1), two anisotropic ones, and a mixed pair
+    iso = [v for v in g43.dim1_ids() if g43.loop_at(v)]
+    aniso = [v for v in g43.dim1_ids() if not g43.loop_at(v)]
+    for a, b in ((iso[0], iso[1]), (aniso[0], aniso[1]), (iso[0], aniso[0])):
+        arr = np.arange(g43.nv)
+        arr[[a, b]] = b, a
+        with pytest.raises(ValueError, match="adjacency"):
+            VertexPerm(g43, arr)
+
+
+def reference_perm(g, row_map):
+    """Per-vertex action: map each basis row, re-canonicalise, look it up."""
+    return np.array(
+        [g.index[subspace_make(g.space, [row_map(r) for r in P.rows]).rows] for P in g.verts]
+    )
+
+
+def test_point_action_matches_per_vertex_reference(g43):
+    gz = build_graph(space_make(1, 1, F9, disc="z"))
+    for g in (g43, gz):
+        f = g.space.field
+        for T in orthogonal_generators(g.space)[:12]:
+            want = reference_perm(g, lambda r: vec_mat(f, r, T))
+            assert np.array_equal(perm_from_matrix(g, T).array, want)
+    # pi = 1, d1 = -1: entrywise Frobenius, then diag(1, 1, -sqrt(z^3 / z))
+    z = gz.space.z
+    diag = (1, 1, F9.neg(F9.sqrt_of_square(F9.div(F9.frobenius(z, 1), z))))
+    want = reference_perm(
+        gz, lambda r: tuple(F9.mul(F9.frobenius(x, 1), d) for x, d in zip(r, diag))
+    )
+    assert np.array_equal(perm_from_semilinear(gz, (1,), d1=-1, pi=1).array, want)
 
 
 def test_semilinear_basics(g43):
