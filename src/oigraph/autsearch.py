@@ -6,8 +6,19 @@ data, the coloring is driven to its coarsest equitable refinement, and a
 backtracking search over individualized vertices collects generators until
 the stabilizer chain accounts for every leaf equivalence.
 
+Refinement reads neighbour lists (one CSR pair, built once per search from
+the bitsets) and keeps the partition as positions: an order array holding
+each cell's vertices contiguously, each vertex's cell start and each cell's
+size.  A splitter costs a bincount of its members' neighbours; only the
+cells those neighbours fall in are examined, and only the cells that split
+are reordered.  Splitters are processed in the same first-in first-out
+order as a rescan of every cell would use, and no fragment is skipped, so
+the cell order that the search trace depends on is fixed by the input.
+
 Loops never enter the refinement counting; they sit in the initial colors
 (and in the final adjacency verification, which includes the diagonal).
+A leaf is accepted when its relabelling maps every adjacent pair of the
+looped matrix, computed once per search, onto an adjacent pair.
 
 The subspace dimension is also used as an initial color, which is only
 honest if dimensions are graph-detectable.  full_aut_order certifies that
@@ -17,6 +28,7 @@ dimension classes, and the search refuses to run otherwise.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -37,36 +49,74 @@ def _cells_from_colors(colors):
     return [[v for v, c in enumerate(colors) if c == col] for col in order]
 
 
-def _bitset(cell) -> int:
-    out = 0
-    for v in cell:
-        out |= 1 << v
-    return out
+def neighbour_lists(adj):
+    """The bitset rows as CSR neighbour lists (indptr, indices), ascending."""
+    nv = len(adj)
+    width = (nv + 7) // 8
+    rows = (np.frombuffer(x.to_bytes(width, "little"), np.uint8) for x in adj)
+    lists = [np.flatnonzero(np.unpackbits(row, count=nv, bitorder="little")) for row in rows]
+    indptr = np.zeros(nv + 1, dtype=np.intp)
+    np.cumsum(np.array([len(nb) for nb in lists], dtype=np.intp), out=indptr[1:])
+    return indptr, np.concatenate([np.zeros(0, dtype=np.intp), *lists])
 
 
-def refine_cells(adj, cells):
-    """Coarsest equitable refinement; splits order by neighbor count."""
-    cells = [list(c) for c in cells]
-    work = deque(_bitset(c) for c in cells)
+def refine_cells(nbrs, cells):
+    """Coarsest equitable refinement; splits order by neighbor count.
+
+    cells partition the vertices; nbrs are their neighbour lists.  Every
+    cell, then every part a split produces, is queued as a splitter in
+    turn.  A splitter splits each cell whose members differ in their number
+    of neighbours in it into parts of ascending count, each keeping the
+    cell's vertex order, and queues the parts in cell order.
+    """
+    indptr, indices = nbrs
+    nv = len(indptr) - 1
+    degree = np.diff(indptr)
+    sizes = np.array([len(c) for c in cells], dtype=np.intp)
+    order = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.intp, count=sizes.sum())
+    if not np.array_equal(np.sort(order), np.arange(nv)):
+        raise ValueError("cells do not partition the vertices")
+    starts = sizes.cumsum() - sizes
+    cell_at = np.zeros(nv, dtype=np.intp)  # size of the cell starting at each position, else 0
+    cell_at[starts] = sizes
+    start_of = np.empty(nv, dtype=np.intp)  # start position of each vertex's cell
+    start_of[order] = np.repeat(starts, sizes)
+    pos = np.empty(nv, dtype=np.intp)
+    pos[order] = np.arange(nv)
+    # A cell's vertex set never changes once it exists, only its order inside
+    # its positions, so a queued splitter is just (start, size).
+    work = deque(zip(starts.tolist(), sizes.tolist()))
     while work:
-        splitter = work.popleft()
-        out = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for v in cell:
-                buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            if len(buckets) == 1:
-                out.append(cell)
-                continue
-            for key in sorted(buckets):
-                part = buckets[key]
-                out.append(part)
-                work.append(_bitset(part))
-        cells = out
-    return cells
+        s, k = work.popleft()
+        members = order[s : s + k]
+        lo, deg = indptr[members], degree[members]
+        # the members' neighbour lists, concatenated, counted per vertex
+        nb = indices[np.repeat(lo - deg.cumsum() + deg, deg) + np.arange(deg.sum())]
+        count = np.bincount(nb, minlength=nv)
+        at = pos[count.nonzero()[0]]
+        at.sort()
+        hit = order[at]  # the touched vertices, grouped by cell, cells in order
+        cell = start_of[hit]
+        edge = np.ones(len(hit) + 1, dtype=bool)
+        np.not_equal(cell[1:], cell[:-1], out=edge[1:-1])
+        edge = edge.nonzero()[0]  # where each touched cell's run in hit begins, then len(hit)
+        first = edge[:-1]
+        touched, c = cell[first], count[hit]
+        # a touched cell stays whole iff all its members are hit equally often
+        ragged = (edge[1:] - first < cell_at[touched]) | (np.minimum.reduceat(c, first) != np.maximum.reduceat(c, first))
+        for t in touched[ragged].tolist():
+            seg = order[t : t + cell_at[t]]
+            seg = seg[np.argsort(count[seg], kind="stable")]
+            order[t : t + len(seg)] = seg
+            pos[seg] = np.arange(t, t + len(seg))
+            c = count[seg]
+            cuts = [0, *((c[1:] != c[:-1]).nonzero()[0] + 1).tolist(), len(seg)]
+            for a, b in zip(cuts, cuts[1:]):
+                start_of[seg[a:b]] = t + a
+                cell_at[t + a] = b - a
+                work.append((t + a, b - a))
+    flat, heads = order.tolist(), np.flatnonzero(cell_at)
+    return [flat[s : s + k] for s, k in zip(heads.tolist(), cell_at[heads].tolist())]
 
 
 def initial_partition(g: OiGraph):
@@ -77,7 +127,7 @@ def initial_partition(g: OiGraph):
 
 
 def refine(g: OiGraph, cells):
-    return refine_cells(g.adj, cells)
+    return refine_cells(neighbour_lists(g.adj), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +156,11 @@ class SearchResult:
 
 
 class _Search:
-    def __init__(self, nv, adj, looped_matrix, colors):
+    def __init__(self, nv, nbrs, looped_matrix, colors):
         self.nv = nv
-        self.adj = adj
+        self.nbrs = nbrs
         self.A = looped_matrix
+        self.pairs = np.nonzero(looped_matrix)
         self.colors = colors
         self.gens: list[np.ndarray] = []
         self.nodes = 0
@@ -119,7 +170,7 @@ class _Search:
 
     def run(self) -> SearchResult:
         t0 = time.perf_counter()
-        start = refine_cells(self.adj, _cells_from_colors(self.colors))
+        start = refine_cells(self.nbrs, _cells_from_colors(self.colors))
         self._first_path(start, 0)
         from .symmetry import PermGroup
 
@@ -143,9 +194,10 @@ class _Search:
         leaf = [c[0] for c in cells]
         p = np.empty(self.nv, dtype=np.int64)
         p[self.first_leaf] = leaf
-        if np.array_equal(self.A[np.ix_(p, p)], self.A):
-            return p
-        return None
+        # p is a bijection, so mapping every adjacent pair (loops included)
+        # onto an adjacent pair means A[p][:, p] == A.
+        r, c = self.pairs
+        return p if self.A[p[r], p[c]].all() else None
 
     def _orbit(self, seeds, prefix) -> set:
         gens = [g for g in self.gens if all(g[v] == v for v in prefix)]
@@ -172,7 +224,7 @@ class _Search:
         self.base_seq.append(c0)
         prefix = self.base_seq[:depth]
         self._first_path(
-            refine_cells(self.adj, self._individualize(cells, ti, c0)), depth + 1
+            refine_cells(self.nbrs, self._individualize(cells, ti, c0)), depth + 1
         )
         explored = [c0]
         for w in cell[1:]:
@@ -180,7 +232,7 @@ class _Search:
                 continue
             explored.append(w)
             found = self._descend(
-                refine_cells(self.adj, self._individualize(cells, ti, w)), depth + 1
+                refine_cells(self.nbrs, self._individualize(cells, ti, w)), depth + 1
             )
             if found is not None:
                 self.gens.append(found)
@@ -195,7 +247,7 @@ class _Search:
             return self._check_leaf(cells)
         for w in cells[ti]:
             found = self._descend(
-                refine_cells(self.adj, self._individualize(cells, ti, w)), depth + 1
+                refine_cells(self.nbrs, self._individualize(cells, ti, w)), depth + 1
             )
             if found is not None:
                 return found
@@ -207,14 +259,13 @@ def search_automorphisms(adj, loops, colors=None, looped_matrix=None) -> SearchR
     nv = len(adj)
     if colors is None:
         colors = [((loops >> v) & 1, adj[v].bit_count()) for v in range(nv)]
+    indptr, indices = nbrs = neighbour_lists(adj)
     if looped_matrix is None:
+        ids = np.fromiter(_bits(loops), dtype=np.intp)
         looped_matrix = np.zeros((nv, nv), dtype=bool)
-        for u in range(nv):
-            for v in _bits(adj[u]):
-                looped_matrix[u, v] = True
-        for v in _bits(loops):
-            looped_matrix[v, v] = True
-    return _Search(nv, adj, looped_matrix, list(colors)).run()
+        looped_matrix[np.repeat(np.arange(nv), np.diff(indptr)), indices] = True
+        looped_matrix[ids, ids] = True
+    return _Search(nv, nbrs, looped_matrix, list(colors)).run()
 
 
 def certify_dimension_colors(g: OiGraph):
@@ -224,7 +275,7 @@ def certify_dimension_colors(g: OiGraph):
     automorphisms, and the computed order would not be the full group.
     """
     colors = [(g.loop_at(v), g.degree(v)) for v in range(g.nv)]
-    for cell in refine_cells(g.adj, _cells_from_colors(colors)):
+    for cell in refine(g, _cells_from_colors(colors)):
         dims = {g.verts[v].m for v in cell}
         if len(dims) > 1:
             raise RuntimeError(

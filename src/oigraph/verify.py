@@ -395,6 +395,18 @@ def check_oi53_generated_order(ctx):
     return expected, computed, status, ""
 
 
+# Oi(5, 3) has 2662 vertices, above DEFAULT_SEARCH_BUDGET.
+_OI53_SEARCH_BUDGET = 3000
+
+
+def check_oi53_full_aut_order(ctx):
+    g = ctx.graph(2, 1, 3)
+    expected = 51840
+    computed = search_result(g, budget=_OI53_SEARCH_BUDGET).order
+    status = STATUS_PASS if computed == expected == aut_order_formula(2, 1, 3) else STATUS_FAIL
+    return expected, computed, status, ""
+
+
 _CORE = (
     ("connectivity-diameter", 'Theorem 2.1, "connected graph if and only if"', check_connectivity_diameter),
     ("dimension-1-counts", 'Section 2, "The set of all vertices of dimension 1"', check_dimension_one_counts),
@@ -414,6 +426,7 @@ _CORE = (
 
 _EXTENDED_EXTRA = (
     ("oi53-generated-order", 'Corollary after ot2, "q^(nu^2) prod(q^i-1) prod(q^i+1)"', check_oi53_generated_order),
+    ("oi53-full-aut-order", 'Theorem ot1, "Aut = PO*E"', check_oi53_full_aut_order),
 )
 
 SUITES = {

@@ -1,10 +1,13 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 
 from oigraph.autsearch import (
     DEFAULT_SEARCH_BUDGET,
+    _cells_from_colors,
+    _Search,
     certify_dimension_colors,
     full_aut_order,
     initial_partition,
@@ -13,7 +16,7 @@ from oigraph.autsearch import (
     search_automorphisms,
     search_result,
 )
-from oigraph.gf import GF
+from oigraph.gf import GF, factor_prime_power
 from oigraph.geometry import classify_type, space_make, subspace_make
 from oigraph.graph import BudgetExceeded, _bits, build_graph
 from oigraph.linalg import Mat
@@ -74,6 +77,52 @@ def test_refine_trivial_coloring_oi23(g23):
 def test_refine_discrete_fixed_point(g23):
     discrete = [[0], [1], [2], [3]]
     assert refine(g23, discrete) == discrete
+
+
+def test_refine_rejects_non_partition(g23):
+    with pytest.raises(ValueError):
+        refine(g23, [[0, 1], [2]])
+    with pytest.raises(ValueError):
+        refine(g23, [[0, 1], [1, 2, 3]])
+
+
+def reference_refine_cells(adj, cells):
+    """Reference refinement over bitsets: every splitter rescans every cell.
+    The oracle for refine_cells' ordered output."""
+    cells = [list(c) for c in cells]
+    work = deque(sum(1 << v for v in c) for c in cells)
+    while work:
+        splitter = work.popleft()
+        out = []
+        for cell in cells:
+            buckets = {}
+            for v in cell:
+                buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+                continue
+            for key in sorted(buckets):
+                out.append(buckets[key])
+                work.append(sum(1 << v for v in buckets[key]))
+        cells = out
+    return cells
+
+
+@pytest.mark.parametrize(
+    "nu,delta,q,disc", [(1, 1, 3, "one"), (2, 0, 3, "one"), (1, 0, 9, "one"), (1, 1, 9, "z")]
+)
+def test_refine_matches_bitset_reference(nu, delta, q, disc):
+    # Same ordered cells, same vertex order inside each, on the partitions
+    # the search starts from, the certificate's (loop, degree) partition and
+    # every individualisation of the first target cell.
+    g = build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
+    start = initial_partition(g)
+    inputs = [start, _cells_from_colors([(g.loop_at(v), g.degree(v)) for v in range(g.nv)])]
+    cells = refine(g, start)
+    ti = _Search._target(cells)
+    inputs += [_Search._individualize(cells, ti, w) for w in cells[ti]]
+    for cells in inputs:
+        assert refine(g, cells) == reference_refine_cells(g.adj, cells)
 
 
 def rank_profile(g, v):
@@ -254,6 +303,22 @@ def test_search_generators_preserve_rank_profile(g43):
     for v in range(g43.nv):
         fibers.setdefault(rank_profile(g43, v), []).append(v)
     assert orbits == sorted(tuple(sorted(f)) for f in fibers.values())
+
+
+@pytest.mark.parametrize(
+    "nu,delta,q,disc,nodes,order",
+    [
+        (2, 0, 3, "one", 28, 1152),
+        (1, 1, 9, "one", 24, 1440),
+        (1, 1, 9, "z", 21, 1440),
+        (1, 2, 3, "one", 33, 1440),
+    ],
+)
+def test_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
+    # The search trace follows the refinement's cell order, so a change in
+    # that order shows up here.
+    res = search_result(build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc)))
+    assert (res.node_count, res.order) == (nodes, order)
 
 
 def test_search_budget(g23):

@@ -16,6 +16,7 @@ from oigraph.verify import (
     check_o2_exhaustive,
     check_oi43_full_aut_order,
     check_oi43_generated_order,
+    check_oi53_full_aut_order,
     run_suite,
 )
 
@@ -29,7 +30,7 @@ def test_registry_shape():
     assert set(SUITES) == {"core", "extended"}
     core, ext = SUITES["core"], SUITES["extended"]
     assert [c[0] for c in ext[: len(core)]] == [c[0] for c in core]
-    assert len(ext) == len(core) + 1
+    assert len(ext) == len(core) + 2
     names = [c[0] for c in ext]
     assert len(names) == len(set(names))
     for name, anchor, fn in ext:
@@ -59,6 +60,12 @@ def test_full_aut_order_check_records_honest_failure(ctx):
     assert computed == 1152
     assert status == STATUS_FAIL
     assert "interchanging the two square-class tags" in note
+
+
+def test_oi53_full_aut_order_is_generated_order(ctx):
+    # odd n: the independent search finds no doubling; it agrees with the
+    # formula, which oi53-generated-order checks against the generated group
+    assert check_oi53_full_aut_order(ctx) == (51840, 51840, STATUS_PASS, "")
 
 
 def test_matching_edge_rule_finding(ctx):
