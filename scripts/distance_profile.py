@@ -27,11 +27,13 @@ def main(argv):
     far = None
     nonloop = [v for v in range(g.nv) if not g.loop_at(v)]
     for u in nonloop:
-        dist = g._bfs(u)
+        dist = {}
+        for d, level in enumerate(g.bfs_levels(u)):
+            dist.update(dict.fromkeys(level.tolist(), d))
         for v in nonloop:
             if v <= u:
                 continue
-            d = dist[v]
+            d = dist.get(v, math.inf)
             hist[d] += 1
             if d != math.inf and (far is None or d > far[2]):
                 far = (u, v, d)

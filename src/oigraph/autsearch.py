@@ -7,18 +7,19 @@ backtracking search over individualized vertices collects generators until
 the stabilizer chain accounts for every leaf equivalence.
 
 Refinement reads neighbour lists (one CSR pair, built once per search from
-the bitsets) and keeps the partition as positions: an order array holding
-each cell's vertices contiguously, each vertex's cell start and each cell's
-size.  A splitter costs a bincount of its members' neighbours; only the
-cells those neighbours fall in are examined, and only the cells that split
-are reordered.  Splitters are processed in the same first-in first-out
+the adjacent pairs of the looped adjacency, loops dropped) and keeps the
+partition as positions: an order array holding each cell's vertices
+contiguously, each vertex's cell start and each cell's size.  A splitter
+costs a bincount of its members' neighbours; only the cells those
+neighbours fall in are examined, and only the cells that split are
+reordered.  Splitters are processed in the same first-in first-out
 order as a rescan of every cell would use, and no fragment is skipped, so
 the cell order that the search trace depends on is fixed by the input.
 
 Loops never enter the refinement counting; they sit in the initial colors
 (and in the final adjacency verification, which includes the diagonal).
-A leaf is accepted when its relabelling maps every adjacent pair of the
-looped matrix, computed once per search, onto an adjacent pair.
+A leaf is accepted when its relabelling maps every adjacent pair, loops
+included, onto an adjacent pair, tested bit by bit in the packed rows.
 
 The subspace dimension is also used as an initial color, which is only
 honest if dimensions are graph-detectable.  full_aut_order certifies that
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BudgetExceeded, OiGraph, _bits
+from .graph import BudgetExceeded, OiGraph, all_adjacent, looped_pairs
 
 DEFAULT_SEARCH_BUDGET = 2000
 
@@ -49,15 +50,14 @@ def _cells_from_colors(colors):
     return [[v for v, c in enumerate(colors) if c == col] for col in order]
 
 
-def neighbour_lists(adj):
-    """The bitset rows as CSR neighbour lists (indptr, indices), ascending."""
-    nv = len(adj)
-    width = (nv + 7) // 8
-    rows = (np.frombuffer(x.to_bytes(width, "little"), np.uint8) for x in adj)
-    lists = [np.flatnonzero(np.unpackbits(row, count=nv, bitorder="little")) for row in rows]
+def _neighbour_lists(pairs, nv):
+    """Loop-free CSR neighbour lists (indptr, indices), ascending, from the
+    adjacent ordered pairs (r, c) in row-major order."""
+    r, c = pairs
+    off = r != c
     indptr = np.zeros(nv + 1, dtype=np.intp)
-    np.cumsum(np.array([len(nb) for nb in lists], dtype=np.intp), out=indptr[1:])
-    return indptr, np.concatenate([np.zeros(0, dtype=np.intp), *lists])
+    np.cumsum(np.bincount(r[off], minlength=nv), out=indptr[1:])
+    return indptr, c[off]
 
 
 def refine_cells(nbrs, cells):
@@ -127,7 +127,7 @@ def initial_partition(g: OiGraph):
 
 
 def refine(g: OiGraph, cells):
-    return refine_cells(neighbour_lists(g.adj), cells)
+    return refine_cells(_neighbour_lists(looped_pairs(g.rows), g.nv), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,11 @@ class SearchResult:
 
 
 class _Search:
-    def __init__(self, nv, nbrs, looped_matrix, colors):
-        self.nv = nv
-        self.nbrs = nbrs
-        self.A = looped_matrix
-        self.pairs = np.nonzero(looped_matrix)
+    def __init__(self, rows, pairs, colors):
+        self.nv = len(rows)
+        self.rows = rows
+        self.pairs = pairs
+        self.nbrs = _neighbour_lists(pairs, self.nv)
         self.colors = colors
         self.gens: list[np.ndarray] = []
         self.nodes = 0
@@ -197,7 +197,7 @@ class _Search:
         # p is a bijection, so mapping every adjacent pair (loops included)
         # onto an adjacent pair means A[p][:, p] == A.
         r, c = self.pairs
-        return p if self.A[p[r], p[c]].all() else None
+        return p if all_adjacent(self.rows, p[r], p[c]) else None
 
     def _orbit(self, seeds, prefix) -> set:
         gens = [g for g in self.gens if all(g[v] == v for v in prefix)]
@@ -254,18 +254,12 @@ class _Search:
         return None
 
 
-def search_automorphisms(adj, loops, colors=None, looped_matrix=None) -> SearchResult:
-    """Core search over raw bitset adjacency; colors are optional seeds."""
-    nv = len(adj)
+def search_automorphisms(A, colors=None) -> SearchResult:
+    """Core search over a looped boolean adjacency matrix; colors are optional seeds."""
+    A = np.asarray(A, dtype=bool)
     if colors is None:
-        colors = [((loops >> v) & 1, adj[v].bit_count()) for v in range(nv)]
-    indptr, indices = nbrs = neighbour_lists(adj)
-    if looped_matrix is None:
-        ids = np.fromiter(_bits(loops), dtype=np.intp)
-        looped_matrix = np.zeros((nv, nv), dtype=bool)
-        looped_matrix[np.repeat(np.arange(nv), np.diff(indptr)), indices] = True
-        looped_matrix[ids, ids] = True
-    return _Search(nv, nbrs, looped_matrix, list(colors)).run()
+        colors = [(bool(A[v, v]), int(A[v].sum()) - bool(A[v, v])) for v in range(len(A))]
+    return _Search(np.packbits(A, axis=1, bitorder="little"), np.nonzero(A), list(colors)).run()
 
 
 def certify_dimension_colors(g: OiGraph):
@@ -289,12 +283,8 @@ def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
     if g.nv > cap:
         raise BudgetExceeded(g.nv, cap, "search vertices")
     certify_dimension_colors(g)
-    return search_automorphisms(
-        g.adj,
-        g.loops,
-        colors=[(g.verts[v].m, g.loop_at(v), g.degree(v)) for v in range(g.nv)],
-        looped_matrix=g.adjacency_matrix(include_loops=True),
-    )
+    colors = [(g.verts[v].m, g.loop_at(v), g.degree(v)) for v in range(g.nv)]
+    return _Search(g.rows, looped_pairs(g.rows), colors).run()
 
 
 def full_aut_order(g: OiGraph, budget: int | None = None) -> int:

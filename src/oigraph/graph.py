@@ -13,9 +13,11 @@ points of each vertex suffice, so it is computed from them in row blocks.
 A semilinear map acts as a permutation of the points, which relabels I's
 columns; the relabelled rows are looked up among the vertices' rows.
 
-Adjacency lives in per-vertex Python-int bitsets (bit v of adj[u] set iff
-u ~ v, u != v); a numpy boolean matrix is materialized lazily for the
-routines that want one.
+The graph stores one adjacency: the looped matrix packed row by row, rows
+an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
+row u is set iff u ~ v, and the diagonal bit iff the vertex is totally
+isotropic.  Degrees, loops, edges, breadth-first search and the boolean
+matrix are all read from these rows.
 """
 
 from __future__ import annotations
@@ -71,66 +73,61 @@ def adjacent(A: Subspace, B: Subspace) -> bool:
 
 
 class OiGraph:
-    def __init__(self, space: OSpace, verts, adj, loops: int):
+    def __init__(self, space: OSpace, verts, rows: np.ndarray):
         self.space = space
         self.verts = list(verts)
         self.nv = len(self.verts)
-        self.adj = list(adj)  # bitsets, self-bit never set
-        self.loops = loops  # bitset of totally isotropic vertices
+        self.rows = rows  # packed looped adjacency, see the module docstring
         self.index = {P.rows: i for i, P in enumerate(self.verts)}
-        self._matrices = {}
 
     # -- basic queries -----------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return int(np.count_nonzero(_unpack(self.rows[v], self.nv))) - self.loop_at(v)
 
     def loop_at(self, v: int) -> bool:
-        return bool((self.loops >> v) & 1)
+        return bool(self.rows[v, v >> 3] & _BIT[v & 7])
+
+    @property
+    def loops(self) -> int:
+        """Bitset of the totally isotropic vertices, the looped ones."""
+        return int.from_bytes(np.packbits(self._diagonal(), bitorder="little").tobytes(), "little")
+
+    def _diagonal(self) -> np.ndarray:
+        v = np.arange(self.nv)
+        return self.rows[v, v >> 3] & _BIT[v & 7] != 0
 
     def loop_ids(self):
-        return _bits(self.loops)
+        return np.flatnonzero(self._diagonal()).tolist()
 
     def neighbors(self, v: int):
-        return _bits(self.adj[v])
+        return [w for w in np.flatnonzero(_unpack(self.rows[v], self.nv)).tolist() if w != v]
 
     def edges(self):
         """Non-loop edges as sorted (u, v) pairs with u < v."""
-        out = []
-        for u in range(self.nv):
-            rest = self.adj[u] >> (u + 1)
-            for w in _bits(rest):
-                out.append((u, u + 1 + w))
-        return out
+        r, c = self._looped_pairs
+        upper = r < c
+        return list(zip(r[upper].tolist(), c[upper].tolist()))
 
     def edge_pairs_with_loops(self):
         return self.edges() + [(v, v) for v in self.loop_ids()]
 
     def adjacency_matrix(self, include_loops: bool = False) -> np.ndarray:
-        if include_loops not in self._matrices:
-            M = np.unpackbits(self._packed(), axis=1, count=self.nv, bitorder="little").view(bool)
-            if include_loops:
-                ids = np.fromiter(self.loop_ids(), dtype=np.intp)
-                M[ids, ids] = True
-            self._matrices[include_loops] = M
-        return self._matrices[include_loops]
-
-    def _packed(self) -> np.ndarray:
-        """The bitsets as an (nv, ceil(nv / 8)) array of little-endian bytes."""
-        width = (self.nv + 7) // 8
-        rows = b"".join(x.to_bytes(width, "little") for x in self.adj)
-        return np.frombuffer(rows, np.uint8).reshape(self.nv, width)
+        M = _unpack(self.rows, self.nv)
+        if not include_loops:
+            np.fill_diagonal(M, False)
+        return M
 
     def preserves_adjacency(self, arr: np.ndarray) -> bool:
         """Whether the vertex bijection arr maps adjacent ordered pairs, loops
         included, to adjacent pairs.  A bijection maps that finite set
         injectively into itself, hence onto it, so this is A[arr][:, arr] == A."""
         r, c = self._looped_pairs
-        return bool(self.adjacency_matrix(include_loops=True)[arr[r], arr[c]].all())
+        return all_adjacent(self.rows, arr[r], arr[c])
 
     @functools.cached_property
     def _looped_pairs(self):
-        return np.nonzero(self.adjacency_matrix(include_loops=True))
+        return looped_pairs(self.rows)
 
     # -- point representation ----------------------------------------------
 
@@ -177,109 +174,70 @@ class OiGraph:
             isinstance(other, OiGraph)
             and self.space == other.space
             and [P.rows for P in self.verts] == [P.rows for P in other.verts]
-            and self.adj == other.adj
-            and self.loops == other.loops
+            and np.array_equal(self.rows, other.rows)
         )
 
     # -- connectivity ------------------------------------------------------
 
+    def bfs_levels(self, src: int):
+        """Breadth-first levels from src as ascending vertex id arrays.
+
+        A level is one OR-reduction of the previous level's packed rows, so
+        the work per level is about that level's rows, nv / 8 bytes each.
+        Loops are harmless: a vertex's own bit is already reached.
+        """
+        reached = np.zeros(self.rows.shape[1], dtype=np.uint8)
+        reached[src >> 3] = 1 << (src & 7)
+        level = np.array([src])
+        while True:
+            yield level
+            fresh = np.bitwise_or.reduce(self.rows[level], axis=0) & ~reached
+            if not fresh.any():
+                return
+            reached |= fresh
+            level = np.flatnonzero(_unpack(fresh, self.nv))
+
     def components(self):
-        seen = 0
+        seen = np.zeros(self.nv, dtype=bool)
         out = []
-        full = (1 << self.nv) - 1
         for start in range(self.nv):
-            if (seen >> start) & 1:
-                continue
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp & full
-                comp |= frontier
-            seen |= comp
-            out.append(list(_bits(comp)))
+            if not seen[start]:
+                comp = np.sort(np.concatenate(list(self.bfs_levels(start))))
+                seen[comp] = True
+                out.append(comp.tolist())
         return out
 
-    def eccentricity(self, v: int):
-        dist = self._bfs(v)
-        reached = [d for d in dist if d >= 0]
-        if len(reached) < self.nv:
-            return math.inf
-        return max(reached)
-
     def diameter(self):
-        """Largest eccentricity, or math.inf for a disconnected graph.
-
-        Breadth-first search from every source over the packed bitset rows:
-        a level is one OR-reduction of the frontier's rows, so the work per
-        source is about nv^2 / 8 bytes of numpy traffic and the temporaries
-        stay below one frontier's rows.
-        """
-        packed = self._packed()
-        everyone = np.packbits(np.ones(self.nv, dtype=bool), bitorder="little")
+        """The largest distance between two vertices, or math.inf if disconnected."""
         best = 0
         for src in range(self.nv):
-            reached = np.zeros_like(everyone)
-            reached[src // 8] = 1 << (src % 8)
-            frontier, depth = [src], 0
-            while True:
-                fresh = np.bitwise_or.reduce(packed[frontier], axis=0) & ~reached
-                if not fresh.any():
-                    break
-                reached |= fresh
-                frontier = np.flatnonzero(np.unpackbits(fresh, count=self.nv, bitorder="little"))
-                depth += 1
-            if not np.array_equal(reached, everyone):
+            levels = list(self.bfs_levels(src))
+            if sum(map(len, levels)) < self.nv:
                 return math.inf
-            best = max(best, depth)
+            best = max(best, len(levels) - 1)
         return best
 
-    def _bfs(self, src: int):
-        dist = [-1] * self.nv
-        dist[src] = 0
-        frontier = 1 << src
-        visited = frontier
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.adj[v]
-            nxt &= ~visited
-            for w in _bits(nxt):
-                dist[w] = d
-            visited |= nxt
-            frontier = nxt
-        return dist
-
     def distance(self, u: int, v: int):
-        d = self._bfs(u)[v]
-        return math.inf if d < 0 else d
+        for d, level in enumerate(self.bfs_levels(u)):
+            if v in level:
+                return d
+        return math.inf
 
     def witness_path(self, u: int, v: int):
-        """A shortest u-v path as a vertex id list (BFS, lowest-id parents)."""
-        if u == v:
-            return [u]
-        parent = [-1] * self.nv
-        frontier = 1 << u
-        visited = frontier
-        while frontier:
-            nxt = 0
-            for w in _bits(frontier):
-                fresh = self.adj[w] & ~visited & ~nxt
-                for x in _bits(fresh):
-                    parent[x] = w
-                nxt |= fresh
-            if (nxt >> v) & 1:
-                path = [v]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            visited |= nxt
-            frontier = nxt
-        raise ValueError(f"vertices {u} and {v} are in different components")
+        """A shortest u-v path as a vertex id list: each vertex's parent is
+        the lowest-id vertex of the previous level adjacent to it."""
+        levels = []
+        for level in self.bfs_levels(u):
+            levels.append(level)
+            if v in level:
+                break
+        else:
+            raise ValueError(f"vertices {u} and {v} are in different components")
+        path = [v]
+        for level in reversed(levels[:-1]):
+            adjacent_to_last = _unpack(self.rows[path[-1]], self.nv)[level]
+            path.append(int(level[adjacent_to_last.argmax()]))
+        return path[::-1]
 
     # -- induced dimension-1 part -----------------------------------------
 
@@ -288,22 +246,36 @@ class OiGraph:
 
     def dim1_subgraph(self) -> "OiGraph":
         ids = self.dim1_ids()
-        return self.induced(ids)
+        sub = _unpack(self.rows[ids], self.nv)[:, ids]
+        return OiGraph(self.space, [self.verts[v] for v in ids], np.packbits(sub, axis=1, bitorder="little"))
 
-    def induced(self, ids) -> "OiGraph":
-        pos = {v: i for i, v in enumerate(ids)}
-        adj = []
-        for v in ids:
-            bits = 0
-            for w in _bits(self.adj[v]):
-                if w in pos:
-                    bits |= 1 << pos[w]
-            adj.append(bits)
-        loops = 0
-        for v in ids:
-            if self.loop_at(v):
-                loops |= 1 << pos[v]
-        return OiGraph(self.space, [self.verts[v] for v in ids], adj, loops)
+
+def all_adjacent(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> bool:
+    """Whether bit c[i] of packed row r[i] is set for every i."""
+    byte = rows.ravel()[r * rows.shape[1] + (c >> 3)]  # a flat gather beats rows[r, c >> 3]
+    return bool((byte & _BIT[c & 7]).all())
+
+
+_BIT = (1 << np.arange(8)).astype(np.uint8)
+
+
+def looped_pairs(rows: np.ndarray):
+    """Every adjacent ordered pair, loops included, of the packed looped
+    rows as row-major (r, c) id arrays.  The rows are unpacked a block at a
+    time, so no nv x nv matrix is made beside one a caller may hold."""
+    nv = len(rows)
+    step = max(1, (1 << 18) // max(nv, 1))
+    r, c = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, nv, step):
+        br, bc = np.nonzero(_unpack(rows[lo : lo + step], nv))
+        r.append(br + lo)
+        c.append(bc)
+    return np.concatenate(r), np.concatenate(c)
+
+
+def _unpack(rows: np.ndarray, nv: int) -> np.ndarray:
+    """Packed rows (last axis) as booleans over the nv vertices."""
+    return np.unpackbits(rows, axis=-1, count=nv, bitorder="little").view(bool)
 
 
 def _bits(x: int):
@@ -311,10 +283,6 @@ def _bits(x: int):
         lsb = x & -x
         yield lsb.bit_length() - 1
         x ^= lsb
-
-
-def _pack_bool_row(row: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
@@ -327,8 +295,8 @@ def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
     for m in range(1, n):
         verts.extend(enumerate_subspaces(space, m))
     verts.sort(key=lambda P: (P.m, P.rows))
-    g = OiGraph(space, verts, [0] * len(verts), 0)
-    g.adj, g.loops = _adjacency(g)
+    g = OiGraph(space, verts, np.zeros((len(verts), (len(verts) + 7) // 8), dtype=np.uint8))
+    _fill_adjacency(g)
     return g
 
 
@@ -381,28 +349,23 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _adjacency(g: OiGraph):
-    """(bitsets, loop bitset) from the basis points of each vertex.
+def _fill_adjacency(g: OiGraph) -> None:
+    """Pack the looped adjacency into g.rows from the basis points of each vertex.
 
     perp[u] marks the points orthogonal to every basis point of u, i.e. the
     points of the dual of u, and u ~ v iff every basis point of v lies in
-    perp[u].  Bases are padded to n - 1 rows by repeating their last row.
-    Rows are computed in small blocks and packed straight into bitsets.
+    perp[u]; u ~ u is the loop of a totally isotropic u.  Bases are padded
+    to n - 1 rows by repeating their last row.  Rows are computed in small
+    blocks and packed straight into g.rows.
     """
     pts, f, n = g._points, g.space.field, g.space.n
     forms = f.matmul(pts.vectors, np.array(g.space.form.rows))  # x -> x S pt per point p
     basis = [pts.ids(bases) for bases in _bases_by_dimension(g.verts)]
     basis = np.concatenate([np.pad(ids, ((0, 0), (0, n - 1 - ids.shape[1])), mode="edge") for ids in basis])
     step = max(1, (1 << 18) // (g.nv * (n - 1)))  # a block's gather stays near 256 KB
-    adj, loops = [], np.zeros(g.nv, dtype=bool)
     for lo in range(0, g.nv, step):
-        own = np.arange(lo, min(lo + step, g.nv))
-        perp = (f.matmul(forms[basis[own]], pts.vectors.T) == 0).all(axis=1)
-        A = perp[:, basis].all(axis=2)
-        loops[own] = A[np.arange(len(own)), own]
-        A[np.arange(len(own)), own] = False
-        adj.extend(_pack_bool_row(row) for row in A)
-    return adj, _pack_bool_row(loops)
+        perp = (f.matmul(forms[basis[lo : lo + step]], pts.vectors.T) == 0).all(axis=1)
+        g.rows[lo : lo + step] = np.packbits(perp[:, basis].all(axis=2), axis=1, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +383,9 @@ def max_clique_dim1(g: OiGraph):
     non-loop members); for these graphs that is (nu + delta, delta).
     """
     d1 = g.dim1_subgraph()
-    iso_ids = [v for v in range(d1.nv) if d1.loop_at(v)]
     field = d1.space.field
+    # neighbour bitsets of the dimension-1 points, self-bits cleared
+    adj = [int.from_bytes(row.tobytes(), "little") & ~(1 << v) for v, row in enumerate(d1.rows)]
 
     # phase 1: maximum independent clique among the loop vertices
     best_l: list = []
@@ -440,19 +404,16 @@ def max_clique_dim1(g: OiGraph):
             rows = (basis_mat.rows if basis_mat is not None else ()) + d1.verts[v].rows
             M = Mat(field, rows)
             if M.rank() == len(chosen) + 1:
-                grow_iso(chosen + [v], M, rest & d1.adj[v])
+                grow_iso(chosen + [v], M, rest & adj[v])
             if len(chosen) + 1 + rest.bit_count() <= len(best_l):
                 break
 
-    iso_mask = 0
-    for v in iso_ids:
-        iso_mask |= 1 << v
-    grow_iso([], None, iso_mask)
+    grow_iso([], None, d1.loops)
 
     # phase 2: extend by anisotropic points orthogonal to all of phase 1
     cand = (1 << d1.nv) - 1 & ~d1.loops
     for v in best_l:
-        cand &= d1.adj[v]
+        cand &= adj[v]
     best_a: list = []
 
     def grow_aniso(chosen, cand):
@@ -466,7 +427,7 @@ def max_clique_dim1(g: OiGraph):
         rest = cand
         for v in _bits(cand):
             rest ^= 1 << v
-            grow_aniso(chosen + [v], rest & d1.adj[v])
+            grow_aniso(chosen + [v], rest & adj[v])
             if len(chosen) + 1 + rest.bit_count() <= len(best_a):
                 break
 
@@ -517,21 +478,27 @@ def graph_from_json(text: str) -> OiGraph:
     sp = data["space"]
     field = parse_field(sp["field"], tuple(sp["modulus"]) if "modulus" in sp else None)
     space = space_make(sp["nu"], sp["delta"], field, sp.get("disc") or "one")
+    records = sorted(data["vertices"], key=lambda r: r["id"])
+    nv = len(records)
+    if [rec["id"] for rec in records] != list(range(nv)):
+        raise ValueError(f"vertex ids are not exactly 0..{nv - 1}")
     verts = []
-    for rec in sorted(data["vertices"], key=lambda r: r["id"]):
+    for rec in records:
         P = subspace_make(space, rec["basis"])
         if P.rows != tuple(tuple(r) for r in rec["basis"]):
             raise ValueError(f"vertex {rec['id']} basis is not in canonical form")
         verts.append(P)
-    nv = len(verts)
-    adj = [0] * nv
-    for u, v in data["edges"]:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    loops = 0
-    for v in data["loops"]:
-        loops |= 1 << v
-    return OiGraph(space, verts, adj, loops)
+    edges, loops = [tuple(e) for e in data["edges"]], list(data["loops"])
+    for x in itertools.chain(loops, *edges):
+        if type(x) is not int or not 0 <= x < nv:
+            raise ValueError(f"vertex id {x!r} is not in 0..{nv - 1}")
+    if any(u == v for u, v in edges):
+        raise ValueError("an edge joins a vertex to itself; loops belong in 'loops'")
+    pairs = edges + [(v, u) for u, v in edges] + [(v, v) for v in loops]
+    r, c = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rows = np.zeros((nv, (nv + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(rows, (r, c >> 3), (1 << (c & 7)).astype(np.uint8))
+    return OiGraph(space, verts, rows)
 
 
 def graph_to_dot(g: OiGraph, header: bool = True) -> str:

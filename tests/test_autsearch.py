@@ -18,7 +18,7 @@ from oigraph.autsearch import (
 )
 from oigraph.gf import GF, factor_prime_power
 from oigraph.geometry import classify_type, space_make, subspace_make
-from oigraph.graph import BudgetExceeded, _bits, build_graph
+from oigraph.graph import BudgetExceeded, build_graph
 from oigraph.linalg import Mat
 from oigraph.symmetry import (
     PermGroup,
@@ -43,21 +43,18 @@ def g43():
     return build_graph(space_make(2, 0, F3))
 
 
-def adj_from_edges(nv, edges):
-    adj = [0] * nv
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def brute_order(nv, adj, loops):
+def adj_from_edges(nv, edges, loops=()):
+    """The looped boolean adjacency matrix of an edge list plus loop ids."""
     A = np.zeros((nv, nv), dtype=bool)
-    for u in range(nv):
-        for v in _bits(adj[u]):
-            A[u, v] = True
-    for v in _bits(loops):
+    for u, v in edges:
+        A[u, v] = A[v, u] = True
+    for v in loops:
         A[v, v] = True
+    return A
+
+
+def brute_order(A):
+    nv = len(A)
     count = 0
     for p in itertools.permutations(range(nv)):
         arr = np.array(p)
@@ -121,8 +118,9 @@ def test_refine_matches_bitset_reference(nu, delta, q, disc):
     cells = refine(g, start)
     ti = _Search._target(cells)
     inputs += [_Search._individualize(cells, ti, w) for w in cells[ti]]
+    adj = [sum(1 << int(w) for w in np.flatnonzero(row)) for row in g.adjacency_matrix()]
     for cells in inputs:
-        assert refine(g, cells) == reference_refine_cells(g.adj, cells)
+        assert refine(g, cells) == reference_refine_cells(adj, cells)
 
 
 def rank_profile(g, v):
@@ -201,60 +199,50 @@ def test_is_automorphism_errors(g23):
 
 def test_search_small_known_graphs():
     # empty graph on 4: S_4
-    assert search_automorphisms([0, 0, 0, 0], 0).order == 24
+    assert search_automorphisms(adj_from_edges(4, [])).order == 24
     # path 0-1-2-3
-    adj = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert search_automorphisms(adj, 0).order == 2
+    assert search_automorphisms(adj_from_edges(4, [(0, 1), (1, 2), (2, 3)])).order == 2
     # triangle plus isolated vertex
-    adj = adj_from_edges(4, [(0, 1), (1, 2), (0, 2)])
-    assert search_automorphisms(adj, 0).order == 6
+    assert search_automorphisms(adj_from_edges(4, [(0, 1), (1, 2), (0, 2)])).order == 6
     # 6-cycle: dihedral of order 12
-    adj = adj_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert search_automorphisms(adj, 0).order == 12
+    assert search_automorphisms(adj_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])).order == 12
     # loops break symmetry: triangle with one loop
-    adj = adj_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert search_automorphisms(adj, 0b001).order == 2
+    assert search_automorphisms(adj_from_edges(3, [(0, 1), (1, 2), (0, 2)], loops=[0])).order == 2
+
+
+def test_check_leaf_accepts_only_automorphisms():
+    # path 0-1-2-3: the reversal is an automorphism unless a loop breaks it
+    for loops, reversal_ok in (([0, 3], True), ([0], False)):
+        A = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)], loops)
+        search = _Search(np.packbits(A, axis=1, bitorder="little"), np.nonzero(A), [0] * 4)
+        search.first_leaf = [0, 1, 2, 3]
+        assert (search._check_leaf([[3], [2], [1], [0]]) is not None) == reversal_ok
+        assert search._check_leaf([[1], [0], [2], [3]]) is None  # edge 1-2 goes to 0-2
+        assert list(search._check_leaf([[0], [1], [2], [3]])) == [0, 1, 2, 3]
 
 
 def test_search_matches_bruteforce_random():
     rng = np.random.default_rng(23)
     for _ in range(30):
         nv = int(rng.integers(4, 8))
-        adj = [0] * nv
-        for u in range(nv):
-            for v in range(u + 1, nv):
-                if rng.random() < 0.4:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv) if rng.random() < 0.4]
         loops = int(rng.integers(0, 1 << nv)) if rng.random() < 0.5 else 0
-        res = search_automorphisms(adj, loops)
-        assert res.order == brute_order(nv, adj, loops)
+        A = adj_from_edges(nv, edges, [v for v in range(nv) if loops >> v & 1])
+        res = search_automorphisms(A)
+        assert res.order == brute_order(A)
         for gen in res.generators:
-            A = np.zeros((nv, nv), dtype=bool)
-            for u in range(nv):
-                for v in _bits(adj[u]):
-                    A[u, v] = True
-            for v in _bits(loops):
-                A[v, v] = True
             assert np.array_equal(A[np.ix_(gen, gen)], A)
 
 
 def test_search_relabel_invariance():
     g = build_graph(space_make(1, 0, F5))
     rng = np.random.default_rng(5)
-    base = search_automorphisms(g.adj, g.loops).order
+    A = g.adjacency_matrix(include_loops=True)
+    base = search_automorphisms(A).order
     for _ in range(10):
         rho = rng.permutation(g.nv)
-        adj = [0] * g.nv
-        loops = 0
-        for v in range(g.nv):
-            nb = 0
-            for w in _bits(g.adj[v]):
-                nb |= 1 << int(rho[w])
-            adj[int(rho[v])] = nb
-        for v in _bits(g.loops):
-            loops |= 1 << int(rho[v])
-        assert search_automorphisms(adj, loops).order == base
+        inv = np.argsort(rho)  # vertex v is relabelled rho[v]
+        assert search_automorphisms(A[np.ix_(inv, inv)]).order == base
 
 
 # -- frozen orders on the graphs themselves --------------------------------

@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
+import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -101,9 +105,10 @@ def test_adjacency_matches_dual_containment(g43):
 def test_adjacency_matches_defining_relation():
     for space in (space_make(1, 1, F3), space_make(1, 0, F9), space_make(1, 1, F9, disc="z")):
         g = build_graph(space)
+        A = g.adjacency_matrix()
         for u in range(g.nv):
             for v in range(g.nv):
-                got = g.loop_at(u) if u == v else bool((g.adj[u] >> v) & 1)
+                got = g.loop_at(u) if u == v else bool(A[u, v])
                 assert got == adjacent(g.verts[u], g.verts[v]), (space, u, v)
 
 
@@ -139,6 +144,10 @@ def test_witness_path(g43):
     assert len(set(path)) == 5
     for a, b in zip(path, path[1:]):
         assert adjacent(g43.verts[a], g43.verts[b])
+    # each vertex's parent is the lowest-id neighbour one step nearer to u
+    for i in range(1, len(path)):
+        nearer = [w for w in g43.neighbors(path[i]) if g43.distance(u, w) == i - 1]
+        assert path[i - 1] == min(nearer)
 
 
 def test_witness_path_errors(g23):
@@ -146,6 +155,16 @@ def test_witness_path_errors(g23):
     assert g23.witness_path(2, 2) == [2]
     with pytest.raises(ValueError):
         g23.witness_path(0, 2)
+
+
+def test_distance_profile_labels_unreachable_pairs(capsys):
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "distance_profile.py"
+    spec = importlib.util.spec_from_file_location("distance_profile", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["1", "0", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "  unreachable: 4\n" in out and "            1: 2\n" in out
 
 
 def test_max_clique_values(g23, g33, g43):
@@ -191,13 +210,58 @@ def test_json_round_trip_extension_field():
 
 
 def test_json_rejects_noncanonical_basis(g23):
-    import json as _json
-
-    data = _json.loads(graph_to_json(g23))
+    data = json.loads(graph_to_json(g23))
     assert data["vertices"][3]["basis"] == [[1, 2]]
     data["vertices"][3]["basis"] = [[2, 1]]  # same subspace, wrong representative
     with pytest.raises(ValueError):
-        graph_from_json(_json.dumps(data))
+        graph_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["loops"].append(99),
+        lambda d: d["loops"].append(-1),
+        lambda d: d["edges"].append([2, 4]),
+        lambda d: d["edges"].append([-1, 2]),
+        lambda d: d["edges"].append([2, 2]),
+        lambda d: d["vertices"].append(dict(d["vertices"][3])),
+        lambda d: d["vertices"][3].update(id=4),
+    ],
+    ids=["loop-99", "loop-negative", "edge-out-of-range", "edge-negative", "self-edge", "duplicate-vertex", "id-gap"],
+)
+def test_json_rejects_malformed_graph(g23, edit):
+    data = json.loads(graph_to_json(g23))
+    edit(data)
+    with pytest.raises(ValueError):
+        graph_from_json(json.dumps(data))
+
+
+# sha256 of the artifacts, frozen before the adjacency moved to packed rows
+FROZEN_DIGESTS = {
+    (2, 0, F3, "one"): (
+        "0f7a3ce692725a34882abfb449ba63fee326be18772735bb2c3fc64dfe4ee6ec",
+        "ade6e666776cfb6aa1c998064c7ddc728a7c73dede3136f7791899cd72b746e6",
+        "3f2dc4937fbac4e5dfc8e31661ad918b27ec0e5d80d75cf532f3e72987f3f0a4",
+    ),
+    (1, 1, F9, "z"): (
+        "eae69ae17da177450691b4687f25a6eb6beb9e5cef323839d19965d299f2448c",
+        "140e5ef02ec6ca94abe8790a4cec91fbec8e097df789af2f44f2ed87263e16b6",
+        "3649b9b22134f783d46f15a3a747868ee465ea181e44f03675d9b5fad7b44592",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_DIGESTS), ids=["oi43", "oi39-z"])
+def test_artifact_digests_frozen(key):
+    # graph_to_json, graph_to_dot and the looped adjacency matrix's bytes
+    g = build_graph(space_make(*key))
+    artifacts = (
+        graph_to_json(g).encode(),
+        graph_to_dot(g).encode(),
+        g.adjacency_matrix(include_loops=True).tobytes(),
+    )
+    assert tuple(hashlib.sha256(a).hexdigest() for a in artifacts) == FROZEN_DIGESTS[key]
 
 
 def test_dot_output(g23):
@@ -233,7 +297,7 @@ def test_budget_env(monkeypatch):
 def test_adjacency_symmetric(g43, u, v):
     A, B = g43.verts[u], g43.verts[v]
     assert adjacent(A, B) == adjacent(B, A)
-    got = bool((g43.adj[u] >> v) & 1) if u != v else g43.loop_at(u)
+    got = bool(g43.adjacency_matrix()[u, v]) if u != v else g43.loop_at(u)
     assert got == adjacent(A, B)
 
 
