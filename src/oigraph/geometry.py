@@ -13,7 +13,9 @@ f_1..f_nu (= e_{nu+i}), then eps and kappa for the definite tail.
 Subspaces are canonical: the reduced-row-echelon basis identifies them
 uniquely.  A subspace is classified by (m, r, s, tag): dimension, Gram rank,
 Witt index of the restricted form, and the square class of the 1-dimensional
-anisotropic residual when r - 2s = 1.
+anisotropic residual when r - 2s = 1.  The type is read off the Gram
+matrix's rank and discriminant (witt_decompose); witt_bruteforce_oracle
+finds the Witt index by exhaustive search as an independent check.
 """
 
 from __future__ import annotations
@@ -123,10 +125,6 @@ class Subspace:
     def basis_matrix(self) -> Mat:
         return Mat(self.space.field, self.rows)
 
-    def contains(self, other: "Subspace") -> bool:
-        stacked = Mat(self.space.field, self.rows + other.rows)
-        return stacked.rank() == self.m
-
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.space == other.space and self.rows == other.rows
 
@@ -209,91 +207,32 @@ class SubspaceType:
         return f"({self.m},{self.r},{self.s})"
 
 
-def _diag_entries(G: Mat):
-    """Nonzero diagonal after congruence diagonalization (the rank part)."""
-    D, _ = G.congruence_diagonalize()
-    return [D[i, i] for i in range(D.nrows) if D[i, i] != 0]
-
-
-def _find_isotropic(field: GF, d):
-    """A nonzero vector x (len(d) entries) with sum d_i x_i^2 = 0, or None.
-
-    Supported on the first three coordinates: any diagonal form of rank >= 3
-    over a finite field is isotropic, and rank-2 forms are isotropic iff
-    -d1/d2 is a square.
-    """
-    k = len(d)
-    if k < 2:
-        return None
-    neg = field.neg
-    if k == 2:
-        w = field.div(neg(d[1]), d[0])
-        if field.is_square(w):
-            return (field.sqrt_of_square(w), 1)
-        return None
-    # k >= 3: scan x3 = 1, x2 ranging over the field
-    for x2 in field.elements():
-        rhs = field.div(neg(field.add(d[2], field.mul(d[1], field.mul(x2, x2)))), d[0])
-        if rhs == 0:
-            if x2 == 0:
-                continue  # would give the zero vector on this support
-            return (0, x2, 1) + (0,) * (k - 3)
-        if field.is_square(rhs):
-            return (field.sqrt_of_square(rhs), x2, 1) + (0,) * (k - 3)
-    raise AssertionError("rank >= 3 diagonal forms are always isotropic")
-
-
-def _split_hyperbolic(field: GF, d, v):
-    """Split the hyperbolic plane spanned by isotropic v out of diag(d).
-
-    Returns the diagonal entries of the orthogonal complement (length-2
-    shorter).  Standard construction: pick u with B(v,u) = 1, replace it by
-    w = u - (B(u,u)/2) v so that (v, w) is a hyperbolic pair, then restrict
-    the form to the complement of span(v, w).
-    """
-    k = len(d)
-    G = Mat.diagonal(field, d)
-    i0 = next(i for i in range(k) if v[i] != 0)
-    # B(v, e_i0) = d_i0 * v_i0 != 0
-    b = field.mul(d[i0], v[i0])
-    u = tuple(field.inv(b) if i == i0 else 0 for i in range(k))
-    uu = dot_form(field, u, G, u)
-    half = field.inv(field.add(1, 1))  # 1/2 exists: characteristic is odd
-    corr = field.mul(uu, half)
-    w = tuple(field.sub(ui, field.mul(corr, vi)) for ui, vi in zip(u, v))
-    # complement = kernel of the k x 2 matrix [G vt, G wt]
-    cols = G.mul(Mat(field, [v, w]).transpose())
-    C = cols.left_kernel()
-    assert C.nrows == k - 2
-    sub = C.mul(G).mul(C.transpose())
-    out = _diag_entries(sub)
-    assert len(out) == k - 2, "complement of a hyperbolic plane stays nondegenerate"
-    return out
-
-
 def witt_decompose(G: Mat):
     """(s, gamma, tag) for a symmetric matrix: Witt index of the rank part,
     anisotropic residual dimension, and the residual square class at gamma=1.
 
-    Constructive: diagonalize, then split hyperbolic planes until the
-    residual is anisotropic (dimension <= 2).
+    Closed form: over GF(q), q odd, the rank r and the discriminant D of the
+    nonzero diagonal after one congruence diagonalization fix the rank part
+    up to isometry (Serre, A Course in Arithmetic, Ch. IV).  A hyperbolic
+    plane has discriminant -1, so with s = r // 2 and c = (-1)^s D:
+    r odd gives s planes plus <c>, tagged by the square class of c; r even
+    gives s planes when c is a square and otherwise s - 1 planes plus the
+    anisotropic plane.  witt_bruteforce_oracle is the independent check.
     """
     if not G.is_symmetric():
         raise ValueError("witt decomposition needs a symmetric matrix")
     field = G.field
-    d = _diag_entries(G)
-    s = 0
-    while len(d) >= 2:
-        v = _find_isotropic(field, d)
-        if v is None:
-            break
-        d = _split_hyperbolic(field, d, v)
-        s += 1
-    gamma = len(d)
-    tag = None
-    if gamma == 1:
-        tag = "one" if field.is_square(d[0]) else "z"
-    return s, gamma, tag
+    D, _ = G.congruence_diagonalize()
+    d = [D[i, i] for i in range(D.nrows) if D[i, i] != 0]
+    s, odd = divmod(len(d), 2)
+    c = 1 if s % 2 == 0 else field.neg(1)
+    for e in d:
+        c = field.mul(c, e)
+    if odd:
+        return s, 1, "one" if field.is_square(c) else "z"
+    if d and not field.is_square(c):
+        return s - 1, 2, None
+    return s, 0, None
 
 
 def witt_bruteforce_oracle(G: Mat) -> int:
@@ -328,14 +267,6 @@ def witt_bruteforce_oracle(G: Mat) -> int:
 def classify_type(P: Subspace) -> SubspaceType:
     s, gamma, tag = witt_decompose(gram(P))
     return SubspaceType(m=P.m, r=2 * s + gamma, s=s, tag=tag)
-
-
-def disc_square_class(P: Subspace) -> int:
-    """1 if det of the Gram matrix is a square, 0 if not (Gram nonsingular)."""
-    d = gram(P).det()
-    if d == 0:
-        raise ValueError("discriminant class needs a nonsingular Gram matrix")
-    return 1 if P.space.field.is_square(d) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +318,6 @@ def enumerate_subspaces(space: OSpace, m: int):
         raise ValueError(f"vertex dimension {m} out of range 1..{space.n - 1}")
     for rows in enumerate_rref(space.field, space.n, m):
         yield Subspace(space, rows)
-
-
-def count_by_type(space: OSpace, m: int) -> dict:
-    out: dict = {}
-    for P in enumerate_subspaces(space, m):
-        t = classify_type(P)
-        out[t] = out.get(t, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,7 @@ class OiGraph:
         the work per level is about that level's rows, nv / 8 bytes each.
         Loops are harmless: a vertex's own bit is already reached.
         """
+        self._check_id(src)
         reached = np.zeros(self.rows.shape[1], dtype=np.uint8)
         reached[src >> 3] = 1 << (src & 7)
         level = np.array([src])
@@ -217,7 +218,12 @@ class OiGraph:
             best = max(best, len(levels) - 1)
         return best
 
+    def _check_id(self, v) -> None:
+        if not 0 <= v < self.nv:
+            raise ValueError(f"vertex id {v} outside 0..{self.nv - 1}")
+
     def distance(self, u: int, v: int):
+        self._check_id(v)
         for d, level in enumerate(self.bfs_levels(u)):
             if v in level:
                 return d
@@ -226,6 +232,7 @@ class OiGraph:
     def witness_path(self, u: int, v: int):
         """A shortest u-v path as a vertex id list: each vertex's parent is
         the lowest-id vertex of the previous level adjacent to it."""
+        self._check_id(v)
         levels = []
         for level in self.bfs_levels(u):
             levels.append(level)

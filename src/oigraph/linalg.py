@@ -30,10 +30,6 @@ class Mat:
         return Mat(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zeros(field: GF, r: int, c: int) -> "Mat":
-        return Mat(field, tuple((0,) * c for _ in range(r)), ncols=c)
-
-    @staticmethod
     def diagonal(field: GF, entries) -> "Mat":
         entries = tuple(entries)
         n = len(entries)
@@ -77,14 +73,6 @@ class Mat:
         if not self.rows:
             return Mat(self.field, ((),) * self.ncols) if self.ncols else Mat(self.field, ())
         return Mat(self.field, tuple(zip(*self.rows)), ncols=self.nrows)
-
-    def add(self, other: "Mat") -> "Mat":
-        f = self.field
-        return Mat(f, ((f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
-
-    def scale(self, c: int) -> "Mat":
-        f = self.field
-        return Mat(f, ((f.mul(c, a) for a in r) for r in self.rows))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)
@@ -166,17 +154,6 @@ class Mat:
                     m = f.mul(inv, work[i][c])
                     work[i] = [f.sub(a, f.mul(m, b)) for a, b in zip(work[i], work[c])]
         return d
-
-    def inv(self) -> "Mat":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of non-square matrix")
-        f = self.field
-        n = self.nrows
-        aug = Mat(f, tuple(self.rows[i] + Mat.identity(f, n).rows[i] for i in range(n)))
-        R, _, pivots = aug.rref()
-        if pivots[:n] != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return Mat(f, tuple(r[n:] for r in R.rows))
 
     def congruence_diagonalize(self):
         """Exact symmetric diagonalization: returns (D, Q) with Q self Qt = D.

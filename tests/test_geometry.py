@@ -1,17 +1,18 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import (
     EdgeTypeTriple,
     OSpace,
     SubspaceType,
     classify_type,
-    count_by_type,
-    disc_square_class,
     dual,
     enumerate_rref,
     enumerate_subspaces,
@@ -94,6 +95,10 @@ def test_dual_examples():
     assert dual(E) == subspace_make(t, [t.e(1), t.f(1)])
 
 
+def contains(X, Y):
+    return Mat(X.space.field, X.rows + Y.rows).rank() == X.m
+
+
 def test_dual_involution_and_reversal():
     s = oi43()
     subs = [P for m in (1, 2) for P in enumerate_subspaces(s, m)]
@@ -106,8 +111,8 @@ def test_dual_involution_and_reversal():
     planes = list(enumerate_subspaces(s, 2))
     for P in rng.sample(planes, 20):
         for L in enumerate_subspaces(s, 1):
-            if P.contains(L):
-                assert dual(L).contains(dual(P))
+            if contains(P, L):
+                assert contains(dual(L), dual(P))
 
 
 def test_gram_examples():
@@ -156,9 +161,8 @@ def test_witt_matches_oracle_2x2_f3_exhaustive():
 
 
 def test_witt_closed_form_crosscheck():
-    # the discriminant determines gamma for nondegenerate forms:
-    # r even: gamma = 0 iff disc * (-1)^(r/2) is a square, else 2;
-    # r odd: gamma = 1 and the residual class is disc * (-1)^((r-1)/2).
+    # the closed form against the exhaustive oracle on random forms,
+    # degenerate ones included
     rng = random.Random(23)
     for field in [F3, F5, GF(3, 2)]:
         for _ in range(120):
@@ -168,22 +172,9 @@ def test_witt_closed_form_crosscheck():
                 for j in range(i, n):
                     G[i][j] = G[j][i] = rng.randrange(field.q)
             G = Mat(field, G)
-            r = G.rank()
-            s, gamma, tag = witt_decompose(G)
-            assert 2 * s + gamma == r
-            if r == 0:
-                continue
-            d = [e for e in (G.congruence_diagonalize()[0][i, i] for i in range(n)) if e != 0]
-            disc = 1
-            for e in d:
-                disc = field.mul(disc, e)
-            if r % 2 == 0:
-                sign = field.pow(field.neg(1), r // 2)
-                assert (gamma == 0) == field.is_square(field.mul(disc, sign))
-            else:
-                sign = field.pow(field.neg(1), (r - 1) // 2)
-                cls = "one" if field.is_square(field.mul(disc, sign)) else "z"
-                assert gamma == 1 and tag == cls
+            s, gamma, _ = witt_decompose(G)
+            assert 2 * s + gamma == G.rank()
+            assert s == witt_bruteforce_oracle(G)
 
 
 def test_classify_examples():
@@ -215,17 +206,6 @@ def test_classify_basis_invariant(seed):
     assert classify_type(Q) == classify_type(P)
 
 
-def test_disc_square_class():
-    s = oi43()
-    assert disc_square_class(subspace_make(s, [s.e(1), s.f(1)])) == 0  # det = -1 = 2
-    t = oi33()
-    assert disc_square_class(subspace_make(t, [t.eps()])) == 1
-    s5 = space_make(2, 0, F5)
-    assert disc_square_class(subspace_make(s5, [s5.e(1), s5.f(1)])) == 1  # -1 = 4 square
-    with pytest.raises(ValueError):
-        disc_square_class(subspace_make(s, [s.e(1)]))
-
-
 def test_enumerate_counts_and_uniqueness():
     s = oi43()
     for m in (1, 2, 3):
@@ -243,6 +223,10 @@ def test_enumerate_rref_forms_are_canonical():
         M = Mat(F3, rows)
         R, rank, _ = M.rref()
         assert R == M and rank == 2
+
+
+def count_by_type(space, m):
+    return Counter(classify_type(P) for P in enumerate_subspaces(space, m))
 
 
 def test_count_by_type_oi43_dim1():
@@ -289,3 +273,23 @@ def test_edge_type_triple_symmetry():
     assert EdgeTypeTriple.of(A, B) == EdgeTypeTriple.of(B, A)
     tr = EdgeTypeTriple.of(A, B)
     assert tr.total == SubspaceType(2, 0, 0)
+
+
+# sha256 of `oigraph classify --format csv` over all dimensions, frozen
+# before types came from rank and discriminant: both tags for q = 1 and
+# q = 3 (mod 4), and the gamma = 2 types
+FROZEN_CENSUS_DIGESTS = {
+    ("2", "0", "one", "5"): "b4e6b8732372b3080037ce2f9b5496b178900da9eb61730ef8ab103a020149bd",
+    ("1", "1", "z", "9"): "30f46779c02bceadc58dd6695c56d371c5eaa631b2d736f923d11f01dc7b987c",
+    ("2", "1", "z", "3"): "ccb71e4b2a6d871f48c00ee895383f348c7aef7c3566444768db3fc93fd7136a",
+    ("1", "2", "one", "3"): "af2d21c89b4ffced3ac8992424adeea3f14898082ca7123d839b926bf7924b53",
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_CENSUS_DIGESTS), ids=["oi45", "oi39-z", "oi53-z", "oi43-delta2"])
+def test_type_census_digests_frozen(key, capsys):
+    nu, delta, disc, q = key
+    argv = ["classify", "--nu", nu, "--delta", delta, "--disc", disc, "--field", q, "--format", "csv"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_CENSUS_DIGESTS[key]

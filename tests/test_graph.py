@@ -157,6 +157,26 @@ def test_witness_path_errors(g23):
         g23.witness_path(0, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.distance(-1, 0),
+        lambda g: g.distance(0, -1),
+        lambda g: g.distance(0, 10**6),
+        lambda g: g.distance(0, g.nv),
+        lambda g: list(g.bfs_levels(500)),
+        lambda g: list(g.bfs_levels(-1)),
+        lambda g: g.witness_path(0, 999),
+        lambda g: g.witness_path(-1, 0),
+    ],
+    ids=["distance-src-negative", "distance-dst-negative", "distance-dst-huge", "distance-dst-nv",
+         "bfs-500", "bfs-negative", "witness-dst-999", "witness-src-negative"],
+)
+def test_bfs_rejects_vertex_ids_out_of_range(g43, call):
+    with pytest.raises(ValueError, match="vertex id"):
+        call(g43)
+
+
 def test_distance_profile_labels_unreachable_pairs(capsys):
     path = pathlib.Path(__file__).parents[1] / "scripts" / "distance_profile.py"
     spec = importlib.util.spec_from_file_location("distance_profile", path)

@@ -121,7 +121,7 @@ def test_orthogonal_closure_order_1152(sp43):
 def test_perm_from_matrix_basics(g43):
     ident = perm_from_matrix(g43, Mat.identity(F3, 4))
     assert ident.is_identity()
-    minus = perm_from_matrix(g43, Mat.identity(F3, 4).scale(F3.neg(1)))
+    minus = perm_from_matrix(g43, Mat.diagonal(F3, (2,) * 4))
     assert minus.is_identity()
     with pytest.raises(ValueError):
         perm_from_matrix(g43, Mat.diagonal(F3, (1, 1, 1, 2)))
@@ -134,7 +134,7 @@ def test_perm_matches_negated_matrix(g43):
         T = Mat.identity(F3, 4)
         for i in rng.integers(0, len(gens), size=3):
             T = T * gens[int(i)]
-        assert perm_from_matrix(g43, T) == perm_from_matrix(g43, T.scale(F3.neg(1)))
+        assert perm_from_matrix(g43, T) == perm_from_matrix(g43, T * Mat.diagonal(F3, (2,) * 4))
 
 
 def test_reflection_perm_preserves_adjacency(g43):
