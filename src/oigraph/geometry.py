@@ -15,14 +15,17 @@ uniquely.  A subspace is classified by (m, r, s, tag): dimension, Gram rank,
 Witt index of the restricted form, and the square class of the 1-dimensional
 anisotropic residual when r - 2s = 1.  The type is read off the Gram
 matrix's rank and discriminant (witt_decompose); witt_bruteforce_oracle
-finds the Witt index by exhaustive search as an independent check.
+finds the Witt index by exhaustive search as an independent check, batched:
+one pair of array products tests every candidate subspace of a dimension.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
+
+import numpy as np
 
 from .gf import GF
 from .linalg import Mat, dot_form
@@ -235,33 +238,57 @@ def witt_decompose(G: Mat):
     return s, 0, None
 
 
+# Most candidate bases witt_bruteforce_oracle tests in one dimension: admits
+# every form up to 4x4 over F17, 5x5 over F5 and 6x6 over F3.
+ORACLE_MAX_BASES = 10**5
+
+
 def witt_bruteforce_oracle(G: Mat) -> int:
-    """Witt index by exhaustive search, for cross-checking witt_decompose.
+    """Witt index by batched exhaustive search, for cross-checking
+    witt_decompose.
 
     Finds the largest totally isotropic subspace of the (possibly degenerate)
     form and subtracts the radical dimension.  Scans dimensions upward with
     early exit: if no d-dimensional totally isotropic subspace exists, none
-    larger can.
+    larger can.  Each dimension is one test of every candidate at once: the
+    rref bases B of shape (K, d, m) give the K Gram blocks B G Bt by two
+    GF.matmul calls, and d is reached when one block is zero.  Raises
+    ValueError, before allocating, when one dimension has more than
+    ORACLE_MAX_BASES candidates.
     """
     m = G.nrows
     field = G.field
-    if field.q**m > 10**6:
-        raise ValueError(f"oracle instance too large: q^m = {field.q**m}")
+    worst = max(gauss_binomial(m, d, field.q) for d in range(m + 1))
+    if worst > ORACLE_MAX_BASES:
+        raise ValueError(
+            f"oracle instance too large: {worst} candidate bases in one dimension, "
+            f"limit {ORACLE_MAX_BASES}"
+        )
     if m == 0:
         return 0
     radical = m - G.rank()
+    gram_rows = np.array(G.rows)
     max_ti = 0
     for dim in range(1, m + 1):
-        found = False
-        for rows in enumerate_rref(field, m, dim):
-            B = Mat(field, rows)
-            if B.mul(G).mul(B.transpose()).is_zero():
-                found = True
-                break
-        if not found:
+        B = _rref_bases(field, m, dim)
+        blocks = field.matmul(field.matmul(B, gram_rows), B.transpose(0, 2, 1))
+        if blocks.any(axis=(1, 2)).all():
             break
         max_ti = dim
     return max_ti - radical
+
+
+@lru_cache(maxsize=64)
+def _rref_bases(field: GF, m: int, dim: int) -> np.ndarray:
+    """enumerate_rref(field, m, dim) as one read-only array of shape
+    (K, dim, m), in enumeration order."""
+    entries = itertools.chain.from_iterable(
+        itertools.chain.from_iterable(enumerate_rref(field, m, dim))
+    )
+    count = gauss_binomial(m, dim, field.q) * dim * m
+    B = np.fromiter(entries, dtype=field.arrays.mul.dtype, count=count).reshape(-1, dim, m)
+    B.setflags(write=False)
+    return B
 
 
 def classify_type(P: Subspace) -> SubspaceType:

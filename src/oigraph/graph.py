@@ -42,6 +42,10 @@ from .geometry import (
 from .linalg import Mat
 
 DEFAULT_VERTEX_BUDGET = 10**6
+# Largest adjacency array built: the packed rows (nv * ceil(nv / 8) bytes)
+# and the boolean matrix of adjacency_matrix() (nv * nv bytes).  Admits the
+# packed rows of Oi(6,3) (382 MiB) but not those of Oi(5,7) (9.5 GiB).
+MAX_ADJACENCY_BYTES = 2**30
 
 
 class BudgetExceeded(RuntimeError):
@@ -49,6 +53,12 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"instance needs {needed} {what}, budget is {budget}")
         self.needed = needed
         self.budget = budget
+        self.what = what
+
+
+def _check_bytes(needed: int) -> None:
+    if needed > MAX_ADJACENCY_BYTES:
+        raise BudgetExceeded(needed, MAX_ADJACENCY_BYTES, "bytes")
 
 
 def vertex_budget(override: int | None = None) -> int:
@@ -113,6 +123,7 @@ class OiGraph:
         return self.edges() + [(v, v) for v in self.loop_ids()]
 
     def adjacency_matrix(self, include_loops: bool = False) -> np.ndarray:
+        _check_bytes(self.nv * self.nv)
         M = _unpack(self.rows, self.nv)
         if not include_loops:
             np.fill_diagonal(M, False)
@@ -298,6 +309,7 @@ def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
     cap = vertex_budget(budget)
     if total > cap:
         raise BudgetExceeded(total, cap)
+    _check_bytes(total * ((total + 7) // 8))
     verts = []
     for m in range(1, n):
         verts.extend(enumerate_subspaces(space, m))

@@ -74,9 +74,6 @@ class Mat:
             return Mat(self.field, ((),) * self.ncols) if self.ncols else Mat(self.field, ())
         return Mat(self.field, tuple(zip(*self.rows)), ncols=self.nrows)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
             self.rows[i][j] == self.rows[j][i] for i in range(self.nrows) for j in range(i)

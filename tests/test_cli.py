@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oigraph import graph as graph_module
 from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import space_make
@@ -65,6 +66,18 @@ def test_build_budget_exit(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_build_bytes_budget_exit(capsys, monkeypatch):
+    # Oi(5,7): within the vertex budget, over the byte ceiling; the budget
+    # check must come before any vertex is enumerated
+    def enumerate_subspaces(*args):
+        raise AssertionError("vertices enumerated past the byte budget")
+
+    monkeypatch.setattr(graph_module, "enumerate_subspaces", enumerate_subspaces)
+    code, _, err = run(capsys, "build", "--nu", "2", "--delta", "1", "--field", "7")
+    assert code == 3
+    assert "bytes" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oigraph import geometry
 from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import (
@@ -162,11 +163,12 @@ def test_witt_matches_oracle_2x2_f3_exhaustive():
 
 def test_witt_closed_form_crosscheck():
     # the closed form against the exhaustive oracle on random forms,
-    # degenerate ones included
+    # degenerate ones included: n <= 4 over each field, then n <= 5 over F3
     rng = random.Random(23)
-    for field in [F3, F5, GF(3, 2)]:
-        for _ in range(120):
-            n = rng.randrange(1, 5)
+    cases = [(field, 120, 4) for field in (F3, F5, GF(3, 2), GF(7))] + [(F3, 60, 5)]
+    for field, count, n_max in cases:
+        for _ in range(count):
+            n = rng.randrange(1, n_max + 1)
             G = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
@@ -175,6 +177,27 @@ def test_witt_closed_form_crosscheck():
             s, gamma, _ = witt_decompose(G)
             assert 2 * s + gamma == G.rank()
             assert s == witt_bruteforce_oracle(G)
+
+
+def test_witt_oracle_admits_suite_sizes():
+    # the zero form is scanned in every dimension, largest batch included
+    for field, n in ((GF(3, 2), 4), (GF(11), 4), (F3, 5)):
+        assert witt_bruteforce_oracle(Mat(field, [[0] * n] * n)) == 0
+    hyperbolic = Mat(GF(11), [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    assert witt_bruteforce_oracle(hyperbolic) == 2
+
+
+def test_witt_oracle_rejects_oversized_before_allocating(monkeypatch):
+    # 6x6 over F9 has q^m = 531441 but 441,826,660 three-dimensional bases,
+    # about 63 GB as int64
+    assert gauss_binomial(6, 3, 9) == 441_826_660
+
+    def no_bases(*args):
+        raise AssertionError("candidate bases built for an oversized form")
+
+    monkeypatch.setattr(geometry, "_rref_bases", no_bases)
+    with pytest.raises(ValueError, match="too large"):
+        witt_bruteforce_oracle(Mat(GF(3, 2), [[0] * 6] * 6))
 
 
 def test_classify_examples():

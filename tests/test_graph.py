@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oigraph import graph as graph_module
 from oigraph.gf import GF
 from oigraph.geometry import classify_type, dual, gram, space_make, subspace_make
 from oigraph.graph import (
@@ -75,7 +76,7 @@ def test_vertex_order_and_counts(g43):
 
 def test_loops_are_totally_isotropic(g43):
     for v in range(g43.nv):
-        expect = gram(g43.verts[v]).is_zero()
+        expect = not any(map(any, gram(g43.verts[v]).rows))
         assert g43.loop_at(v) == expect
         assert classify_type(g43.verts[v]).r == 0 or not g43.loop_at(v)
 
@@ -310,6 +311,35 @@ def test_budget_env(monkeypatch):
         build_graph(space_make(1, 0, F3))
     monkeypatch.setenv("OIGRAPH_BUDGET", "4")
     assert build_graph(space_make(1, 0, F3)).nv == 4
+
+
+def test_budget_bytes_before_allocating(monkeypatch):
+    # Oi(5,7) fits the vertex budget (285702 vertices) but its packed rows
+    # are about 9.5 GiB; Oi(6,3)'s 382 MiB are admitted, so it goes on to
+    # enumerate its vertices, which is stopped here
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_subspaces(*args):
+        raise Enumerated
+
+    monkeypatch.setattr(graph_module, "enumerate_subspaces", enumerate_subspaces)
+    with pytest.raises(BudgetExceeded) as exc:
+        build_graph(space_make(2, 1, GF(7)))
+    assert exc.value.what == "bytes"
+    assert exc.value.needed == 285702 * 35713
+    assert exc.value.budget == graph_module.MAX_ADJACENCY_BYTES
+    with pytest.raises(Enumerated):
+        build_graph(space_make(3, 0, F3))
+
+
+def test_adjacency_matrix_budget_bytes(g43, monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 210 * 210 - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        g43.adjacency_matrix()
+    assert (exc.value.needed, exc.value.what) == (210 * 210, "bytes")
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 210 * 210)
+    assert g43.adjacency_matrix().shape == (210, 210)
 
 
 @settings(max_examples=60, deadline=None)
