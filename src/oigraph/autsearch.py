@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import BudgetExceeded, OiGraph, all_adjacent, looped_pairs
+from .symmetry import PermGroup, orbit_labels
 
 DEFAULT_SEARCH_BUDGET = 2000
 
@@ -119,11 +120,13 @@ def refine_cells(nbrs, cells):
     return [flat[s : s + k] for s, k in zip(heads.tolist(), cell_at[heads].tolist())]
 
 
+def _vertex_colors(g: OiGraph):
+    """(dimension, loop, degree) of each vertex, the search's initial colors."""
+    return [(g.verts[v].m, g.loop_at(v), g.degree(v)) for v in range(g.nv)]
+
+
 def initial_partition(g: OiGraph):
-    colors = [
-        (g.verts[v].m, g.loop_at(v), g.degree(v)) for v in range(g.nv)
-    ]
-    return _cells_from_colors(colors)
+    return _cells_from_colors(_vertex_colors(g))
 
 
 def refine(g: OiGraph, cells):
@@ -135,12 +138,8 @@ def refine(g: OiGraph, cells):
 
 
 def is_automorphism(g: OiGraph, perm) -> bool:
-    arr = np.asarray(getattr(perm, "array", perm), dtype=np.int64)
-    if arr.shape != (g.nv,):
-        raise ValueError("permutation length does not match vertex count")
-    if not np.array_equal(np.sort(arr), np.arange(g.nv)):
-        raise ValueError("image array is not a bijection")
-    return g.preserves_adjacency(arr)
+    """OiGraph.is_automorphism: ValueError unless perm is a vertex bijection."""
+    return g.is_automorphism(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,6 @@ class _Search:
         t0 = time.perf_counter()
         start = refine_cells(self.nbrs, _cells_from_colors(self.colors))
         self._first_path(start, 0)
-        from .symmetry import PermGroup
-
         order = PermGroup(self.nv, self.gens).order() if self.gens else 1
         return SearchResult(order, self.gens, self.nodes, time.perf_counter() - t0)
 
@@ -199,18 +196,9 @@ class _Search:
         r, c = self.pairs
         return p if all_adjacent(self.rows, p[r], p[c]) else None
 
-    def _orbit(self, seeds, prefix) -> set:
-        gens = [g for g in self.gens if all(g[v] == v for v in prefix)]
-        orbit = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            v = frontier.pop()
-            for g in gens:
-                w = int(g[v])
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        return orbit
+    def _orbit_labels(self, prefix) -> np.ndarray:
+        """orbit_labels of the generators found so far that fix prefix."""
+        return orbit_labels(self.nv, [g for g in self.gens if all(g[v] == v for v in prefix)])
 
     def _first_path(self, cells, depth):
         self.nodes += 1
@@ -226,9 +214,11 @@ class _Search:
         self._first_path(
             refine_cells(self.nbrs, self._individualize(cells, ti, c0)), depth + 1
         )
+        # skip w when it lies in the orbit of an explored vertex
         explored = [c0]
+        label = self._orbit_labels(prefix)
         for w in cell[1:]:
-            if w in self._orbit(explored, prefix):
+            if label[w] in label[explored]:
                 continue
             explored.append(w)
             found = self._descend(
@@ -236,6 +226,7 @@ class _Search:
             )
             if found is not None:
                 self.gens.append(found)
+                label = self._orbit_labels(prefix)
 
     def _descend(self, cells, depth) -> np.ndarray | None:
         """Exhaust a non-first subtree, stopping at the first automorphism."""
@@ -268,7 +259,7 @@ def certify_dimension_colors(g: OiGraph):
     Otherwise seeding the search with dimension colors could hide
     automorphisms, and the computed order would not be the full group.
     """
-    colors = [(g.loop_at(v), g.degree(v)) for v in range(g.nv)]
+    colors = [c[1:] for c in _vertex_colors(g)]
     for cell in refine(g, _cells_from_colors(colors)):
         dims = {g.verts[v].m for v in cell}
         if len(dims) > 1:
@@ -283,8 +274,7 @@ def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
     if g.nv > cap:
         raise BudgetExceeded(g.nv, cap, "search vertices")
     certify_dimension_colors(g)
-    colors = [(g.verts[v].m, g.loop_at(v), g.degree(v)) for v in range(g.nv)]
-    return _Search(g.rows, looped_pairs(g.rows), colors).run()
+    return _Search(g.rows, looped_pairs(g.rows), _vertex_colors(g)).run()
 
 
 def full_aut_order(g: OiGraph, budget: int | None = None) -> int:

@@ -124,28 +124,27 @@ def _type_json(t):
     return [t.m, t.r, t.s, t.tag]
 
 
+def _emit_table(args, g, key, columns, rows):
+    """rows as CSV (a static header, the column line, one compact line per
+    row) or as JSON under key, by --format."""
+    if args.format == "csv":
+        lines = [] if args.no_header else [f"# oigraph {args.command} {g.space.label()} version={VERSION}"]
+        lines.append(",".join(columns))
+        lines += [",".join(json.dumps(r[c]) for c in columns).replace(" ", "") for r in rows]
+        _emit("\n".join(lines) + "\n", args)
+    else:
+        _emit(_json_dump({"space": g.space.label(), key: rows}), args)
+
+
 def cmd_classify(args) -> int:
     g = build_graph(_space(args), args.budget)
     census = {}
     for P in g.verts:
         t = classify_type(P)
-        if args.dim is not None and t.m != args.dim:
-            continue
-        census[t.as_tuple()] = census.get(t.as_tuple(), 0) + 1
-    rows = [
-        {"dim": key[0], "type": [key[0], key[1], key[2], key[3] or None], "count": n}
-        for key, n in sorted(census.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][3]))
-    ]
-    if args.format == "csv":
-        lines = []
-        if not args.no_header:
-            lines.append(f"# oigraph classify {g.space.label()} version={VERSION}")
-        lines.append("dim,type,count")
-        for r in rows:
-            lines.append(f"{r['dim']},{json.dumps(r['type'])},{r['count']}".replace(" ", ""))
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        _emit(_json_dump({"space": g.space.label(), "rows": rows}), args)
+        if args.dim is None or t.m == args.dim:
+            census[t] = census.get(t, 0) + 1
+    rows = [{"dim": t.m, "type": _type_json(t), "count": n} for t, n in sorted(census.items())]
+    _emit_table(args, g, "rows", ("dim", "type", "count"), rows)
     return EXIT_OK
 
 
@@ -163,18 +162,7 @@ def cmd_orbits(args) -> int:
                 "type": _type_json(classify_type(g.verts[rep])),
             }
         )
-    if args.format == "csv":
-        lines = []
-        if not args.no_header:
-            lines.append(f"# oigraph orbits {g.space.label()} version={VERSION}")
-        lines.append("orbit,size,representative,type")
-        for r in rows:
-            lines.append(
-                f"{r['orbit']},{r['size']},{r['representative']},{json.dumps(r['type'])}".replace(" ", "")
-            )
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        _emit(_json_dump({"space": g.space.label(), "orbits": rows}), args)
+    _emit_table(args, g, "orbits", ("orbit", "size", "representative", "type"), rows)
     return EXIT_OK
 
 

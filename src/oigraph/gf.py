@@ -15,7 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# Mul/inv tables are materialized for q*q up to this many cells.
+# Mul/inv tables are materialized for extension fields of order q up to this
+# (a q*q-cell table: 625 cells for GF(25)).
 _TABLE_CAP = 512
 
 _canonical_modulus_cache: dict = {}

@@ -129,10 +129,16 @@ class OiGraph:
             np.fill_diagonal(M, False)
         return M
 
-    def preserves_adjacency(self, arr: np.ndarray) -> bool:
-        """Whether the vertex bijection arr maps adjacent ordered pairs, loops
-        included, to adjacent pairs.  A bijection maps that finite set
-        injectively into itself, hence onto it, so this is A[arr][:, arr] == A."""
+    def is_automorphism(self, perm) -> bool:
+        """Whether the vertex array perm maps adjacent ordered pairs, loops
+        included, to adjacent pairs; ValueError unless perm is a bijection of
+        the vertices.  A bijection maps that finite set injectively into
+        itself, hence onto it, so this is A[perm][:, perm] == A."""
+        arr = np.asarray(perm, dtype=np.int64)
+        if arr.shape != (self.nv,):
+            raise ValueError("permutation length does not match vertex count")
+        if not np.array_equal(np.sort(arr), np.arange(self.nv)):
+            raise ValueError("not a bijection on vertices")
         r, c = self._looped_pairs
         return all_adjacent(self.rows, arr[r], arr[c])
 

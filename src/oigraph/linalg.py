@@ -210,18 +210,6 @@ class Mat:
         return D, Mat(f, (tuple(r) for r in Q))
 
 
-def vec_mat(field: GF, v, M: Mat):
-    """Row vector times matrix, as a tuple."""
-    out = []
-    for j in range(M.ncols):
-        acc = 0
-        for k, a in enumerate(v):
-            if a:
-                acc = field.add(acc, field.mul(a, M.rows[k][j]))
-        out.append(acc)
-    return tuple(out)
-
-
 def dot_form(field: GF, u, S: Mat, v) -> int:
     """The pairing u S vt for row vectors u, v."""
     acc = 0

@@ -9,10 +9,12 @@ to the projective point vectors only, and OiGraph.vertex_action turns the
 induced point permutation into a vertex permutation.  +-T induce the same
 point map, so the action quotients the matrix group by its center for free.
 
-Orders are certified by a deterministic stabilizer chain over the vertex
-permutation action (base = first moved point, extended as needed), never by
-formula alone; the closed-form counts live in aut_order_formula for
-cross-checking.
+A generator is a plain int64 vertex array p (vertex v goes to p[v]),
+checked by OiGraph.is_automorphism when it is made.  Orders are certified
+by a deterministic stabilizer chain over the vertex permutation action
+(base = first moved point, extended as needed), never by formula alone; the
+closed-form counts live in aut_order_formula for cross-checking.  Orbits,
+of vertices, of edges and in the search, all come from orbit_labels.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .gf import GF, factor_prime_power, primitive_unit
 from .graph import OiGraph
 from .geometry import OSpace
-from .linalg import Mat, vec_mat
+from .linalg import Mat
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,7 @@ def reflection(space: OSpace, v) -> Mat:
     if norm == 0:
         raise ValueError("reflection axis must be anisotropic")
     c = f.div(f.add(1, 1), norm)
-    w = vec_mat(f, v, space.form)  # v.S, = transpose of S.vt since S is symmetric
+    w = (Mat(f, (v,)) * space.form).rows[0]  # v.S, = transpose of S.vt since S is symmetric
     n = space.n
     rows = tuple(
         tuple(
@@ -72,44 +74,20 @@ def orthogonal_generators(space: OSpace):
 # vertex permutations
 
 
-class VertexPerm:
-    __slots__ = ("graph", "array")
-
-    def __init__(self, graph: OiGraph, array, check: bool = True):
-        arr = np.asarray(array, dtype=np.int64)
-        if arr.shape != (graph.nv,):
-            raise ValueError("permutation length does not match vertex count")
-        if check:
-            if not np.array_equal(np.sort(arr), np.arange(graph.nv)):
-                raise ValueError("not a bijection on vertices")
-            if not graph.preserves_adjacency(arr):
-                raise ValueError("map does not preserve adjacency")
-        self.graph = graph
-        self.array = arr
-
-    def __call__(self, v: int) -> int:
-        return int(self.array[v])
-
-    def __eq__(self, other):
-        return isinstance(other, VertexPerm) and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        return hash(self.array.tobytes())
-
-    def is_identity(self) -> bool:
-        return np.array_equal(self.array, np.arange(self.graph.nv))
-
-    @classmethod
-    def identity(cls, graph: OiGraph) -> "VertexPerm":
-        return cls(graph, np.arange(graph.nv), check=False)
+def _automorphism(g: OiGraph, vec_map) -> np.ndarray:
+    """The vertex array of a map of the space, which must be an automorphism."""
+    arr = g.vertex_action(vec_map)
+    if not g.is_automorphism(arr):
+        raise ValueError("map does not preserve adjacency")
+    return arr
 
 
-def perm_from_matrix(g: OiGraph, T: Mat) -> VertexPerm:
+def perm_from_matrix(g: OiGraph, T: Mat) -> np.ndarray:
     space = g.space
     if not is_orthogonal(space, T):
         raise ValueError("matrix is not orthogonal for the ambient form")
     M = np.array(T.rows)
-    return VertexPerm(g, g.vertex_action(lambda X: space.field.matmul(X, M)))
+    return _automorphism(g, lambda X: space.field.matmul(X, M))
 
 
 def _slot_factor(f: GF, sign: int, form_entry: int, pi: int) -> int:
@@ -122,7 +100,7 @@ def _slot_factor(f: GF, sign: int, form_entry: int, pi: int) -> int:
     return root if sign == 1 else f.neg(root)
 
 
-def perm_from_semilinear(g: OiGraph, ks, d1: int = 1, d2: int = 1, pi: int = 0) -> VertexPerm:
+def perm_from_semilinear(g: OiGraph, ks, d1: int = 1, d2: int = 1, pi: int = 0) -> np.ndarray:
     space = g.space
     f = space.field
     ks = tuple(ks)
@@ -146,7 +124,7 @@ def perm_from_semilinear(g: OiGraph, ks, d1: int = 1, d2: int = 1, pi: int = 0) 
     if space.delta == 2:
         diag.append(_slot_factor(f, d2, space.form[n - 1, n - 1], pi))
     t, D = f.arrays, np.array(diag)
-    return VertexPerm(g, g.vertex_action(lambda X: t.mul[t.frob[pi][X], D]))
+    return _automorphism(g, lambda X: t.mul[t.frob[pi][X], D])
 
 
 def e_subgroup_generators(g: OiGraph):
@@ -208,7 +186,7 @@ class PermGroup:
         seeds = []
         seen = set()
         for gen in generators:
-            arr = np.asarray(getattr(gen, "array", gen), dtype=np.int64)
+            arr = np.asarray(gen, dtype=np.int64)
             if arr.shape != (degree,):
                 raise ValueError("generator degree mismatch")
             key = arr.tobytes()
@@ -322,8 +300,7 @@ class PermGroup:
         return [len(t) for t in self.transversals]
 
     def contains(self, perm) -> bool:
-        arr = np.asarray(getattr(perm, "array", perm), dtype=np.int64)
-        residue, _ = self._sift(arr, 0)
+        residue, _ = self._sift(np.asarray(perm, dtype=np.int64), 0)
         return residue is None
 
 
@@ -331,77 +308,73 @@ def group_order(perms) -> int:
     perms = list(perms)
     if not perms:
         return 1
-    degree = len(np.asarray(getattr(perms[0], "array", perms[0])))
-    return PermGroup(degree, perms).order()
+    return PermGroup(len(perms[0]), perms).order()
 
 
 def matrix_group_order(space: OSpace, mats) -> int:
-    """Order of a matrix group via its faithful action on nonzero vectors."""
+    """Order of a matrix group via its faithful action on nonzero vectors.
+
+    The vectors are listed in lexicographic order of their codes, the zero
+    vector dropped, so a vector's index is its base-q value minus one."""
     f = space.field
-    vecs = [v for v in itertools.product(range(f.q), repeat=space.n) if any(v)]
-    index = {v: i for i, v in enumerate(vecs)}
-    arrays = []
-    for T in mats:
-        arrays.append(np.array([index[vec_mat(f, v, T)] for v in vecs], dtype=np.int64))
-    return PermGroup(len(vecs), arrays).order()
+    vecs = np.array(list(itertools.product(range(f.q), repeat=space.n))[1:])
+    place = f.q ** np.arange(space.n - 1, -1, -1)
+    perms = [f.matmul(vecs, np.array(T.rows)) @ place - 1 for T in mats]
+    return PermGroup(len(vecs), perms).order()
 
 
 # ---------------------------------------------------------------------------
 # orbits
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def orbit_labels(n: int, perms) -> np.ndarray:
+    """The least member of each point's orbit under the group generated by
+    the arrays perms on 0..n-1.
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-    def partition(self):
-        groups: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return [groups[r] for r in sorted(groups)]
+    Each point starts as its own label.  A pass gives each point and its
+    image under each generator in turn the smaller of their two labels, then
+    relabels each point x with label[label[x]].  A label is always a point of
+    the same orbit, so once a pass changes nothing the labels are constant on
+    orbits, and each orbit's least member, whose label nothing can lower, is
+    the label of all of it.
+    """
+    perms = list(perms)
+    label = np.arange(n)
+    while True:
+        old = label.copy()
+        for p in perms:
+            np.minimum(label, label[p], out=label)
+            label[p] = np.minimum(label[p], label)
+        label = label[label]
+        if np.array_equal(label, old):
+            return label
 
 
-def _perm_array(p):
-    return p.array if hasattr(p, "array") else p
+def _classes(label: np.ndarray):
+    """Index lists sharing a label, ordered by label, each ascending."""
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def vertex_orbits(g: OiGraph, perms):
-    uf = UnionFind(g.nv)
-    for p in perms:
-        arr = _perm_array(p)
-        for v in range(g.nv):
-            uf.union(v, int(arr[v]))
-    return uf.partition()
+    return [c.tolist() for c in _classes(orbit_labels(g.nv, perms))]
 
 
 def edge_orbits(g: OiGraph, perms):
     """Orbit partition of edges, loops included as (v, v) pairs."""
     pairs = g.edge_pairs_with_loops()
-    index = {e: i for i, e in enumerate(pairs)}
-    uf = UnionFind(len(pairs))
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys = u * g.nv + v
+    by_key = np.argsort(keys)
+    edge_perms = []
     for p in perms:
-        arr = _perm_array(p)
-        for i, (u, v) in enumerate(pairs):
-            a, b = int(arr[u]), int(arr[v])
-            if a > b:
-                a, b = b, a
-            uf.union(i, index[(a, b)])
-    return [[pairs[i] for i in grp] for grp in uf.partition()]
+        a, b = p[u], p[v]
+        image = np.minimum(a, b) * g.nv + np.maximum(a, b)
+        at = by_key[np.searchsorted(keys, image, sorter=by_key).clip(max=len(keys) - 1)]
+        if not np.array_equal(keys[at], image):
+            raise ValueError("map does not carry edges to edges")
+        edge_perms.append(at)
+    return [[pairs[i] for i in c.tolist()] for c in _classes(orbit_labels(len(pairs), edge_perms))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -25,7 +26,9 @@ from oigraph.geometry import (
     witt_bruteforce_oracle,
     witt_decompose,
 )
+from oigraph.graph import build_graph
 from oigraph.linalg import Mat
+from oigraph.symmetry import edge_orbits, po_e_generators
 
 F3 = GF(3)
 F5 = GF(5)
@@ -316,3 +319,30 @@ def test_type_census_digests_frozen(key, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_CENSUS_DIGESTS[key]
+
+
+# sha256 of `oigraph orbits --format csv`, of `oigraph aut` (generated) and
+# of the sorted edge-orbit partition, frozen before the group layer moved to
+# plain vertex arrays
+FROZEN_SYMMETRY_DIGESTS = {
+    ("orbits", "2", "0", "one", "3"): "df6cca5120c50840db7c23e236c31f68b1dc90b570e626b63ed0646e3ab3ccf8",
+    ("orbits", "1", "1", "z", "9"): "0840d080eb628fd18e3c5557f8ecc36381bd39ec7e2354cc987bab5365c4be9a",
+    ("orbits", "2", "1", "one", "3"): "0c7e3212d036d3cb7d0fdadbc6ad23532e72e6ccf3614b92dbc60d2472fbc66c",
+    ("aut", "2", "0", "one", "3"): "7580e0d1f18d659e11bdd7420953f60d388c2d33b04144154bc81522914307ca",
+    ("aut", "1", "1", "z", "9"): "a3883e618cfce99c2e6b3e4bcf5c6c2a39b0a1ff129ffe0b719293bb393e30e4",
+    ("aut", "2", "1", "one", "3"): "e0653afbe522f4690b16357410241627c3894ca88502a0cf02cce174cb2a8a80",
+    ("edge-orbits", "2", "0", "one", "3"): "31dce1b87b3836fc6a2b260f5768bddfda99b088ad7071a8aec0393e039b7f9c",
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_SYMMETRY_DIGESTS), ids="-".join)
+def test_symmetry_digests_frozen(key, capsys):
+    cmd, nu, delta, disc, q = key
+    if cmd == "edge-orbits":
+        g = build_graph(space_make(int(nu), int(delta), GF(int(q)), disc))
+        out = json.dumps(sorted(edge_orbits(g, po_e_generators(g))))
+    else:
+        argv = [cmd, "--nu", nu, "--delta", delta, "--disc", disc, "--field", q]
+        assert main(argv + (["--format", "csv"] if cmd == "orbits" else [])) == 0
+        out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SYMMETRY_DIGESTS[key]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oigraph.gf import GF
-from oigraph.linalg import Mat, dot_form, vec_mat
+from oigraph.linalg import Mat, dot_form
 
 F3 = GF(3)
 F5 = GF(5)
@@ -136,7 +136,7 @@ def test_congruence_rejects_asymmetric():
 
 def test_vec_helpers():
     S = Mat(F3, [[0, 1], [1, 0]])
-    assert vec_mat(F3, (1, 2), S) == (2, 1)
+    assert Mat(F3, [(1, 2)]) * S == Mat(F3, [(2, 1)])
     assert dot_form(F3, (1, 1), S, (1, 2)) == 0  # the n=2 edge pair
     assert dot_form(F3, (1, 1), S, (1, 1)) == 2
 
