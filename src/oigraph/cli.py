@@ -80,12 +80,15 @@ def _build_parser():
     return parser
 
 
-def _space(args):
+def _field(args):
     modulus = None
     if args.modulus:
         modulus = tuple(int(c) for c in args.modulus.split(","))
-    f = parse_field(args.field, modulus)
-    return space_make(args.nu, args.delta, f, args.disc)
+    return parse_field(args.field, modulus)
+
+
+def _space(args):
+    return space_make(args.nu, args.delta, _field(args), args.disc)
 
 
 def _emit(text, args):
@@ -137,7 +140,10 @@ def _emit_table(args, g, key, columns, rows):
 
 
 def cmd_classify(args) -> int:
-    g = build_graph(_space(args), args.budget)
+    space = _space(args)
+    if args.dim is not None and not 1 <= args.dim < space.n:
+        raise ValueError(f"--dim {args.dim} is out of range 1..{space.n - 1}")
+    g = build_graph(space, args.budget)
     census = {}
     for P in g.verts:
         t = classify_type(P)
@@ -176,7 +182,7 @@ def cmd_diameter(args) -> int:
 
 def cmd_aut(args) -> int:
     if args.method == "formula":
-        order = aut_order_formula(args.nu, args.delta, int(parse_field(args.field).q), args.disc)
+        order = aut_order_formula(args.nu, args.delta, _field(args).q, args.disc)
         _emit(_json_dump({"order": order}), args)
         return EXIT_OK
     g = build_graph(_space(args), args.budget)

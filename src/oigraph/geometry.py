@@ -31,18 +31,23 @@ from .gf import GF
 from .linalg import Mat, dot_form
 
 
+def check_space_params(nu: int, delta: int, disc: str) -> None:
+    """ValueError unless (nu, delta, disc) names an ambient space."""
+    if delta not in (0, 1, 2):
+        raise ValueError(f"delta must be 0, 1 or 2, got {delta}")
+    if nu < 0 or 2 * nu + delta < 2:
+        raise ValueError(f"need 2*nu + delta >= 2, got nu={nu}, delta={delta}")
+    if disc not in ("one", "z"):
+        raise ValueError(f"disc must be 'one' or 'z', got {disc!r}")
+    if disc == "z" and delta != 1:
+        raise ValueError("disc='z' only applies to delta=1 spaces")
+
+
 class OSpace:
     """Ambient orthogonal space: field, (nu, delta, disc), and the form S."""
 
     def __init__(self, nu: int, delta: int, field: GF, disc: str = "one"):
-        if delta not in (0, 1, 2):
-            raise ValueError(f"delta must be 0, 1 or 2, got {delta}")
-        if nu < 0 or 2 * nu + delta < 2:
-            raise ValueError(f"need 2*nu + delta >= 2, got nu={nu}, delta={delta}")
-        if disc not in ("one", "z"):
-            raise ValueError(f"disc must be 'one' or 'z', got {disc!r}")
-        if disc == "z" and delta != 1:
-            raise ValueError("disc='z' only applies to delta=1 spaces")
+        check_space_params(nu, delta, disc)
         self.nu = nu
         self.delta = delta
         self.field = field

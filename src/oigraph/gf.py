@@ -2,37 +2,45 @@
 
 Elements are plain ints in range(q).  The int a encodes the polynomial
 sum(c[i] * t^i) with little-endian base-p digits c, so for prime fields the
-encoding is just the residue itself.  All arithmetic is table-backed for
-small extension fields and falls back to on-the-fly polynomial reduction
-above the table cap.
+encoding is just the residue itself.
+
+A field walks the powers of one primitive element g once, at construction
+(exp[k] = g^k), and derives everything else by index arithmetic on it:
+a * b = g^(log a + log b), 1/a = g^(-log a) and so on.  The one table set,
+``arrays``, is built on first use.  Extension fields read it for every
+operation; prime fields compute with % p.  Its q x q add and mul tables
+must fit MAX_ADJACENCY_BYTES (q up to about 16k), else BudgetExceeded.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-# Mul/inv tables are materialized for extension fields of order q up to this
-# (a q*q-cell table: 625 cells for GF(25)).
-_TABLE_CAP = 512
+# Largest array built: the packed adjacency rows (nv * ceil(nv / 8) bytes),
+# the boolean matrix of adjacency_matrix() (nv * nv bytes) and a field's
+# tables together.  Admits the packed rows of Oi(6,3) (382 MiB) but not
+# those of Oi(5,7) (9.5 GiB), and the tables of GF(3^8) but not GF(3^9)'s.
+MAX_ADJACENCY_BYTES = 2**30
+
+
+class BudgetExceeded(RuntimeError):
+    def __init__(self, needed: int, budget: int, what: str = "vertices"):
+        super().__init__(f"instance needs {needed} {what}, budget is {budget}")
+        self.needed = needed
+        self.budget = budget
+        self.what = what
+
 
 _canonical_modulus_cache: dict = {}
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +51,6 @@ def _poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_divmod(a, b, p):
@@ -128,8 +125,8 @@ class GF:
     """The field GF(p^e), p odd, with a fixed canonical modulus.
 
     Elements are ints in range(q); see module docstring for the encoding.
-    The scalar lookup tables are built here and the numpy ones (``arrays``)
-    on first use; neither changes afterwards.
+    The walk is made here and the tables (``arrays``) on first use; neither
+    changes afterwards.
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -151,14 +148,32 @@ class GF:
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
 
-        self._mul_table = None
-        self._inv_table = None
-        if e > 1 and self.q <= _TABLE_CAP:
-            self._build_tables()
-        # squares of the unit group, cached for O(1) classification queries
-        self._squares = frozenset(self.mul(a, a) for a in range(1, self.q))
+        self._exp = self._walk()
+        # the squares of the unit group are the even powers of g
+        self._squares = frozenset(self._exp[::2].tolist())
         self._nonsquare = None
-        self._frob_table = None
+
+    def _walk(self) -> np.ndarray:
+        """exp[k] = g^k (k < q - 1) for g the least primitive unit in
+        coefficient order.  Multiplying by g is a linear map on digit vectors
+        (t shifts them, the modulus reduces), so the walk doubles: g^n..g^(2n-1)
+        are g^0..g^(n-1) times g^n.  Candidates whose powers repeat 1 fail."""
+        p, e, q = self.p, self.e, self.q
+        shift = np.eye(e, e, 1, dtype=np.int64)  # row i: the digits of t^(i+1)
+        shift[-1] = [-c % p for c in self.modulus[:-1]]
+        for g in itertools.islice(itertools.product(range(p), repeat=e), 1, None):
+            times_g, t_power = np.zeros((e, e), np.int64), np.eye(e, dtype=np.int64)
+            for c in g:
+                times_g += c * t_power
+                t_power = t_power @ shift % p
+            powers, step = np.eye(1, e, dtype=np.int64), times_g % p
+            while len(powers) < q - 1:
+                powers = np.vstack([powers, powers @ step % p])
+                step = step @ step % p
+            exp = powers[: q - 1] @ p ** np.arange(e)
+            if not (exp[1:] == 1).any():
+                return exp
+        raise AssertionError("unit groups of finite fields are cyclic")  # pragma: no cover
 
     # -- representation ----------------------------------------------------
 
@@ -189,31 +204,15 @@ class GF:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _build_tables(self):
-        """Mul/inv tables from discrete logs to the first primitive element,
-        whose powers the polynomial path computes."""
-        q1 = self.q - 1
-        for g in range(2, self.q):
-            exp = [1]
-            while len(exp) < q1 and (x := self.mul(exp[-1], g)) != 1:
-                exp.append(x)
-            if len(exp) == q1:
-                break
-        log = {x: k for k, x in enumerate(exp)}
-        self._mul_table = [[0] * self.q] + [
-            [0] + [exp[(log[a] + log[b]) % q1] for b in self.units()] for a in self.units()
-        ]
-        self._inv_table = [0] + [exp[-log[a] % q1] for a in self.units()]
-
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        return self.element(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        return self.arrays.add.item(a, b)
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        return self.element((-x) % self.p for x in self.coeffs(a))
+        return self.arrays.neg.item(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -221,20 +220,14 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        prod = _poly_mul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
-        _, r = _poly_divmod(prod, list(self.modulus), self.p)
-        return self.element(r + [0] * (self.e - len(r)))
+        return self.arrays.mul.item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self.arrays.inv.item(a)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -260,9 +253,8 @@ class GF:
 
     def canonical_nonsquare(self) -> int:
         """The non-square unit least in little-endian coefficient lex order."""
-        if self._nonsquare is None:
-            ns = [a for a in self.units() if a not in self._squares]
-            self._nonsquare = min(ns, key=self.coeffs)
+        if self._nonsquare is None:  # the non-squares are the odd powers of g
+            self._nonsquare = min(self._exp[1::2].tolist(), key=self.coeffs)
         return self._nonsquare
 
     def sqrt_of_square(self, a: int) -> int:
@@ -270,22 +262,16 @@ class GF:
         a nonzero square; the two roots are b and -b)."""
         if self._check(a) == 0 or a not in self._squares:
             raise ValueError(f"{a} is not a nonzero square")
-        for b in self.units():
-            if self.mul(b, b) == a:
-                return min(b, self.neg(b), key=self.coeffs)
-        raise AssertionError("unreachable")  # pragma: no cover
+        b = int(self._exp[np.flatnonzero(self._exp == a)[0] // 2])  # a = g^2k, b = g^k
+        return min(b, self.neg(b), key=self.coeffs)
 
     def frobenius(self, a: int, j: int) -> int:
         """a^(p^j); the maps j = 0..e-1 exhaust the automorphism group."""
         if not 0 <= j < self.e:
             raise ValueError(f"automorphism index {j} out of range [0, {self.e})")
-        if self.e == 1 or j == 0:
+        if self.e == 1:
             return self._check(a)
-        if self._frob_table is None:
-            self._frob_table = [self.pow(x, self.p) for x in range(self.q)]
-        for _ in range(j):
-            a = self._frob_table[a]
-        return a
+        return self.arrays.frob.item(j, self._check(a))
 
     def minus_one_is_square(self) -> bool:
         return self.q % 4 == 1
@@ -295,20 +281,41 @@ class GF:
     @functools.cached_property
     def arrays(self) -> SimpleNamespace:
         """numpy lookup tables indexed by element codes, built on first use
-        from the scalar operations, in the smallest unsigned dtype for q codes:
-        add[a, b], mul[a, b], inv[a] (0 at 0) and frob[j, a] = a^(p^j)."""
-        els = range(self.q)
-        frob = [list(els)]
-        for _ in range(1, self.e):
-            frob.append([self.pow(a, self.p) for a in frob[-1]])
-        tables = dict(
-            add=[[self.add(a, b) for b in els] for a in els],
-            mul=[[self.mul(a, b) for b in els] for a in els],
-            inv=[0] + [self.inv(a) for a in self.units()],
-            frob=frob,
+        from the walk, in the smallest unsigned dtype for q codes: add[a, b],
+        mul[a, b], neg[a], inv[a] (0 at 0) and frob[j, a] = a^(p^j)."""
+        p, e, q = self.p, self.e, self.q
+        dtype = np.min_scalar_type(q - 1)
+        needed = dtype.itemsize * (2 * q * q + (e + 2) * q)
+        if needed > MAX_ADJACENCY_BYTES:
+            raise BudgetExceeded(needed, MAX_ADJACENCY_BYTES, f"bytes of GF({q}) tables")
+        exp = self._exp.astype(dtype)
+        log = np.zeros(q, np.int64)
+        log[self._exp] = np.arange(q - 1)
+
+        def g_to(k):  # g^k at each unit's slot, 0 at the slot of 0
+            out = np.zeros(np.shape(k)[:-1] + (q,), dtype)
+            out[..., 1:] = exp[k % (q - 1)]
+            return out
+
+        units = log[1:]
+        mul = np.zeros((q, q), dtype)
+        for a in range(1, q):
+            mul[a] = g_to(log[a] + units)
+        # add acts digit by digit: view the table with one axis per digit
+        # of a (most significant first), then one per digit of b
+        add = np.zeros((p,) * 2 * e, dtype)
+        digit_sum = (np.arange(p)[:, None] + np.arange(p)) % p
+        for i in range(e):
+            shape = [1] * 2 * e
+            shape[e - 1 - i] = shape[2 * e - 1 - i] = p
+            add += (digit_sum * p**i).astype(dtype).reshape(shape)
+        return SimpleNamespace(
+            add=add.reshape(q, q),
+            mul=mul,
+            neg=g_to(units + (q - 1) // 2),
+            inv=g_to(-units),
+            frob=g_to(p ** np.arange(e)[:, None] * units),
         )
-        dtype = np.min_scalar_type(self.q - 1)
-        return SimpleNamespace(**{k: np.array(v, dtype=dtype) for k, v in tables.items()})
 
     def matmul(self, X, M) -> np.ndarray:
         """X @ M over the field for integer arrays of element codes, with
@@ -359,16 +366,6 @@ def parse_field(text: str, modulus=None) -> GF:
 
 
 def primitive_unit(field: GF) -> int:
-    """Least generator (by coefficient lex) of the cyclic unit group."""
-    target = field.q - 1
-    best = None
-    for a in field.units():
-        x, order = a, 1
-        while x != 1:
-            x = field.mul(x, a)
-            order += 1
-        if order == target and (best is None or field.coeffs(a) < field.coeffs(best)):
-            best = a
-    if best is None:  # pragma: no cover - unit groups of finite fields are cyclic
-        raise AssertionError("no primitive unit found")
-    return best
+    """Least generator (by coefficient lex) of the cyclic unit group: the
+    generator of the field's walk."""
+    return int(field._exp[1])

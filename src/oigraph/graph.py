@@ -30,7 +30,7 @@ import os
 
 import numpy as np
 
-from .gf import parse_field
+from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, parse_field
 from .geometry import (
     OSpace,
     Subspace,
@@ -42,18 +42,6 @@ from .geometry import (
 from .linalg import Mat
 
 DEFAULT_VERTEX_BUDGET = 10**6
-# Largest adjacency array built: the packed rows (nv * ceil(nv / 8) bytes)
-# and the boolean matrix of adjacency_matrix() (nv * nv bytes).  Admits the
-# packed rows of Oi(6,3) (382 MiB) but not those of Oi(5,7) (9.5 GiB).
-MAX_ADJACENCY_BYTES = 2**30
-
-
-class BudgetExceeded(RuntimeError):
-    def __init__(self, needed: int, budget: int, what: str = "vertices"):
-        super().__init__(f"instance needs {needed} {what}, budget is {budget}")
-        self.needed = needed
-        self.budget = budget
-        self.what = what
 
 
 def _check_bytes(needed: int) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .gf import GF, factor_prime_power, primitive_unit
 from .graph import OiGraph
-from .geometry import OSpace
+from .geometry import OSpace, check_space_params
 from .linalg import Mat
 
 
@@ -166,9 +166,10 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[b]
 
 
-def _inv(a: np.ndarray) -> np.ndarray:
+def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a times the inverse of b, by one scatter: out[b[i]] = a[i]."""
     out = np.empty_like(a)
-    out[a] = np.arange(len(a), dtype=a.dtype)
+    out[b] = a
     return out
 
 
@@ -177,7 +178,9 @@ class PermGroup:
 
     level_gens[i] generates the stabilizer of base[:i]; the chain is built
     by sifting Schreier generators level by level until every one reduces
-    to the identity, so order() is exact.
+    to the identity, so order() is exact.  transversals[i][gamma] is the
+    inverse of the coset representative that maps base[i] to gamma, which
+    is the form sifting and Schreier generators use.
     """
 
     def __init__(self, degree: int, generators):
@@ -225,11 +228,11 @@ class PermGroup:
         gens = self.level_gens[i]
         while queue:
             beta = queue.pop(0)
-            u = trans[beta]
+            u_inv = trans[beta]
             for s in gens:
                 gamma = int(s[beta])
                 if gamma not in trans:
-                    trans[gamma] = _mul(s, u)
+                    trans[gamma] = _div(u_inv, s)  # (s u)^-1 = u^-1 s^-1
                     order.append(gamma)
                     queue.append(gamma)
         self.transversals[i] = trans
@@ -240,10 +243,10 @@ class PermGroup:
         """Reduce g through levels >= start; (None, _) when it reaches id."""
         for l in range(start, len(self.base)):
             beta = int(g[self.base[l]])
-            rep = self.transversals[l].get(beta)
-            if rep is None:
+            rep_inv = self.transversals[l].get(beta)
+            if rep_inv is None:
                 return g, l
-            g = _mul(_inv(rep), g)
+            g = _mul(rep_inv, g)
         if np.array_equal(g, self.identity):
             return None, len(self.base)
         return g, len(self.base)
@@ -271,8 +274,8 @@ class PermGroup:
         while k < total:
             beta = orbit[k // len(gens)]
             s = gens[k % len(gens)]
-            u = trans[beta]
-            schreier = _mul(_inv(trans[int(s[beta])]), _mul(s, u))
+            # u(s beta)^-1 s u(beta); dividing by u(beta)^-1 applies u(beta)
+            schreier = _div(_mul(trans[int(s[beta])], s), trans[beta])
             if not np.array_equal(schreier, self.identity):
                 residue, j = self._sift(schreier, i + 1)
                 if residue is not None:
@@ -383,8 +386,7 @@ def edge_orbits(g: OiGraph, perms):
 
 def aut_order_formula(nu: int, delta: int, q: int, disc: str = "one") -> int:
     """Closed-form |Aut| for the covered parameter ranges."""
-    if disc not in ("one", "z"):
-        raise ValueError("disc must be 'one' or 'z'")
+    check_space_params(nu, delta, disc)
     if q < 3:
         raise ValueError(f"{q} is not an odd prime power")
     if q % 2 == 0:

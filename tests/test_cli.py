@@ -109,6 +109,15 @@ def test_classify_csv(capsys):
     assert len(lines) == 5
 
 
+def test_classify_dim_out_of_range_usage_error(capsys):
+    for dim in ("0", "4", "9"):
+        code, out, err = run(
+            capsys, "classify", "--nu", "2", "--delta", "0", "--field", "3", "--dim", dim
+        )
+        assert code == 2 and out == ""
+        assert "out of range 1..3" in err
+
+
 def test_classify_deterministic(capsys):
     args = ("classify", "--nu", "1", "--delta", "1", "--field", "3")
     _, first, _ = run(capsys, *args)
@@ -150,6 +159,32 @@ def test_aut_formula_uncovered(capsys):
     )
     assert code == 2
     assert "uncovered" in err
+
+
+def test_aut_formula_rejects_what_build_rejects(capsys):
+    bad = (
+        ("--nu", "2", "--delta", "0", "--disc", "z", "--field", "3"),
+        ("--nu", "1", "--delta", "0", "--field", "9", "--modulus", "0,0,1"),
+    )
+    for flags in bad:
+        for method in ("formula", "generated"):
+            code, out, err = run(capsys, "aut", "--method", method, *flags)
+            assert code == 2 and out == "", (method, flags)
+            assert err.startswith("oigraph: ")
+
+
+def test_aut_formula_large_fields(capsys):
+    # no q x q table is built: GF(3^10)'s would need 14 GB
+    orders = {
+        "59049": 211955791254504362998336800000,
+        "1000003": 1000018000133000516001108001248000576,
+    }
+    for field, order in orders.items():
+        code, out, _ = run(
+            capsys, "aut", "--method", "formula", "--nu", "2", "--delta", "0", "--field", field
+        )
+        assert code == 0
+        assert json.loads(out) == {"order": order}
 
 
 def test_aut_generated(capsys):

@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oigraph.gf import (
     GF,
+    BudgetExceeded,
     canonical_modulus,
     factor_prime_power,
     parse_field,
@@ -29,6 +32,33 @@ def oracle9_mul(a, b):
 
 def oracle9_add(a, b):
     return (a % 3 + b % 3) % 3 + 3 * ((a // 3 + b // 3) % 3)
+
+
+def poly_oracle(p, modulus):
+    """add and mul on codes by schoolbook polynomial arithmetic mod modulus."""
+    e = len(modulus) - 1
+
+    def digits(a):
+        return [a // p**i % p for i in range(e)]
+
+    def code(c):
+        return sum(x % p * p**i for i, x in enumerate(c))
+
+    def add(a, b):
+        return code([x + y for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):  # t^k = t^(k-e) * (t^e - modulus)
+            c = prod[k] % p
+            for i, m in enumerate(modulus):
+                prod[k - e + i] -= c * m
+        return code(prod[:e])
+
+    return add, mul
 
 
 def test_field_construction():
@@ -245,10 +275,49 @@ def test_primitive_unit():
     assert len(seen) == 8
 
 
-def test_untabled_extension_field():
-    # GF(3^6) = 729 exceeds the table cap; arithmetic must still be exact
+@pytest.mark.parametrize(
+    "p, e, modulus", [(3, 2, (2, 2, 1)), (5, 2, None), (3, 3, None), (3, 4, None), (3, 6, None)]
+)
+def test_arrays_match_poly_oracle(p, e, modulus):
+    f = GF(p, e, modulus)
+    add, mul = poly_oracle(p, f.modulus)
+    t = f.arrays
+    # every pair up to q = 81; for GF(729) every 41st row, against all columns
+    for a in range(0, f.q, 1 if f.q <= 81 else 41):
+        assert t.add[a].tolist() == [add(a, b) for b in f.elements()]
+        assert t.mul[a].tolist() == [mul(a, b) for b in f.elements()]
+    assert t.inv[0] == 0 and all(mul(a, int(t.inv[a])) == 1 for a in f.units())
+    assert t.frob[0].tolist() == list(f.elements())
+    for j in range(1, e):
+        for a in f.elements():
+            x, y = int(t.frob[j - 1, a]), 1
+            for _ in range(p):
+                y = mul(y, x)
+            assert t.frob[j, a] == y
+    assert all(add(a, int(t.neg[a])) == 0 for a in f.elements())
+    dtype = np.uint8 if f.q <= 256 else np.uint16
+    assert all(v.dtype == dtype for v in vars(t).values())
+
+
+def test_large_extension_field():
     f = GF(3, 6)
-    assert f._mul_table is None
     g = f.element((1, 1, 0, 0, 0, 0))
     assert f.mul(g, f.inv(g)) == 1
     assert f.frobenius(g, 3) == f.pow(g, 27)
+
+
+def test_table_guard_before_allocating():
+    # GF(3^10) walks its 59048 units but builds no q x q table; its first
+    # product asks for ~14 GB of tables and is refused before any is made
+    tracemalloc.start()
+    try:
+        f = GF(3, 10)
+        assert tracemalloc.get_traced_memory()[1] < 64 * 2**20
+        assert "arrays" not in vars(f)
+        tracemalloc.reset_peak()
+        with pytest.raises(BudgetExceeded):
+            f.mul(2, 3)
+        assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
+    finally:
+        tracemalloc.stop()
+    assert "arrays" not in vars(f)

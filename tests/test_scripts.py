@@ -1,0 +1,32 @@
+"""Smoke tests: the scripts in scripts/ run end to end from the repo root."""
+
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).parents[1]
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_type_census_script():
+    lines = run_script("type_census.py", "1", "1", "9", "z")
+    assert lines[0] == "Oi(3, 9)[z]: 182 vertices, 541 edges, 10 loops"
+    assert "dim 1: 91 vertices (gaussian binomial 91)" in lines
+    assert "  type (1, 0, 0, ''): 10  (10 loops)" in lines
+    assert "  type (2, 2, 1, ''): 45" in lines
+
+
+def test_order_survey_script():
+    lines = run_script("order_survey.py", "300")
+    rows = {line[:14].strip(): line.split()[-5:] for line in lines[2:] if "skipped" not in line}
+    assert rows["Oi(2, 9)"] == ["10", "16", "768", "768", "48x"]
+    assert rows["Oi(3, 3)[z]"] == ["26", "24", "-", "24", "1x"]
+    assert lines[-1] == "Oi(5, 3)[one]  skipped: instance needs 2662 vertices, budget is 300"
