@@ -6,8 +6,8 @@ data, the coloring is driven to its coarsest equitable refinement, and a
 backtracking search over individualized vertices collects generators until
 the stabilizer chain accounts for every leaf equivalence.
 
-Refinement reads neighbour lists (one CSR pair, built once per search from
-the adjacent pairs of the looped adjacency, loops dropped) and keeps the
+Refinement reads neighbour lists (one CSR pair from graph.neighbour_lists,
+built once per search from the packed looped rows, loops dropped) and keeps the
 partition as positions: an order array holding each cell's vertices
 contiguously, each vertex's cell start and each cell's size.  A splitter
 costs a bincount of its members' neighbours; only the cells those
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BudgetExceeded, OiGraph, all_adjacent, looped_pairs
+from .graph import BudgetExceeded, OiGraph, all_adjacent, looped_pairs, neighbour_lists
 from .symmetry import PermGroup, orbit_labels
 
 DEFAULT_SEARCH_BUDGET = 2000
@@ -49,16 +49,6 @@ DEFAULT_SEARCH_BUDGET = 2000
 def _cells_from_colors(colors):
     order = sorted(set(colors))
     return [[v for v, c in enumerate(colors) if c == col] for col in order]
-
-
-def _neighbour_lists(pairs, nv):
-    """Loop-free CSR neighbour lists (indptr, indices), ascending, from the
-    adjacent ordered pairs (r, c) in row-major order."""
-    r, c = pairs
-    off = r != c
-    indptr = np.zeros(nv + 1, dtype=np.intp)
-    np.cumsum(np.bincount(r[off], minlength=nv), out=indptr[1:])
-    return indptr, c[off]
 
 
 def refine_cells(nbrs, cells):
@@ -130,7 +120,7 @@ def initial_partition(g: OiGraph):
 
 
 def refine(g: OiGraph, cells):
-    return refine_cells(_neighbour_lists(looped_pairs(g.rows), g.nv), cells)
+    return refine_cells(neighbour_lists(g.rows), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +145,11 @@ class SearchResult:
 
 
 class _Search:
-    def __init__(self, rows, pairs, colors):
+    def __init__(self, rows, pairs, nbrs, colors):
         self.nv = len(rows)
         self.rows = rows
         self.pairs = pairs
-        self.nbrs = _neighbour_lists(pairs, self.nv)
+        self.nbrs = nbrs
         self.colors = colors
         self.gens: list[np.ndarray] = []
         self.nodes = 0
@@ -250,7 +240,8 @@ def search_automorphisms(A, colors=None) -> SearchResult:
     A = np.asarray(A, dtype=bool)
     if colors is None:
         colors = [(bool(A[v, v]), int(A[v].sum()) - bool(A[v, v])) for v in range(len(A))]
-    return _Search(np.packbits(A, axis=1, bitorder="little"), np.nonzero(A), list(colors)).run()
+    rows = np.packbits(A, axis=1, bitorder="little")
+    return _Search(rows, np.nonzero(A), neighbour_lists(rows), list(colors)).run()
 
 
 def certify_dimension_colors(g: OiGraph):
@@ -259,8 +250,12 @@ def certify_dimension_colors(g: OiGraph):
     Otherwise seeding the search with dimension colors could hide
     automorphisms, and the computed order would not be the full group.
     """
+    _certify_dimension_colors(g, neighbour_lists(g.rows))
+
+
+def _certify_dimension_colors(g: OiGraph, nbrs):
     colors = [c[1:] for c in _vertex_colors(g)]
-    for cell in refine(g, _cells_from_colors(colors)):
+    for cell in refine_cells(nbrs, _cells_from_colors(colors)):
         dims = {g.verts[v].m for v in cell}
         if len(dims) > 1:
             raise RuntimeError(
@@ -273,8 +268,9 @@ def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
     cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if g.nv > cap:
         raise BudgetExceeded(g.nv, cap, "search vertices")
-    certify_dimension_colors(g)
-    return _Search(g.rows, looped_pairs(g.rows), _vertex_colors(g)).run()
+    nbrs = neighbour_lists(g.rows)
+    _certify_dimension_colors(g, nbrs)
+    return _Search(g.rows, looped_pairs(g.rows), nbrs, _vertex_colors(g)).run()
 
 
 def full_aut_order(g: OiGraph, budget: int | None = None) -> int:

@@ -109,15 +109,38 @@ def canonical_modulus(p: int, e: int):
     return _canonical_modulus_cache[key]
 
 
+def _prime_divisors(n: int):
+    """The distinct primes dividing n, ascending (none for n < 2)."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] * (n > 1)
+
+
+def _mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
+    """m^k mod p by repeated squaring."""
+    out = np.eye(len(m), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ m % p
+        m = m @ m % p
+        k >>= 1
+    return out
+
+
 def factor_prime_power(q: int):
     """(p, e) with q = p^e and p prime; ValueError when q is no prime power."""
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    e, m = 0, q
-    while p and m % p == 0:
-        m //= p
-        e += 1
-    if p is None or m != 1:
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
+    p, e = primes[0], 0
+    while q > 1:
+        q //= p
+        e += 1
     return p, e
 
 
@@ -156,23 +179,28 @@ class GF:
     def _walk(self) -> np.ndarray:
         """exp[k] = g^k (k < q - 1) for g the least primitive unit in
         coefficient order.  Multiplying by g is a linear map on digit vectors
-        (t shifts them, the modulus reduces), so the walk doubles: g^n..g^(2n-1)
-        are g^0..g^(n-1) times g^n.  Candidates whose powers repeat 1 fail."""
+        (t shifts them, the modulus reduces).  A candidate is rejected unless
+        g^((q - 1) / r) != 1 for every prime r | q - 1, each power found by
+        squaring that map, so only the winner is walked; the walk doubles too:
+        g^n..g^(2n-1) are g^0..g^(n-1) times g^n."""
         p, e, q = self.p, self.e, self.q
         shift = np.eye(e, e, 1, dtype=np.int64)  # row i: the digits of t^(i+1)
         shift[-1] = [-c % p for c in self.modulus[:-1]]
+        one = np.eye(e, dtype=np.int64)
+        cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
         for g in itertools.islice(itertools.product(range(p), repeat=e), 1, None):
-            times_g, t_power = np.zeros((e, e), np.int64), np.eye(e, dtype=np.int64)
+            times_g, t_power = np.zeros((e, e), np.int64), one
             for c in g:
                 times_g += c * t_power
                 t_power = t_power @ shift % p
-            powers, step = np.eye(1, e, dtype=np.int64), times_g % p
+            times_g %= p
+            if any(np.array_equal(_mat_pow(times_g, k, p), one) for k in cofactors):
+                continue
+            powers, step = one[:1], times_g
             while len(powers) < q - 1:
                 powers = np.vstack([powers, powers @ step % p])
                 step = step @ step % p
-            exp = powers[: q - 1] @ p ** np.arange(e)
-            if not (exp[1:] == 1).any():
-                return exp
+            return powers[: q - 1] @ p ** np.arange(e)
         raise AssertionError("unit groups of finite fields are cyclic")  # pragma: no cover
 
     # -- representation ----------------------------------------------------

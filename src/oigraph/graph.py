@@ -16,8 +16,10 @@ columns; the relabelled rows are looked up among the vertices' rows.
 The graph stores one adjacency: the looped matrix packed row by row, rows
 an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
 row u is set iff u ~ v, and the diagonal bit iff the vertex is totally
-isotropic.  Degrees, loops, edges, breadth-first search and the boolean
-matrix are all read from these rows.
+isotropic.  Degrees, loops, edges, single-source breadth-first search and
+the boolean matrix are read from these rows.  Loop-free CSR neighbour lists,
+built from them a row block at a time by neighbour_lists, serve the
+all-sources diameter and the automorphism search's refinement.
 """
 
 from __future__ import annotations
@@ -214,13 +216,38 @@ class OiGraph:
         return out
 
     def diameter(self):
-        """The largest distance between two vertices, or math.inf if disconnected."""
+        """The largest distance between two vertices, or math.inf if disconnected.
+
+        All sources advance together as bits (multi-source bit-parallel BFS):
+        bit s of reach[v] is set once source s has reached v, and one round
+        ORs into reach[v] the reach of every neighbour of v.  Rounds run until
+        nothing changes; the rounds that changed something number the largest
+        eccentricity.  The sources go in batches of 64-bit words, so reach is
+        (nv, words); it, the next round's reach and each gather stay within a
+        quarter of _BLOCK bytes.  At the fixpoint reach is symmetric, so the
+        graph is connected iff vertex 0 is reached from every source.
+        """
+        indptr, indices = neighbour_lists(self.rows)
+        part = _BLOCK // 4  # for reach, the next round's reach and one gather
+        words = max(1, min(-(-self.nv // 64), part // (8 * max(self.nv, 1))))
+        chunks = _gather_chunks(indptr, part // (8 * words))
         best = 0
-        for src in range(self.nv):
-            levels = list(self.bfs_levels(src))
-            if sum(map(len, levels)) < self.nv:
+        for base in range(0, self.nv, 64 * words):
+            src = np.arange(base, min(base + 64 * words, self.nv))
+            reach = np.zeros((self.nv, words), dtype=np.uint64)
+            reach[src, (src - base) >> 6] = _WORD_BIT[(src - base) & 63]
+            full = np.bitwise_or.reduce(reach, axis=0)
+            rounds = 0
+            while True:
+                grown = reach.copy()
+                for ids, a, b, starts in chunks:
+                    grown[ids] |= np.bitwise_or.reduceat(reach[indices[a:b]], starts, axis=0)
+                if np.array_equal(grown, reach):
+                    break
+                reach, rounds = grown, rounds + 1
+            if not np.array_equal(reach[0], full):
                 return math.inf
-            best = max(best, len(levels) - 1)
+            best = max(best, rounds)
         return best
 
     def _check_id(self, v) -> None:
@@ -269,20 +296,61 @@ def all_adjacent(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> bool:
 
 
 _BIT = (1 << np.arange(8)).astype(np.uint8)
+_WORD_BIT = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
+
+# Blockwise loops size their temporaries to stay near this many bytes.
+_BLOCK = 1 << 18
+
+
+def _pair_blocks(rows: np.ndarray):
+    """The adjacent ordered pairs, loops included, of the packed looped rows
+    as (r, c) id arrays, one row block at a time in row-major order.  The
+    rows are unpacked a block at a time, so no nv x nv matrix is made beside
+    one a caller may hold."""
+    nv = len(rows)
+    step = max(1, _BLOCK // max(nv, 1))
+    for lo in range(0, nv, step):
+        r, c = np.nonzero(_unpack(rows[lo : lo + step], nv))
+        yield r + lo, c
 
 
 def looped_pairs(rows: np.ndarray):
-    """Every adjacent ordered pair, loops included, of the packed looped
-    rows as row-major (r, c) id arrays.  The rows are unpacked a block at a
-    time, so no nv x nv matrix is made beside one a caller may hold."""
-    nv = len(rows)
-    step = max(1, (1 << 18) // max(nv, 1))
+    """Every adjacent ordered pair, loops included, as row-major (r, c) id arrays."""
     r, c = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for lo in range(0, nv, step):
-        br, bc = np.nonzero(_unpack(rows[lo : lo + step], nv))
-        r.append(br + lo)
+    for br, bc in _pair_blocks(rows):
+        r.append(br)
         c.append(bc)
     return np.concatenate(r), np.concatenate(c)
+
+
+def neighbour_lists(rows: np.ndarray):
+    """Loop-free CSR neighbour lists (indptr, indices) of the packed looped
+    rows: the neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]].
+    Indices are int32 (vertex counts stay far below 2^31)."""
+    nv = len(rows)
+    degree = np.zeros(nv, dtype=np.intp)
+    indices = [np.zeros(0, dtype=np.int32)]
+    for r, c in _pair_blocks(rows):
+        off = r != c
+        degree += np.bincount(r[off], minlength=nv)
+        indices.append(c[off].astype(np.int32))
+    indptr = np.zeros(nv + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    return indptr, np.concatenate(indices)
+
+
+def _gather_chunks(indptr: np.ndarray, limit: int):
+    """Runs of consecutive vertices of nonzero degree whose neighbour lists
+    together hold at most limit entries (or one vertex's, if longer), as
+    (vertex ids, first entry, end entry, list starts relative to the first)."""
+    ids = np.flatnonzero(np.diff(indptr))
+    first, end = indptr[ids], indptr[ids + 1]
+    out, i = [], 0
+    while i < len(ids):
+        j = max(i + 1, int(np.searchsorted(end, first[i] + limit, side="right")))
+        out.append((ids[i:j], first[i], end[j - 1], first[i:j] - first[i]))
+        i = j
+    return out
 
 
 def _unpack(rows: np.ndarray, nv: int) -> np.ndarray:
@@ -375,7 +443,7 @@ def _fill_adjacency(g: OiGraph) -> None:
     forms = f.matmul(pts.vectors, np.array(g.space.form.rows))  # x -> x S pt per point p
     basis = [pts.ids(bases) for bases in _bases_by_dimension(g.verts)]
     basis = np.concatenate([np.pad(ids, ((0, 0), (0, n - 1 - ids.shape[1])), mode="edge") for ids in basis])
-    step = max(1, (1 << 18) // (g.nv * (n - 1)))  # a block's gather stays near 256 KB
+    step = max(1, _BLOCK // (g.nv * (n - 1)))
     for lo in range(0, g.nv, step):
         perp = (f.matmul(forms[basis[lo : lo + step]], pts.vectors.T) == 0).all(axis=1)
         g.rows[lo : lo + step] = np.packbits(perp[:, basis].all(axis=2), axis=1, bitorder="little")

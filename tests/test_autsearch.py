@@ -18,7 +18,7 @@ from oigraph.autsearch import (
 )
 from oigraph.gf import GF, factor_prime_power
 from oigraph.geometry import classify_type, space_make, subspace_make
-from oigraph.graph import BudgetExceeded, build_graph
+from oigraph.graph import BudgetExceeded, build_graph, neighbour_lists
 from oigraph.linalg import Mat
 from oigraph.symmetry import (
     PermGroup,
@@ -214,7 +214,8 @@ def test_check_leaf_accepts_only_automorphisms():
     # path 0-1-2-3: the reversal is an automorphism unless a loop breaks it
     for loops, reversal_ok in (([0, 3], True), ([0], False)):
         A = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)], loops)
-        search = _Search(np.packbits(A, axis=1, bitorder="little"), np.nonzero(A), [0] * 4)
+        rows = np.packbits(A, axis=1, bitorder="little")
+        search = _Search(rows, np.nonzero(A), neighbour_lists(rows), [0] * 4)
         search.first_leaf = [0, 1, 2, 3]
         assert (search._check_leaf([[3], [2], [1], [0]]) is not None) == reversal_ok
         assert search._check_leaf([[1], [0], [2], [3]]) is None  # edge 1-2 goes to 0-2

@@ -297,6 +297,21 @@ def test_arrays_match_poly_oracle(p, e, modulus):
     assert all(add(a, int(t.neg[a])) == 0 for a in f.elements())
     dtype = np.uint8 if f.q <= 256 else np.uint16
     assert all(v.dtype == dtype for v in vars(t).values())
+    # the walk is the powers of the first unit in coefficient order whose
+    # powers reach 1 only at q - 1; every earlier candidate's powers reach it sooner
+    def order(h):
+        x, k = h, 1
+        while x != 1:
+            x, k = mul(x, h), k + 1
+        return k
+
+    g = primitive_unit(f)
+    powers = [1]
+    while len(powers) < f.q - 1:
+        powers.append(mul(powers[-1], g))
+    assert f._exp.tolist() == powers and order(g) == f.q - 1
+    codes = [sum(c * p**i for i, c in enumerate(cs)) for cs in itertools.product(range(p), repeat=e)]
+    assert all(order(h) < f.q - 1 for h in codes[1 : codes.index(g)])
 
 
 def test_large_extension_field():

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,56 @@ def test_connectivity_small_spaces(g33, g43):
 
 def test_diameter_oi43(g43):
     assert g43.diameter() == 4
+
+
+def bfs_diameter(g):
+    """The diameter from one single-source BFS per source: diameter()'s oracle."""
+    best = 0
+    for src in range(g.nv):
+        levels = list(g.bfs_levels(src))
+        if sum(map(len, levels)) < g.nv:
+            return math.inf
+        best = max(best, len(levels) - 1)
+    return best
+
+
+def _relinked(g, edges):
+    """A graph on g's vertices whose only edges are the given ones."""
+    rows = np.zeros_like(g.rows)
+    for u, v in edges:
+        rows[u, v >> 3] |= 1 << (v & 7)
+        rows[v, u >> 3] |= 1 << (u & 7)
+    return OiGraph(g.space, g.verts, rows)
+
+
+@pytest.fixture(scope="module")
+def diameter_cases(g43):
+    graphs = [
+        build_graph(space_make(nu, delta, f, disc))
+        for nu, delta, f, disc in [
+            (1, 0, F3, "one"), (1, 0, F5, "one"), (1, 1, F3, "one"), (1, 1, F3, "z"),
+            (2, 0, F3, "one"), (1, 2, F3, "one"), (1, 1, F9, "one"), (2, 0, F5, "one"),
+        ]
+    ]
+    # 210 vertices, so sources can span several 64-bit batches: a path from
+    # 63 to 127, the last sources of two batches (diameter 209), and the path
+    # 0, 1, ..., 209 cut so that only sources 200..209, all in the last batch,
+    # miss vertex 0
+    ends = [63, *(v for v in range(g43.nv) if v not in (63, 127)), 127]
+    cut = [(v, v + 1) for v in range(g43.nv - 1) if v != 199]
+    graphs += [_relinked(g43, zip(ends, ends[1:])), _relinked(g43, cut)]
+    return [(g, bfs_diameter(g)) for g in graphs]
+
+
+@pytest.mark.parametrize("block", [None, 256])
+def test_diameter_matches_single_source_oracle(diameter_cases, block, monkeypatch):
+    # a 256-byte block makes every batch 64 sources and every gather at most
+    # 8 list entries, so most graphs run many batches and chunks
+    if block is not None:
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
+    expected = [math.inf, math.inf, 4, 4, 4, 4, 4, 4, 209, math.inf]
+    assert [want for _, want in diameter_cases] == expected
+    assert [g.diameter() for g, _ in diameter_cases] == expected
 
 
 def test_witness_path(g43):

@@ -30,3 +30,20 @@ def test_order_survey_script():
     assert rows["Oi(2, 9)"] == ["10", "16", "768", "768", "48x"]
     assert rows["Oi(3, 3)[z]"] == ["26", "24", "-", "24", "1x"]
     assert lines[-1] == "Oi(5, 3)[one]  skipped: instance needs 2662 vertices, budget is 300"
+
+
+def test_distance_profile_script():
+    assert run_script("distance_profile.py", "1", "1", "3") == [
+        "Oi(3, 3)[one]: 26 vertices, 4 loops excluded from paths",
+        "pair distance histogram:",
+        "            1: 21",
+        "            2: 60",
+        "            3: 96",
+        "            4: 54",
+        "witness geodesic of length 4:",
+        "  v13 = ((0, 1, 0), (0, 0, 1))",
+        "  v1 = ((0, 1, 0),)",
+        "  v0 = ((0, 0, 1),)",
+        "  v4 = ((1, 0, 0),)",
+        "  v14 = ((1, 0, 0), (0, 0, 1))",
+    ]
