@@ -18,7 +18,7 @@ from oigraph.autsearch import search_result
 from oigraph.geometry import space_make
 from oigraph.gf import GF
 from oigraph.graph import build_graph
-from oigraph.symmetry import aut_order_formula, group_order, po_e_generators
+from oigraph.symmetry import aut_order_formula, group_order, point_generators
 
 CASES = [
     (1, 0, GF(3), "one"),
@@ -47,7 +47,7 @@ def main(argv):
         except Exception as exc:
             print(f"{space.label():<14} skipped: {exc}")
             continue
-        generated = group_order(po_e_generators(g))
+        generated = group_order(point_generators(g))
         try:
             formula = aut_order_formula(nu, delta, f.q, disc)
         except ValueError:

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autsearch import full_aut_order, is_automorphism, search_result
+from .autsearch import full_aut_order, search_result
 from .geometry import classify_type, space_make, subspace_make, subspace_span
 from .gf import GF, parse_field
 from .graph import (
@@ -24,9 +24,8 @@ from .symmetry import (
     e_subgroup_order,
     edge_orbits,
     group_order,
-    orthogonal_generators,
     po_e_generators,
-    reflection,
+    point_generators,
     vertex_orbits,
 )
 from .verify import run_suite
@@ -49,13 +48,11 @@ __all__ = [
     "graph_to_dot",
     "graph_to_json",
     "group_order",
-    "is_automorphism",
     "max_clique_dim1",
-    "orthogonal_generators",
     "parse_field",
     "po_e_generators",
+    "point_generators",
     "recover_parameters",
-    "reflection",
     "run_suite",
     "search_result",
     "space_make",

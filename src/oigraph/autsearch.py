@@ -124,15 +124,6 @@ def refine(g: OiGraph, cells):
 
 
 # ---------------------------------------------------------------------------
-# automorphism test
-
-
-def is_automorphism(g: OiGraph, perm) -> bool:
-    """OiGraph.is_automorphism: ValueError unless perm is a vertex bijection."""
-    return g.is_automorphism(perm)
-
-
-# ---------------------------------------------------------------------------
 # individualization-refinement search
 
 

@@ -15,7 +15,7 @@ from .autsearch import search_result
 from .geometry import classify_type, space_make
 from .gf import parse_field
 from .graph import BudgetExceeded, build_graph, graph_to_dot, graph_to_json
-from .symmetry import PermGroup, aut_order_formula, po_e_generators, vertex_orbits
+from .symmetry import PermGroup, aut_order_formula, po_e_generators, point_generators, vertex_orbits
 from .verify import VERSION, run_suite
 
 EXIT_OK = 0
@@ -187,7 +187,7 @@ def cmd_aut(args) -> int:
         return EXIT_OK
     g = build_graph(_space(args), args.budget)
     if args.method == "generated":
-        chain = PermGroup(g.nv, po_e_generators(g))
+        chain = PermGroup(len(g.dim1_ids()), point_generators(g))
         payload = {
             "order": chain.order(),
             "base": list(chain.base),

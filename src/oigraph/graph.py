@@ -5,13 +5,14 @@ A S Bt is the zero matrix (equivalently B lies inside the dual of A).  A
 totally isotropic vertex is adjacent to itself: such loops are recorded but
 contribute nothing to degrees or distances.
 
-Internally a vertex is the set of projective points it contains: row v of
-the vertex x point incidence matrix I, over the P = (q^n - 1)/(q - 1)
-points.  Only the P point vectors ever meet field arithmetic.  Adjacency is
-I N It == 0 for N the non-orthogonal point pairs; by bilinearity the basis
-points of each vertex suffice, so it is computed from them in row blocks.
-A semilinear map acts as a permutation of the points, which relabels I's
-columns; the relabelled rows are looked up among the vertices' rows.
+Internally a vertex is the set of projective points it contains; a
+point's id, among the P = (q^n - 1)/(q - 1), is its dimension-1 vertex id.
+Only the P point vectors ever meet field arithmetic.  By bilinearity A ~ B
+iff every point of A is orthogonal to every point of B, and the basis
+points of each vertex suffice, so adjacency is computed from them in row
+blocks.  Maps of the space act as point arrays (point_action), and lift
+carries a point array to the vertices by looking up each vertex's image
+among the sorted point-id lists of its dimension.
 
 The graph stores one adjacency: the looped matrix packed row by row, rows
 an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
@@ -91,14 +92,10 @@ class OiGraph:
     @property
     def loops(self) -> int:
         """Bitset of the totally isotropic vertices, the looped ones."""
-        return int.from_bytes(np.packbits(self._diagonal(), bitorder="little").tobytes(), "little")
-
-    def _diagonal(self) -> np.ndarray:
-        v = np.arange(self.nv)
-        return self.rows[v, v >> 3] & _BIT[v & 7] != 0
+        return int.from_bytes(np.packbits(_diagonal(self.rows), bitorder="little").tobytes(), "little")
 
     def loop_ids(self):
-        return np.flatnonzero(self._diagonal()).tolist()
+        return np.flatnonzero(_diagonal(self.rows)).tolist()
 
     def neighbors(self, v: int):
         return [w for w in np.flatnonzero(_unpack(self.rows[v], self.nv)).tolist() if w != v]
@@ -143,38 +140,49 @@ class OiGraph:
         return _Points(self.space)
 
     @functools.cached_property
-    def _incidence(self):
-        """(I, I's packed rows in sorted order, the vertex id of each)."""
+    def _point_sets(self):
+        """Per run of equal-dimension vertices: (first id, each vertex's
+        sorted point ids, those keys sorted, the run position of each)."""
         pts, f = self._points, self.space.field
-        blocks = []
+        out, start = [], 0
         for bases in _bases_by_dimension(self.verts):
             coeffs = _normal_vectors(f.q, bases.shape[1])
-            block = np.zeros((len(bases), len(pts.vectors)), dtype=bool)
-            np.put_along_axis(block, pts.ids(f.matmul(coeffs, bases)), True, axis=1)
-            blocks.append(block)
-        inc = np.concatenate(blocks)
-        keys = _row_keys(inc)
-        order = np.argsort(keys, kind="stable")
-        return inc, keys[order], order
+            points = np.sort(pts.ids(f.matmul(coeffs, bases)), axis=1)
+            keys = _keys(points)
+            order = np.argsort(keys, kind="stable")
+            out.append((start, points, keys[order], order))
+            start += len(bases)
+        return out
 
-    def vertex_action(self, vec_map) -> np.ndarray:
-        """The vertex array of an invertible semilinear map of the space.
-
-        vec_map takes a (k, n) array of field-element codes (one vector per
-        row) to their images.  It is applied to the P point vectors only;
-        the induced point map relabels I's columns and each relabelled row
-        is looked up among the vertices' rows.
-        """
+    def point_action(self, vec_map) -> np.ndarray:
+        """The int64 point array p of an invertible semilinear map (point a
+        goes to p[a]), or a stack of them if vec_map, which takes the (P, n)
+        point vectors to their images, returns a stack of images.
+        ValueError unless every image permutes the points."""
         pts = self._points
-        pi = pts.ids(vec_map(pts.vectors))
-        if not np.array_equal(np.sort(pi), np.arange(len(pi))):
+        p = pts.ids(vec_map(pts.vectors)).astype(np.int64)
+        if not (np.sort(p, axis=-1) == np.arange(p.shape[-1])).all():
             raise ValueError("map does not permute the projective points")
-        inc, keys, order = self._incidence
-        found = _row_keys(inc[:, np.argsort(pi)])  # column pi[a] of the image is column a
-        pos = np.searchsorted(keys, found).clip(max=len(keys) - 1)
-        if not np.array_equal(keys[pos], found):
-            raise ValueError("map does not carry vertices to vertices")
-        return order[pos]
+        return p
+
+    def lift(self, point_perm) -> np.ndarray:
+        """The int64 vertex array of a point permutation of any integer
+        dtype: vertex A goes to the vertex whose point set is the image of
+        A's.  ValueError unless point_perm permutes the points and every
+        vertex's image is a vertex."""
+        p = np.asarray(point_perm)
+        P = len(self._points.vectors)
+        if p.shape != (P,) or not np.array_equal(np.sort(p), np.arange(P)):
+            raise ValueError("not a permutation of the projective points")
+        p = p.astype(np.int32)  # the dtype of the keys
+        out = np.empty(self.nv, dtype=np.int64)
+        for start, points, keys, order in self._point_sets:
+            found = _keys(np.sort(p[points], axis=1))
+            pos = np.searchsorted(keys, found).clip(max=len(keys) - 1)
+            if not np.array_equal(keys[pos], found):
+                raise ValueError("map does not carry vertices to vertices")
+            out[start : start + len(points)] = start + order[pos]
+        return out
 
     def __eq__(self, other):
         return (
@@ -296,29 +304,29 @@ def all_adjacent(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> bool:
 
 
 _BIT = (1 << np.arange(8)).astype(np.uint8)
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 _WORD_BIT = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
 
 # Blockwise loops size their temporaries to stay near this many bytes.
 _BLOCK = 1 << 18
 
 
-def _pair_blocks(rows: np.ndarray):
-    """The adjacent ordered pairs, loops included, of the packed looped rows
-    as (r, c) id arrays, one row block at a time in row-major order.  The
-    rows are unpacked a block at a time, so no nv x nv matrix is made beside
-    one a caller may hold."""
+def _unpacked_blocks(rows: np.ndarray):
+    """The packed looped rows as boolean row blocks (first row id, block),
+    in order.  One block at a time is unpacked, so no nv x nv matrix is
+    made beside one a caller may hold."""
     nv = len(rows)
     step = max(1, _BLOCK // max(nv, 1))
     for lo in range(0, nv, step):
-        r, c = np.nonzero(_unpack(rows[lo : lo + step], nv))
-        yield r + lo, c
+        yield lo, _unpack(rows[lo : lo + step], nv)
 
 
 def looped_pairs(rows: np.ndarray):
     """Every adjacent ordered pair, loops included, as row-major (r, c) id arrays."""
     r, c = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for br, bc in _pair_blocks(rows):
-        r.append(br)
+    for lo, block in _unpacked_blocks(rows):
+        br, bc = np.nonzero(block)
+        r.append(br + lo)
         c.append(bc)
     return np.concatenate(r), np.concatenate(c)
 
@@ -326,17 +334,22 @@ def looped_pairs(rows: np.ndarray):
 def neighbour_lists(rows: np.ndarray):
     """Loop-free CSR neighbour lists (indptr, indices) of the packed looped
     rows: the neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]].
-    Indices are int32 (vertex counts stay far below 2^31)."""
+    Indices are int32 (vertex counts stay far below 2^31).  Degrees are
+    counted from the packed rows first (popcount minus the loop bit), so the
+    indices are filled into one array a row block at a time."""
     nv = len(rows)
-    degree = np.zeros(nv, dtype=np.intp)
-    indices = [np.zeros(0, dtype=np.int32)]
-    for r, c in _pair_blocks(rows):
-        off = r != c
-        degree += np.bincount(r[off], minlength=nv)
-        indices.append(c[off].astype(np.int32))
     indptr = np.zeros(nv + 1, dtype=np.intp)
-    np.cumsum(degree, out=indptr[1:])
-    return indptr, np.concatenate(indices)
+    step = max(1, _BLOCK // max(rows.shape[1], 1))
+    for lo in range(0, nv, step):
+        indptr[lo + 1 : lo + step + 1] = _POPCOUNT[rows[lo : lo + step]].sum(axis=1)
+    indptr[1:] -= _diagonal(rows)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for lo, block in _unpacked_blocks(rows):
+        hi = lo + len(block)
+        block[np.arange(len(block)), np.arange(lo, hi)] = False  # the loops
+        np.remainder(np.flatnonzero(block), nv, out=indices[indptr[lo] : indptr[hi]])
+    return indptr, indices
 
 
 def _gather_chunks(indptr: np.ndarray, limit: int):
@@ -351,6 +364,12 @@ def _gather_chunks(indptr: np.ndarray, limit: int):
         out.append((ids[i:j], first[i], end[j - 1], first[i:j] - first[i]))
         i = j
     return out
+
+
+def _diagonal(rows: np.ndarray) -> np.ndarray:
+    """Whether each vertex of the packed looped rows carries a loop."""
+    v = np.arange(len(rows))
+    return rows[v, v >> 3] & _BIT[v & 7] != 0
 
 
 def _unpack(rows: np.ndarray, nv: int) -> np.ndarray:
@@ -424,10 +443,10 @@ def _bases_by_dimension(verts):
     return [np.array([P.rows for P in run], dtype=np.intp) for _, run in runs]
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each boolean row packed into one fixed-width bytes key."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one fixed-width bytes key."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _fill_adjacency(g: OiGraph) -> None:

@@ -1,20 +1,23 @@
 """Automorphisms of the graph and exact group orders.
 
-Two generator families: reflections through anisotropic vectors (these
-generate the full orthogonal group of the form in odd characteristic), and
-diagonal-semilinear maps sigma_{(k_1..k_nu, d1, d2, pi)} acting as
-entrywise Frobenius followed by diag(k_1..k_nu, k_1^-1..k_nu^-1, d1, d2).
-Both act on row vectors; each is applied, with the field's lookup arrays,
-to the projective point vectors only, and OiGraph.vertex_action turns the
-induced point permutation into a vertex permutation.  +-T induce the same
-point map, so the action quotients the matrix group by its center for free.
+Aut(Oi(n, q)) keeps dimension and a vertex is its set of projective points,
+so it acts faithfully on the P points, and generators are plain int64 point
+arrays (point a goes to p[a]).  OiGraph.lift makes vertex arrays of them
+only where a caller needs those: po_e_generators, for the orbits.
 
-A generator is a plain int64 vertex array p (vertex v goes to p[v]),
-checked by OiGraph.is_automorphism when it is made.  Orders are certified
-by a deterministic stabilizer chain over the vertex permutation action
-(base = first moved point, extended as needed), never by formula alone; the
-closed-form counts live in aut_order_formula for cross-checking.  Orbits,
-of vertices, of edges and in the search, all come from orbit_labels.
+Two generator families: reflections through anisotropic vectors (these
+generate the full orthogonal group of the form in odd characteristic), all
+applied at once by reflect, and diagonal-semilinear maps
+sigma_{(k_1..k_nu, d1, d2, pi)} acting as entrywise Frobenius followed by
+diag(k_1..k_nu, k_1^-1..k_nu^-1, d1, d2).  Both act on row vectors through
+the field's lookup arrays and OiGraph.point_action.  +-T induce the same
+point map, so the action quotients the matrix group by its center for free.
+Each generator set is checked once on the point graph (_check_on_points).
+
+Orders are certified by a deterministic stabilizer chain over the point
+action (base = first moved point, extended as needed), never by formula
+alone; the closed-form counts live in aut_order_formula for cross-checking.
+Orbits, of vertices, of edges and in the search, all come from orbit_labels.
 """
 
 from __future__ import annotations
@@ -26,68 +29,46 @@ import numpy as np
 
 from .gf import GF, factor_prime_power, primitive_unit
 from .graph import OiGraph
-from .geometry import OSpace, check_space_params
-from .linalg import Mat
+from .geometry import OSpace, _rref_bases, check_space_params
 
 
 # ---------------------------------------------------------------------------
-# matrix-level generators
+# generators as point arrays
 
 
-def is_orthogonal(space: OSpace, T: Mat) -> bool:
-    return T * space.form * T.transpose() == space.form
+def reflect(space: OSpace, X) -> np.ndarray:
+    """The images of the vectors X (rows of field-element codes) under every
+    reflection x -> x - 2 (x.S.v / v.S.v) v, one axis v per anisotropic
+    point in enumerate_rref(field, n, 1) order: shape (axes, len(X), n)."""
+    f, t = space.field, space.field.arrays
+    axes = _rref_bases(f, space.n, 1)[:, 0]
+    w = f.matmul(axes, np.array(space.form.rows))  # v.S, the transpose of S.vt
+    norm = f.matmul(w[:, None, :], axes[:, :, None])[:, 0, 0]
+    aniso = norm != 0
+    axes, w = axes[aniso], w[aniso]
+    c = t.mul[f.add(1, 1), t.inv[norm[aniso]]]
+    X = np.asarray(X)
+    coef = t.mul[f.matmul(X, w.T).T, c[:, None]]  # c (x.S.vt), per axis and vector
+    return t.add[X, t.neg[t.mul[coef[..., None], axes[:, None, :]]]]
 
 
-def reflection(space: OSpace, v) -> Mat:
-    """x |-> x - 2 (x.S.vt / v.S.vt) v, as a matrix acting on row vectors."""
-    f = space.field
-    v = tuple(v)
-    norm = space.pair(v, v)
-    if norm == 0:
-        raise ValueError("reflection axis must be anisotropic")
-    c = f.div(f.add(1, 1), norm)
-    w = (Mat(f, (v,)) * space.form).rows[0]  # v.S, = transpose of S.vt since S is symmetric
-    n = space.n
-    rows = tuple(
-        tuple(
-            f.sub(1 if i == j else 0, f.mul(c, f.mul(w[i], v[j])))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Mat(f, rows)
+def _check_on_points(g: OiGraph, gens):
+    """gens, each checked as an automorphism of the point graph
+    g.dim1_subgraph() (ValueError otherwise), g as build_graph makes it.
 
-
-def orthogonal_generators(space: OSpace):
-    """One reflection per projective anisotropic point."""
-    from .geometry import enumerate_rref
-
-    gens = []
-    for rows in enumerate_rref(space.field, space.n, 1):
-        v = rows[0]
-        if space.pair(v, v) != 0:
-            gens.append(reflection(space, v))
+    This proves g.lift(p) an automorphism of g.  The lift sends a vertex A
+    to the vertex whose point set is exactly p(points(A)), raising if there
+    is none; as p permutes the points and a vertex is determined by its
+    point set, it is a bijection of the vertices.  A ~ B iff every point of
+    A is orthogonal to every point of B (the form is bilinear; B = A gives
+    the loops).  p maps the finite set of orthogonal point pairs into, hence
+    onto, itself, so lift(A) ~ lift(B) iff A ~ B.
+    """
+    d1 = g.dim1_subgraph()
+    for p in gens:
+        if not d1.is_automorphism(p):
+            raise ValueError("map does not preserve orthogonality of points")
     return gens
-
-
-# ---------------------------------------------------------------------------
-# vertex permutations
-
-
-def _automorphism(g: OiGraph, vec_map) -> np.ndarray:
-    """The vertex array of a map of the space, which must be an automorphism."""
-    arr = g.vertex_action(vec_map)
-    if not g.is_automorphism(arr):
-        raise ValueError("map does not preserve adjacency")
-    return arr
-
-
-def perm_from_matrix(g: OiGraph, T: Mat) -> np.ndarray:
-    space = g.space
-    if not is_orthogonal(space, T):
-        raise ValueError("matrix is not orthogonal for the ambient form")
-    M = np.array(T.rows)
-    return _automorphism(g, lambda X: space.field.matmul(X, M))
 
 
 def _slot_factor(f: GF, sign: int, form_entry: int, pi: int) -> int:
@@ -101,6 +82,8 @@ def _slot_factor(f: GF, sign: int, form_entry: int, pi: int) -> int:
 
 
 def perm_from_semilinear(g: OiGraph, ks, d1: int = 1, d2: int = 1, pi: int = 0) -> np.ndarray:
+    """The int64 point array of sigma_{(ks, d1, d2, pi)}, not yet checked
+    on the graph: e_subgroup_generators and point_generators do that."""
     space = g.space
     f = space.field
     ks = tuple(ks)
@@ -124,11 +107,10 @@ def perm_from_semilinear(g: OiGraph, ks, d1: int = 1, d2: int = 1, pi: int = 0) 
     if space.delta == 2:
         diag.append(_slot_factor(f, d2, space.form[n - 1, n - 1], pi))
     t, D = f.arrays, np.array(diag)
-    return _automorphism(g, lambda X: t.mul[t.frob[pi][X], D])
+    return g.point_action(lambda X: t.mul[t.frob[pi][X], D])
 
 
-def e_subgroup_generators(g: OiGraph):
-    """Generators of the diagonal-semilinear subgroup of Aut."""
+def _semilinear_maps(g: OiGraph):
     space = g.space
     f = space.field
     nu = space.nu
@@ -151,11 +133,20 @@ def e_subgroup_generators(g: OiGraph):
     return gens
 
 
+def e_subgroup_generators(g: OiGraph):
+    """Checked int64 point arrays generating the diagonal-semilinear subgroup E."""
+    return _check_on_points(g, _semilinear_maps(g))
+
+
+def point_generators(g: OiGraph):
+    """Checked int64 point arrays of the reflections, then of E."""
+    reflections = g.point_action(lambda X: reflect(g.space, X))
+    return _check_on_points(g, [*reflections, *_semilinear_maps(g)])
+
+
 def po_e_generators(g: OiGraph):
-    """Reflection images plus the diagonal-semilinear generators."""
-    gens = [perm_from_matrix(g, T) for T in orthogonal_generators(g.space)]
-    gens.extend(e_subgroup_generators(g))
-    return gens
+    """point_generators lifted to int64 vertex arrays, in the same order."""
+    return [g.lift(p) for p in point_generators(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,7 @@ def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class PermGroup:
-    """Stabilizer chain with base points chosen as first moved vertices.
+    """Stabilizer chain with base points chosen as first moved points.
 
     level_gens[i] generates the stabilizer of base[:i]; the chain is built
     by sifting Schreier generators level by level until every one reduces
@@ -314,16 +305,16 @@ def group_order(perms) -> int:
     return PermGroup(len(perms[0]), perms).order()
 
 
-def matrix_group_order(space: OSpace, mats) -> int:
-    """Order of a matrix group via its faithful action on nonzero vectors.
+def reflection_group_order(space: OSpace) -> int:
+    """Order of the group the reflections generate, the orthogonal group of
+    the form, via its faithful action on the q^n - 1 nonzero vectors.
 
     The vectors are listed in lexicographic order of their codes, the zero
     vector dropped, so a vector's index is its base-q value minus one."""
     f = space.field
     vecs = np.array(list(itertools.product(range(f.q), repeat=space.n))[1:])
     place = f.q ** np.arange(space.n - 1, -1, -1)
-    perms = [f.matmul(vecs, np.array(T.rows)) @ place - 1 for T in mats]
-    return PermGroup(len(vecs), perms).order()
+    return PermGroup(len(vecs), reflect(space, vecs) @ place - 1).order()
 
 
 # ---------------------------------------------------------------------------

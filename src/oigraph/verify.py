@@ -35,9 +35,9 @@ from .symmetry import (
     e_subgroup_order,
     edge_orbits,
     group_order,
-    matrix_group_order,
-    orthogonal_generators,
     po_e_generators,
+    point_generators,
+    reflection_group_order,
     vertex_orbits,
 )
 
@@ -201,7 +201,7 @@ def check_nu1_aut_orders(ctx):
 def check_oi43_generated_order(ctx):
     g = ctx.graph(2, 0, 3)
     expected = 576
-    computed = group_order(po_e_generators(g))
+    computed = group_order(point_generators(g))
     status = STATUS_PASS if computed == expected == aut_order_formula(2, 0, 3) else STATUS_FAIL
     return expected, computed, status, ""
 
@@ -293,7 +293,7 @@ def check_witt_oracle_agreement(ctx):
 def check_orthogonal_closure_order(ctx):
     sp = ctx.graph(2, 0, 3).space
     expected = 1152
-    computed = matrix_group_order(sp, orthogonal_generators(sp))
+    computed = reflection_group_order(sp)
     status = STATUS_PASS if computed == expected else STATUS_FAIL
     return expected, computed, status, ""
 
@@ -352,7 +352,7 @@ def check_o2_exhaustive(ctx):
         T = Mat(F3, ((vals[0], vals[1]), (vals[2], vals[3])))
         if (T * sp.form * T.transpose()) == sp.form:
             census += 1
-    closure = matrix_group_order(sp, orthogonal_generators(sp))
+    closure = reflection_group_order(sp)
     expected = {"census": 4, "closure": 4}
     computed = {"census": census, "closure": closure}
     status = STATUS_PASS if expected == computed else STATUS_FAIL
@@ -376,7 +376,7 @@ def check_delta2_minus_one_nonsquare(ctx):
     g = ctx.graph(1, 2, 3)
     expected = "no documented claim (delta = 2 needs nu >= 2 and -1 a square)"
     computed = {
-        "generated-order": group_order(po_e_generators(g)),
+        "generated-order": group_order(point_generators(g)),
         "search-order": search_result(g).order,
     }
     note = (
@@ -390,7 +390,7 @@ def check_delta2_minus_one_nonsquare(ctx):
 def check_oi53_generated_order(ctx):
     g = ctx.graph(2, 1, 3)
     expected = 51840
-    computed = group_order(po_e_generators(g))
+    computed = group_order(point_generators(g))
     status = STATUS_PASS if computed == expected == aut_order_formula(2, 1, 3) else STATUS_FAIL
     return expected, computed, status, ""
 

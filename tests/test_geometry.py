@@ -332,6 +332,12 @@ FROZEN_SYMMETRY_DIGESTS = {
     ("aut", "1", "1", "z", "9"): "a3883e618cfce99c2e6b3e4bcf5c6c2a39b0a1ff129ffe0b719293bb393e30e4",
     ("aut", "2", "1", "one", "3"): "e0653afbe522f4690b16357410241627c3894ca88502a0cf02cce174cb2a8a80",
     ("edge-orbits", "2", "0", "one", "3"): "31dce1b87b3836fc6a2b260f5768bddfda99b088ad7071a8aec0393e039b7f9c",
+    # frozen before the group layer moved to projective points: the d2 slot
+    # (delta = 2) and q = 1 mod 4
+    ("orbits", "1", "2", "one", "3"): "a119c3abbb21ed213f61e74a492b1cc351acaa268e87c05ae6ca4eb7de95ea19",
+    ("orbits", "2", "0", "one", "5"): "4e3efb08b1c050f79c745a6aeee5cff711436545c4a3845e985dca93c0476880",
+    ("aut", "1", "2", "one", "3"): "e815f9d7efe130df797463350fb0f6eaf7008dc8d612efc82fc44f9bae3dc821",
+    ("aut", "2", "0", "one", "5"): "cddd6aa9b4c8ec2c43d6dc67027b0397b4605038df8d049ebc58c5f61ef00556",
 }
 
 

@@ -21,6 +21,7 @@ from oigraph.graph import (
     graph_to_dot,
     graph_to_json,
     max_clique_dim1,
+    neighbour_lists,
     recover_parameters,
 )
 from oigraph.linalg import Mat
@@ -182,6 +183,19 @@ def test_diameter_matches_single_source_oracle(diameter_cases, block, monkeypatc
     expected = [math.inf, math.inf, 4, 4, 4, 4, 4, 4, 209, math.inf]
     assert [want for _, want in diameter_cases] == expected
     assert [g.diameter() for g, _ in diameter_cases] == expected
+
+
+@pytest.mark.parametrize("block", [None, 256])
+def test_neighbour_lists_match_adjacency(g23, g43, block, monkeypatch):
+    # Oi(2, 3) has looped points of degree 0; a 256-byte block counts the
+    # degrees a few rows at a time and fills the indices one row at a time
+    if block is not None:
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
+    for g in (g23, g43, build_graph(space_make(1, 1, F9, "z"))):
+        indptr, indices = neighbour_lists(g.rows)
+        r, c = np.nonzero(g.adjacency_matrix())
+        assert indices.dtype == np.int32 and np.array_equal(indices, c)
+        assert np.array_equal(indptr, np.searchsorted(r, np.arange(g.nv + 1)))
 
 
 def test_witness_path(g43):

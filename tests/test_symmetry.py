@@ -4,24 +4,23 @@ import numpy as np
 import pytest
 
 from oigraph.gf import GF
-from oigraph.geometry import space_make, subspace_make
+from oigraph.geometry import enumerate_rref, space_make, subspace_make
 from oigraph.graph import build_graph
 from oigraph.linalg import Mat
 from oigraph.symmetry import (
     PermGroup,
+    _check_on_points,
     aut_order_formula,
     e_subgroup_generators,
     e_subgroup_order,
     edge_orbits,
     group_order,
-    is_orthogonal,
-    matrix_group_order,
     orbit_labels,
-    orthogonal_generators,
-    perm_from_matrix,
     perm_from_semilinear,
     po_e_generators,
-    reflection,
+    point_generators,
+    reflect,
+    reflection_group_order,
     vertex_orbits,
 )
 
@@ -71,13 +70,50 @@ def is_identity(p):
     return np.array_equal(p, np.arange(len(p)))
 
 
+def is_orthogonal(space, T):
+    return T * space.form * T.transpose() == space.form
+
+
+def mat_reflection(space, v):
+    """x |-> x - 2 (x.S.vt / v.S.vt) v as a Mat acting on row vectors, one
+    entry at a time: the reference for the vectorised reflect."""
+    f = space.field
+    norm = space.pair(v, v)
+    if norm == 0:
+        raise ValueError("reflection axis must be anisotropic")
+    c = f.div(f.add(1, 1), norm)
+    w = (Mat(f, (tuple(v),)) * space.form).rows[0]
+    n = space.n
+    return Mat(
+        f,
+        tuple(
+            tuple(f.sub(1 if i == j else 0, f.mul(c, f.mul(w[i], v[j]))) for j in range(n))
+            for i in range(n)
+        ),
+    )
+
+
+def mat_reflections(space):
+    """One reference reflection per anisotropic point, in enumerate_rref order."""
+    axes = [rows[0] for rows in enumerate_rref(space.field, space.n, 1)]
+    return [mat_reflection(space, v) for v in axes if space.pair(v, v) != 0]
+
+
+def nonzero_vectors(space):
+    return [v for v in itertools.product(range(space.field.q), repeat=space.n) if any(v)]
+
+
+def matrix_points(g, T):
+    """The point array of the matrix T acting on row vectors."""
+    return g.point_action(lambda X: g.space.field.matmul(X, np.array(T.rows)))
+
+
 # -- reflections -----------------------------------------------------------
 
 
 def test_reflection_example(sp43):
-    v = sp43.field  # noqa: F841
     w = tuple(map(sum, zip(sp43.e(1), sp43.f(1))))  # e1 + f1
-    T = reflection(sp43, w)
+    T = mat_reflection(sp43, w)
     assert row_times(sp43.e(1), T) == (0, 0, 2, 0)  # e1 -> -f1
     assert row_times(sp43.f(1), T) == (2, 0, 0, 0)
     assert row_times(sp43.e(2), T) == sp43.e(2)
@@ -85,57 +121,75 @@ def test_reflection_example(sp43):
     assert is_orthogonal(sp43, T)
     assert T * T == Mat.identity(F3, 4)
     assert T.det() == F3.neg(1)
+    # the vectorised images through the same axis
+    aniso = [r[0] for r in enumerate_rref(F3, 4, 1) if sp43.pair(r[0], r[0]) != 0]
+    basis = [sp43.e(1), sp43.f(1), sp43.e(2), sp43.f(2)]
+    images = reflect(sp43, basis)[aniso.index(w)]
+    assert [tuple(x) for x in images.tolist()] == [(0, 0, 2, 0), (2, 0, 0, 0), sp43.e(2), sp43.f(2)]
 
 
 def test_reflection_rejects_isotropic(sp43):
     with pytest.raises(ValueError):
-        reflection(sp43, sp43.e(1))
+        mat_reflection(sp43, sp43.e(1))
+    # reflect has no reflection through an isotropic axis: a reflection
+    # negates exactly the multiples of its axis, and no image negates e1
+    e1 = np.array(sp43.e(1))
+    assert not (reflect(sp43, [e1])[:, 0] == F3.neg(1) * e1).all(axis=1).any()
 
 
 def test_orthogonal_generators(sp43):
-    gens = orthogonal_generators(sp43)
-    assert len(gens) == 24  # 40 points, 16 isotropic
-    assert all(is_orthogonal(sp43, T) for T in gens)
-    assert all(T.det() == F3.neg(1) for T in gens)
+    mats = mat_reflections(sp43)
+    assert len(mats) == 24  # 40 points, 16 isotropic
+    assert all(is_orthogonal(sp43, T) for T in mats)
+    assert all(T.det() == F3.neg(1) for T in mats)
+    vecs = nonzero_vectors(sp43)
+    images = reflect(sp43, vecs)
+    assert images.shape == (24, 80, 4)
+    for T, img in zip(mats, images):
+        assert [tuple(x) for x in img.tolist()] == [row_times(v, T) for v in vecs]
 
 
 def test_orthogonal_closure_order_1152(sp43):
-    gens = orthogonal_generators(sp43)
-    assert matrix_group_order(sp43, gens) == 1152
-    # independent route: explicit closure of the vector-action permutations
-    vecs = [v for v in itertools.product(range(3), repeat=4) if any(v)]
+    assert reflection_group_order(sp43) == 1152
+    # independent route: explicit closure of the reference vector permutations
+    vecs = nonzero_vectors(sp43)
     index = {v: i for i, v in enumerate(vecs)}
-    arrays = [
-        np.array([index[row_times(v, T)] for v in vecs]) for T in gens
-    ]
+    arrays = [np.array([index[row_times(v, T)] for v in vecs]) for T in mat_reflections(sp43)]
     assert closure_order(len(vecs), arrays) == 1152
 
 
-# -- vertex permutations ---------------------------------------------------
+# -- point arrays and their lift -------------------------------------------
 
 
 def test_perm_from_matrix_basics(g43):
-    ident = perm_from_matrix(g43, Mat.identity(F3, 4))
-    assert ident.dtype == np.int64 and is_identity(ident)
-    minus = perm_from_matrix(g43, Mat.diagonal(F3, (2,) * 4))
+    ident = matrix_points(g43, Mat.identity(F3, 4))
+    assert ident.dtype == np.int64 and is_identity(ident) and is_identity(g43.lift(ident))
+    minus = matrix_points(g43, Mat.diagonal(F3, (2,) * 4))
     assert is_identity(minus)
-    with pytest.raises(ValueError):
-        perm_from_matrix(g43, Mat.diagonal(F3, (1, 1, 1, 2)))
+    # not orthogonal: it permutes the points and lifts, but the point-graph
+    # check and the full-graph reference both reject it
+    bad = matrix_points(g43, Mat.diagonal(F3, (1, 1, 1, 2)))
+    assert not g43.dim1_subgraph().is_automorphism(bad)
+    assert not g43.is_automorphism(g43.lift(bad))
+    with pytest.raises(ValueError, match="orthogonality"):
+        _check_on_points(g43, [bad])
+    with pytest.raises(ValueError, match="permute"):
+        g43.point_action(lambda X: F3.matmul(X, np.zeros((4, 4), dtype=np.intp)))
 
 
 def test_perm_matches_negated_matrix(g43):
-    gens = orthogonal_generators(g43.space)
+    gens = mat_reflections(g43.space)
     rng = np.random.default_rng(7)
+    minus = Mat.diagonal(F3, (2,) * 4)
     for _ in range(20):
         T = Mat.identity(F3, 4)
         for i in rng.integers(0, len(gens), size=3):
             T = T * gens[int(i)]
-        assert np.array_equal(perm_from_matrix(g43, T), perm_from_matrix(g43, T * Mat.diagonal(F3, (2,) * 4)))
+        assert np.array_equal(matrix_points(g43, T), matrix_points(g43, T * minus))
 
 
 def test_reflection_perm_preserves_adjacency(g43):
-    T = orthogonal_generators(g43.space)[0]
-    p = perm_from_matrix(g43, T)  # checked with g43.is_automorphism when made
+    p = g43.lift(point_generators(g43)[0])
     assert not is_identity(p)
     assert sorted(p.tolist()) == list(range(g43.nv))
     assert g43.is_automorphism(p)
@@ -154,6 +208,48 @@ def test_vertex_perm_rejects_bad_maps(g43):
         assert not g43.is_automorphism(arr)
 
 
+def test_point_transposition_rejected(g43):
+    # the same transpositions as point arrays: the point-graph check rejects
+    # each, and the lift finds a line whose image is not a line
+    d1 = g43.dim1_subgraph()
+    iso = [v for v in range(d1.nv) if d1.loop_at(v)]
+    aniso = [v for v in range(d1.nv) if not d1.loop_at(v)]
+    for a, b in ((iso[0], iso[1]), (aniso[0], aniso[1]), (iso[0], aniso[0])):
+        p = np.arange(d1.nv)
+        p[[a, b]] = b, a
+        assert not d1.is_automorphism(p)
+        with pytest.raises(ValueError, match="orthogonality"):
+            _check_on_points(g43, [p])
+        with pytest.raises(ValueError, match="vertices"):
+            g43.lift(p)
+
+
+def test_lift_input_checks_and_dtypes(g43):
+    gen = point_generators(g43)[3]
+    want = g43.lift(gen)
+    for dtype in (np.int32, np.int64, np.intp, np.uint16):
+        got = g43.lift(gen.astype(dtype))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(g43.lift(gen.tolist()), want)
+    for bad in (np.arange(39), np.zeros(40, dtype=np.int64), np.arange(1, 41), np.arange(40) + 2**32):
+        with pytest.raises(ValueError, match="permutation"):
+            g43.lift(bad)
+
+
+@pytest.mark.parametrize("params", [(2, 0, 3, "one"), (2, 1, 3, "one"), (1, 1, 9, "z"), (1, 2, 3, "one")])
+def test_lift_extends_point_generators(params):
+    nu, delta, q, disc = params
+    g = build_graph(space_make(nu, delta, GF(3, 2) if q == 9 else GF(q), disc))
+    gens = point_generators(g)
+    P = len(g.dim1_ids())
+    for p, v in zip(gens, po_e_generators(g), strict=True):
+        assert p.shape == (P,)
+        lifted = g.lift(p)
+        assert np.array_equal(lifted, v)
+        assert np.array_equal(lifted[:P], p)
+        assert g.is_automorphism(lifted)  # the full-graph reference check
+
+
 def reference_perm(g, row_map):
     """Per-vertex action: map each basis row, re-canonicalise, look it up."""
     return np.array(
@@ -164,16 +260,17 @@ def reference_perm(g, row_map):
 def test_point_action_matches_per_vertex_reference(g43):
     gz = build_graph(space_make(1, 1, F9, disc="z"))
     for g in (g43, gz):
-        for T in orthogonal_generators(g.space)[:12]:
+        gens = point_generators(g)
+        for p, T in list(zip(gens, mat_reflections(g.space)))[:12]:
             want = reference_perm(g, lambda r: row_times(r, T))
-            assert np.array_equal(perm_from_matrix(g, T), want)
+            assert np.array_equal(g.lift(p), want)
     # pi = 1, d1 = -1: entrywise Frobenius, then diag(1, 1, -sqrt(z^3 / z))
     z = gz.space.z
     diag = (1, 1, F9.neg(F9.sqrt_of_square(F9.div(F9.frobenius(z, 1), z))))
     want = reference_perm(
         gz, lambda r: tuple(F9.mul(F9.frobenius(x, 1), d) for x, d in zip(r, diag))
     )
-    assert np.array_equal(perm_from_semilinear(gz, (1,), d1=-1, pi=1), want)
+    assert np.array_equal(gz.lift(perm_from_semilinear(gz, (1,), d1=-1, pi=1)), want)
 
 
 def test_semilinear_basics(g43):
@@ -225,18 +322,18 @@ def test_semilinear_frobenius_moves_points():
 
 def test_semilinear_z_slot_scaling():
     # with disc z the Frobenius twists the last form entry, so the final
-    # diagonal slot must absorb sqrt(pi(z)/z); the constructor verifies
-    # adjacency, which fails without that factor
+    # diagonal slot must absorb sqrt(pi(z)/z); e_subgroup_generators checks
+    # orthogonality of points, which fails without that factor
     space = space_make(1, 1, F9, disc="z")
     g = build_graph(space)
     z = space.z
     assert F9.frobenius(z, 1) != z
     p = perm_from_semilinear(g, (1,), pi=1)
-    assert sorted(p.tolist()) == list(range(g.nv))
+    assert sorted(p.tolist()) == list(range(len(g.dim1_ids())))
     q = perm_from_semilinear(g, (1,), d1=-1, pi=1)
     assert not np.array_equal(p, q)
     for gen in e_subgroup_generators(g):
-        assert gen.dtype == np.int64 and g.is_automorphism(gen)
+        assert gen.dtype == np.int64 and g.is_automorphism(g.lift(gen))
 
 
 def test_e_generators_fix_named_points(g43, g33):
@@ -283,6 +380,9 @@ def test_chain_against_closure_oracle():
 def test_chain_transversal_product(g43):
     gens = po_e_generators(g43)
     G = PermGroup(g43.nv, gens)
+    # the point action gives the same chain: points are the first vertex ids
+    on_points = PermGroup(len(g43.dim1_ids()), point_generators(g43))
+    assert on_points.base == G.base and on_points.transversal_sizes == G.transversal_sizes
     assert G.order() == 576
     sizes = G.transversal_sizes
     prod = 1
