@@ -13,10 +13,12 @@ f_1..f_nu (= e_{nu+i}), then eps and kappa for the definite tail.
 Subspaces are canonical: the reduced-row-echelon basis identifies them
 uniquely.  A subspace is classified by (m, r, s, tag): dimension, Gram rank,
 Witt index of the restricted form, and the square class of the 1-dimensional
-anisotropic residual when r - 2s = 1.  The type is read off the Gram
-matrix's rank and discriminant (witt_decompose); witt_bruteforce_oracle
-finds the Witt index by exhaustive search as an independent check, batched:
-one pair of array products tests every candidate subspace of a dimension.
+anisotropic residual when r - 2s = 1.  The type is read off one RREF of
+the Gram matrix (witt_decompose): the rank and pivots from the RREF, the
+discriminant from the principal minor on the pivots.
+witt_bruteforce_oracle finds the Witt index by exhaustive search as an
+independent check, batched: one pair of array products tests every
+candidate subspace of a dimension.
 """
 
 from __future__ import annotations
@@ -219,26 +221,33 @@ def witt_decompose(G: Mat):
     """(s, gamma, tag) for a symmetric matrix: Witt index of the rank part,
     anisotropic residual dimension, and the residual square class at gamma=1.
 
-    Closed form: over GF(q), q odd, the rank r and the discriminant D of the
-    nonzero diagonal after one congruence diagonalization fix the rank part
-    up to isometry (Serre, A Course in Arithmetic, Ch. IV).  A hyperbolic
-    plane has discriminant -1, so with s = r // 2 and c = (-1)^s D:
-    r odd gives s planes plus <c>, tagged by the square class of c; r even
-    gives s planes when c is a square and otherwise s - 1 planes plus the
-    anisotropic plane.  witt_bruteforce_oracle is the independent check.
+    Closed form: over GF(q), q odd, the rank r and the discriminant D of a
+    nondegenerate part fix the rank part up to isometry (Serre, A Course in
+    Arithmetic, Ch. IV).  Both come from one rref of G.  Its pivot columns
+    piv index r independent columns, and so, G being symmetric, r
+    independent rows.  No nonzero x in span(e_piv) has x G = 0, so
+    F^m = span(e_piv) + rad G is a direct sum, orthogonal because rad G
+    pairs to zero with everything.  Hence the principal minor G[piv, piv]
+    is nondegenerate and is the rank part up to isometry, and D = its det.
+    A hyperbolic plane has discriminant -1, so with s = r // 2 and
+    c = (-1)^s D: r odd gives s planes plus <c>, tagged by the square class
+    of c; r even gives s planes when c is a square and otherwise s - 1
+    planes plus the anisotropic plane.  witt_bruteforce_oracle is the
+    independent check.
     """
     if not G.is_symmetric():
         raise ValueError("witt decomposition needs a symmetric matrix")
     field = G.field
-    D, _ = G.congruence_diagonalize()
-    d = [D[i, i] for i in range(D.nrows) if D[i, i] != 0]
-    s, odd = divmod(len(d), 2)
-    c = 1 if s % 2 == 0 else field.neg(1)
-    for e in d:
-        c = field.mul(c, e)
+    _, r, piv = G.rref()
+    # at full rank the minor is G, whose elimination rref already made
+    minor = G if r == G.nrows else Mat(field, [[G[i, j] for j in piv] for i in piv], ncols=r)
+    c = minor.det()
+    s, odd = divmod(r, 2)
+    if s % 2:
+        c = field.neg(c)
     if odd:
         return s, 1, "one" if field.is_square(c) else "z"
-    if d and not field.is_square(c):
+    if r and not field.is_square(c):
         return s - 1, 2, None
     return s, 0, None
 
@@ -350,27 +359,3 @@ def enumerate_subspaces(space: OSpace, m: int):
         raise ValueError(f"vertex dimension {m} out of range 1..{space.n - 1}")
     for rows in enumerate_rref(space.field, space.n, m):
         yield Subspace(space, rows)
-
-
-# ---------------------------------------------------------------------------
-# edge invariants
-
-
-@dataclass(frozen=True)
-class EdgeTypeTriple:
-    """Unordered endpoint types plus the type of the subspace sum."""
-
-    ends: tuple  # sorted pair of SubspaceType
-    total: "SubspaceType"
-
-    @staticmethod
-    def of(X1: Subspace, X2: Subspace) -> "EdgeTypeTriple":
-        t1, t2 = classify_type(X1), classify_type(X2)
-        pair = tuple(sorted((t1, t2)))
-        return EdgeTypeTriple(ends=pair, total=classify_type(subspace_sum(X1, X2)))
-
-    def as_tuple(self):
-        return (self.ends[0].as_tuple(), self.ends[1].as_tuple(), self.total.as_tuple())
-
-    def __str__(self):
-        return f"{{{self.ends[0]},{self.ends[1]}}}+{self.total}"

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from types import SimpleNamespace
 
 import numpy as np
 
-# Largest array built: the packed adjacency rows (nv * ceil(nv / 8) bytes),
-# the boolean matrix of adjacency_matrix() (nv * nv bytes) and a field's
-# tables together.  Admits the packed rows of Oi(6,3) (382 MiB) but not
-# those of Oi(5,7) (9.5 GiB), and the tables of GF(3^8) but not GF(3^9)'s.
+# Largest allocation admitted: the packed adjacency rows (nv * ceil(nv / 8)
+# bytes) with the points' vector-code table (4 q^n bytes), the boolean
+# matrix of adjacency_matrix() (nv * nv bytes), and a field's tables
+# together.  Admits the packed rows of Oi(6,3) (382 MiB) but not those of
+# Oi(5,7) (9.5 GiB), and the tables of GF(3^8) but not GF(3^9)'s.
 MAX_ADJACENCY_BYTES = 2**30
 
 
@@ -40,7 +40,7 @@ _canonical_modulus_cache: dict = {}
 
 
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    return _prime_divisors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +330,16 @@ class GF:
         for a in range(1, q):
             mul[a] = g_to(log[a] + units)
         # add acts digit by digit: view the table with one axis per digit
-        # of a (most significant first), then one per digit of b
+        # of a (most significant first), then one per digit of b.  Row a of
+        # digit i's sums, ((a + b) % p) p^i, is a window of the p multiples
+        # of p^i repeated twice, so the sums are a view and the only q x q
+        # arrays made are the tables themselves.
         add = np.zeros((p,) * 2 * e, dtype)
-        digit_sum = (np.arange(p)[:, None] + np.arange(p)) % p
         for i in range(e):
             shape = [1] * 2 * e
             shape[e - 1 - i] = shape[2 * e - 1 - i] = p
-            add += (digit_sum * p**i).astype(dtype).reshape(shape)
+            multiples = np.tile(np.arange(p, dtype=dtype) * dtype.type(p**i), 2)
+            add += np.lib.stride_tricks.sliding_window_view(multiples, p)[:p].reshape(shape)
         return SimpleNamespace(
             add=add.reshape(q, q),
             mul=mul,

@@ -6,13 +6,15 @@ totally isotropic vertex is adjacent to itself: such loops are recorded but
 contribute nothing to degrees or distances.
 
 Internally a vertex is the set of projective points it contains; a
-point's id, among the P = (q^n - 1)/(q - 1), is its dimension-1 vertex id.
-Only the P point vectors ever meet field arithmetic.  By bilinearity A ~ B
-iff every point of A is orthogonal to every point of B, and the basis
-points of each vertex suffice, so adjacency is computed from them in row
-blocks.  Maps of the space act as point arrays (point_action), and lift
-carries a point array to the vertices by looking up each vertex's image
-among the sorted point-id lists of its dimension.
+point's id, among the P = (q^n - 1)/(q - 1), is its dimension-1 vertex id,
+and vertices sort by dimension first, so the points are ids 0..P-1.  Only
+the P point vectors ever meet field arithmetic.  By bilinearity A ~ B iff
+every point of A is orthogonal to every point of B, and the basis points
+of each vertex suffice, so adjacency is computed in row blocks from the
+packed point orthogonality rows of the basis points.  Maps of the space
+act as point arrays (point_action), and lift carries a point array to the
+vertices by looking up each vertex's image among the sorted point-id lists
+of its dimension.
 
 The graph stores one adjacency: the looped matrix packed row by row, rows
 an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
@@ -289,12 +291,16 @@ class OiGraph:
     # -- induced dimension-1 part -----------------------------------------
 
     def dim1_ids(self):
-        return [v for v in range(self.nv) if self.verts[v].m == 1]
+        """The dimension-1 vertices, the P points: vertices are ordered by
+        dimension first, so these are ids 0..P-1."""
+        return range(gauss_binomial(self.space.n, 1, self.space.field.q))
 
     def dim1_subgraph(self) -> "OiGraph":
-        ids = self.dim1_ids()
-        sub = _unpack(self.rows[ids], self.nv)[:, ids]
-        return OiGraph(self.space, [self.verts[v] for v in ids], np.packbits(sub, axis=1, bitorder="little"))
+        P = len(self.dim1_ids())
+        sub = self.rows[:P, : (P + 7) // 8].copy()
+        if P % 8:
+            sub[:, -1] &= (1 << P % 8) - 1  # bits of vertices past the points
+        return OiGraph(self.space, self.verts[:P], sub)
 
 
 def all_adjacent(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> bool:
@@ -390,7 +396,7 @@ def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
     cap = vertex_budget(budget)
     if total > cap:
         raise BudgetExceeded(total, cap)
-    _check_bytes(total * ((total + 7) // 8))
+    _check_bytes(total * ((total + 7) // 8) + 4 * q**n)  # the rows and _Points.id_of_code
     verts = []
     for m in range(1, n):
         verts.extend(enumerate_subspaces(space, m))
@@ -452,19 +458,28 @@ def _keys(rows: np.ndarray) -> np.ndarray:
 def _fill_adjacency(g: OiGraph) -> None:
     """Pack the looped adjacency into g.rows from the basis points of each vertex.
 
-    perp[u] marks the points orthogonal to every basis point of u, i.e. the
-    points of the dual of u, and u ~ v iff every basis point of v lies in
-    perp[u]; u ~ u is the loop of a totally isotropic u.  Bases are padded
-    to n - 1 rows by repeating their last row.  Rows are computed in small
-    blocks and packed straight into g.rows.
+    First the packed P x P point orthogonality rows, one block of points at
+    a time: bit b of row a is set iff a S bt = 0.  perp[u], the AND of the
+    rows of u's basis points, marks the points orthogonal to every basis
+    point of u, i.e. the points of the dual of u, and u ~ v iff every basis
+    point of v lies in perp[u]; u ~ u is the loop of a totally isotropic u.
+    Bases are padded to n - 1 rows by repeating their last row.  Vertex
+    rows are computed in small blocks, each perp unpacked only for its
+    block, and packed straight into g.rows.
     """
     pts, f, n = g._points, g.space.field, g.space.n
+    P = len(pts.vectors)
     forms = f.matmul(pts.vectors, np.array(g.space.form.rows))  # x -> x S pt per point p
+    orth = np.empty((P, (P + 7) // 8), dtype=np.uint8)
+    step = max(1, _BLOCK // P)
+    for lo in range(0, P, step):
+        block = f.matmul(forms[lo : lo + step], pts.vectors.T) == 0
+        orth[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
     basis = [pts.ids(bases) for bases in _bases_by_dimension(g.verts)]
     basis = np.concatenate([np.pad(ids, ((0, 0), (0, n - 1 - ids.shape[1])), mode="edge") for ids in basis])
     step = max(1, _BLOCK // (g.nv * (n - 1)))
     for lo in range(0, g.nv, step):
-        perp = (f.matmul(forms[basis[lo : lo + step]], pts.vectors.T) == 0).all(axis=1)
+        perp = _unpack(np.bitwise_and.reduce(orth[basis[lo : lo + step]], axis=1), P)
         g.rows[lo : lo + step] = np.packbits(perp[:, basis].all(axis=2), axis=1, bitorder="little")
 
 
@@ -588,6 +603,9 @@ def graph_from_json(text: str) -> OiGraph:
         if P.rows != tuple(tuple(r) for r in rec["basis"]):
             raise ValueError(f"vertex {rec['id']} basis is not in canonical form")
         verts.append(P)
+    keys = [(P.m, P.rows) for P in verts]
+    if keys != sorted(set(keys)) or sum(P.m == 1 for P in verts) != gauss_binomial(space.n, 1, field.q):
+        raise ValueError("vertices are not distinct, ordered by (dimension, basis) and inclusive of every point")
     edges, loops = [tuple(e) for e in data["edges"]], list(data["loops"])
     for x in itertools.chain(loops, *edges):
         if type(x) is not int or not 0 <= x < nv:

@@ -3,7 +3,8 @@
 Matrices are immutable: a field handle plus a tuple-of-tuples of int-encoded
 entries.  Everything here is small (at most n x n for n <= 6 ambient
 dimensions, or basis matrices with a handful of rows), so the plain cubic
-algorithms are the right tool.
+algorithms are the right tool.  One Gauss-Jordan elimination serves rref,
+rank, left_kernel and det.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from .gf import GF
 
 
 class Mat:
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_elim")
 
     def __init__(self, field: GF, rows, ncols: int | None = None):
         rows = tuple(tuple(r) for r in rows)
@@ -22,6 +23,7 @@ class Mat:
         self.ncols = len(rows[0]) if rows else (ncols or 0)
         if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
+        self._elim = None
 
     # -- constructors ------------------------------------------------------
 
@@ -81,22 +83,30 @@ class Mat:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self):
-        """Unique reduced row echelon form.
+    def _eliminate(self):
+        """Gauss-Jordan elimination, the one elimination here: (the nonzero
+        reduced rows, the pivot columns, the signed product of the pivots).
 
-        Returns (R, rank, pivots) where R has its zero rows dropped, so two
-        matrices span the same row space iff their R parts are equal.
+        Each pivot row is scaled by the inverse of its pivot and each row
+        swap flips the sign, so for a square matrix of full rank the signed
+        product is the determinant.  Made once per matrix, which is immutable.
         """
+        if self._elim is not None:
+            return self._elim
         f = self.field
         work = [list(r) for r in self.rows]
         nr, nc = self.nrows, self.ncols
         pivots = []
         r = 0
+        d = 1
         for c in range(nc):
             pr = next((i for i in range(r, nr) if work[i][c] != 0), None)
             if pr is None:
                 continue
-            work[r], work[pr] = work[pr], work[r]
+            if pr != r:
+                work[r], work[pr] = work[pr], work[r]
+                d = f.neg(d)
+            d = f.mul(d, work[r][c])
             inv = f.inv(work[r][c])
             work[r] = [f.mul(inv, a) for a in work[r]]
             for i in range(nr):
@@ -107,8 +117,17 @@ class Mat:
             r += 1
             if r == nr:
                 break
-        R = Mat(f, work[:r], ncols=nc)
-        return R, r, tuple(pivots)
+        self._elim = work[:r], tuple(pivots), d
+        return self._elim
+
+    def rref(self):
+        """Unique reduced row echelon form.
+
+        Returns (R, rank, pivots) where R has its zero rows dropped, so two
+        matrices span the same row space iff their R parts are equal.
+        """
+        rows, pivots, _ = self._eliminate()
+        return Mat(self.field, rows, ncols=self.ncols), len(pivots), pivots
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -133,81 +152,8 @@ class Mat:
     def det(self) -> int:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        f = self.field
-        work = [list(r) for r in self.rows]
-        n = self.nrows
-        d = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if work[i][c] != 0), None)
-            if pr is None:
-                return 0
-            if pr != c:
-                work[c], work[pr] = work[pr], work[c]
-                d = f.neg(d)
-            d = f.mul(d, work[c][c])
-            inv = f.inv(work[c][c])
-            for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    m = f.mul(inv, work[i][c])
-                    work[i] = [f.sub(a, f.mul(m, b)) for a, b in zip(work[i], work[c])]
-        return d
-
-    def congruence_diagonalize(self):
-        """Exact symmetric diagonalization: returns (D, Q) with Q self Qt = D.
-
-        Works for singular input; when every diagonal entry of the remaining
-        block vanishes but some off-diagonal entry survives, one row (and the
-        matching column) is added into another to surface a pivot — valid in
-        odd characteristic only, which is all we support.
-        """
-        if not self.is_symmetric():
-            raise ValueError("congruence diagonalization needs a symmetric matrix")
-        f = self.field
-        n = self.nrows
-        G = [list(r) for r in self.rows]
-        Q = [list(r) for r in Mat.identity(f, n).rows]
-
-        def row_op(dst, src, c):
-            # row dst += c * row src, then the same on columns (and on Q)
-            for j in range(n):
-                G[dst][j] = f.add(G[dst][j], f.mul(c, G[src][j]))
-            for i in range(n):
-                G[i][dst] = f.add(G[i][dst], f.mul(c, G[i][src]))
-            for j in range(n):
-                Q[dst][j] = f.add(Q[dst][j], f.mul(c, Q[src][j]))
-
-        def swap(i, j):
-            G[i], G[j] = G[j], G[i]
-            for row in G:
-                row[i], row[j] = row[j], row[i]
-            Q[i], Q[j] = Q[j], Q[i]
-
-        for k in range(n):
-            if G[k][k] == 0:
-                pr = next((i for i in range(k + 1, n) if G[i][i] != 0), None)
-                if pr is not None:
-                    swap(k, pr)
-                else:
-                    # all remaining diagonal entries vanish; find a nonzero
-                    # off-diagonal pair and fold one row into the other
-                    pair = next(
-                        ((i, j) for i in range(k, n) for j in range(i + 1, n) if G[i][j] != 0),
-                        None,
-                    )
-                    if pair is None:
-                        break  # remaining block identically zero
-                    i, j = pair
-                    row_op(i, j, 1)  # (v_i + v_j) has norm 2*G[i][j] != 0
-                    if i != k:
-                        swap(k, i)
-            pivot = G[k][k]
-            assert pivot != 0
-            inv = f.inv(pivot)
-            for i in range(k + 1, n):
-                if G[i][k] != 0:
-                    row_op(i, k, f.neg(f.mul(G[i][k], inv)))
-        D = Mat(f, ((G[i][j] if i == j else 0 for j in range(n)) for i in range(n)))
-        return D, Mat(f, (tuple(r) for r in Q))
+        _, pivots, d = self._eliminate()
+        return d if len(pivots) == self.nrows else 0
 
 
 def dot_form(field: GF, u, S: Mat, v) -> int:

@@ -20,9 +20,10 @@ from time import perf_counter
 
 from .autsearch import full_aut_order, search_result
 from .geometry import (
-    EdgeTypeTriple,
     classify_type,
     space_make,
+    subspace_span,
+    subspace_sum,
     witt_bruteforce_oracle,
     witt_decompose,
 )
@@ -131,11 +132,13 @@ class VerifyReport:
 
 
 class _Ctx:
-    """Shared graph cache so each desk-scale space is built exactly once."""
+    """Shared cache so each desk-scale space is built, and its vertices
+    classified, exactly once."""
 
     def __init__(self, budget=None):
         self.budget = budget
         self._graphs = {}
+        self._types = {}
 
     def graph(self, nu, delta, q, disc="one"):
         key = (nu, delta, q, disc)
@@ -143,6 +146,12 @@ class _Ctx:
             f = GF(*factor_prime_power(q))
             self._graphs[key] = build_graph(space_make(nu, delta, f, disc), self.budget)
         return self._graphs[key]
+
+    def types(self, g):
+        """classify_type of each vertex of g, computed once per space."""
+        if g.space not in self._types:
+            self._types[g.space] = [classify_type(P) for P in g.verts]
+        return self._types[g.space]
 
 
 # The six desk-scale spaces exercised by the connectivity suite.
@@ -225,17 +234,22 @@ def check_oi43_full_aut_order(ctx):
     return expected, computed, status, note
 
 
-def _vertex_fiber_partition(g):
+def _vertex_fiber_partition(types):
     fibers = {}
-    for i, P in enumerate(g.verts):
-        fibers.setdefault(classify_type(P).as_tuple(), []).append(i)
+    for i, t in enumerate(types):
+        fibers.setdefault(t, []).append(i)
     return sorted(tuple(sorted(v)) for v in fibers.values())
 
 
-def _edge_fiber_partition(g):
+def _edge_fiber_partition(g, types):
+    """Edges, loops included, grouped by their endpoints' types and the type
+    of the endpoints' sum.  A sum is a vertex, whose type is looked up, or
+    the whole space, classified once here."""
+    whole = classify_type(subspace_span(g.space, Mat.identity(g.space.field, g.space.n).rows))
     fibers = {}
     for u, v in g.edge_pairs_with_loops():
-        key = EdgeTypeTriple.of(g.verts[u], g.verts[v]).as_tuple()
+        total = subspace_sum(g.verts[u], g.verts[v])
+        key = (*sorted((types[u], types[v])), types[g.index[total.rows]] if total.is_vertex else whole)
         fibers.setdefault(key, []).append((u, v))
     return sorted(tuple(sorted(v)) for v in fibers.values())
 
@@ -247,7 +261,7 @@ def check_vertex_orbits_are_types(ctx):
         g = ctx.graph(nu, delta, q, disc)
         orbits = sorted(tuple(sorted(o)) for o in vertex_orbits(g, po_e_generators(g)))
         expected[g.space.label()] = True
-        computed[g.space.label()] = orbits == _vertex_fiber_partition(g)
+        computed[g.space.label()] = orbits == _vertex_fiber_partition(ctx.types(g))
     status = STATUS_PASS if expected == computed else STATUS_FAIL
     return expected, computed, status, ""
 
@@ -261,7 +275,7 @@ def check_edge_orbits_are_type_triples(ctx):
             tuple(sorted(o)) for o in edge_orbits(g, po_e_generators(g))
         )
         expected[g.space.label()] = True
-        computed[g.space.label()] = orbits == _edge_fiber_partition(g)
+        computed[g.space.label()] = orbits == _edge_fiber_partition(g, ctx.types(g))
     status = STATUS_PASS if expected == computed else STATUS_FAIL
     return expected, computed, status, ""
 

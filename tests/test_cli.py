@@ -80,6 +80,17 @@ def test_build_bytes_budget_exit(capsys, monkeypatch):
     assert "bytes" in err
 
 
+def test_build_point_table_bytes_exit(capsys, monkeypatch):
+    # Oi(2,101): 102 * 13 = 1326 bytes of rows, but the vector-code table
+    # of the points takes 4 * 101^2 = 40804 bytes
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 1326 + 40804 - 1)
+    code, _, err = run(capsys, "build", "--nu", "1", "--field", "101")
+    assert code == 3
+    assert "42130 bytes" in err
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 1326 + 40804)
+    assert run(capsys, "build", "--nu", "1", "--field", "101")[0] == 0
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("OIGRAPH_BUDGET", "50")
     code, _, _ = run(capsys, "build", "--nu", "2", "--delta", "0", "--field", "3")

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import json
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,6 @@ from oigraph import geometry
 from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import (
-    EdgeTypeTriple,
     OSpace,
     SubspaceType,
     classify_type,
@@ -151,8 +153,6 @@ def all_symmetric(field, n):
             G[i][j] = G[j][i] = v
         return Mat(field, G)
 
-    import itertools
-
     for vals in itertools.product(range(field.q), repeat=len(idx)):
         yield fill(vals)
 
@@ -180,6 +180,64 @@ def test_witt_closed_form_crosscheck():
             s, gamma, _ = witt_decompose(G)
             assert 2 * s + gamma == G.rank()
             assert s == witt_bruteforce_oracle(G)
+
+
+def witt_by_counting(G):
+    """(s, gamma, tag) of a symmetric G from counts of x by the class of
+    x G xt (zero, nonzero square, nonsquare) and of the radical, by the
+    standard counts for a form with a nondegenerate part of rank r
+    (Lidl and Niederreiter, Finite Fields, Thms 6.26-6.27): the square and
+    nonsquare counts differ iff r is odd, the larger naming the tag, and for
+    even r > 0 the zeros number more than q^(m-1) iff the part is
+    hyperbolic."""
+    f, m = G.field, G.nrows
+    t = f.arrays
+    X = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.intp)
+    XG = f.matmul(X, np.array(G.rows))
+    value = 0
+    for k in range(m):
+        value = t.add[value, t.mul[XG[:, k], X[:, k]]]
+    square = np.zeros(f.q, dtype=bool)
+    square[t.mul[f.units(), f.units()]] = True
+    zeros = int(np.count_nonzero(value == 0))
+    squares = int(np.count_nonzero(square[value]))
+    nonsquares = len(X) - zeros - squares
+    r = m - round(math.log(np.count_nonzero(~XG.any(axis=1)), f.q))
+    if squares != nonsquares:
+        gamma, tag = 1, "one" if squares > nonsquares else "z"
+    else:
+        gamma, tag = (0 if r == 0 or zeros > f.q ** (m - 1) else 2), None
+    return (r - gamma) // 2, gamma, tag
+
+
+def test_witt_type_matches_counting_exhaustive_3x3_f3():
+    mats = list(all_symmetric(F3, 3))
+    assert len(mats) == 729
+    for G in mats:
+        assert witt_decompose(G) == witt_by_counting(G)
+
+
+def test_witt_type_matches_counting_random_degenerate():
+    # G = Bt S B with S symmetric k x k, k < n: rank at most k, radical in
+    # general position
+    rng = random.Random(31)
+    for field in (F5, GF(7), GF(3, 2)):
+        for _ in range(40):
+            n = rng.randrange(2, 5)
+            k = rng.randrange(1, n)
+            S = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    S[i][j] = S[j][i] = rng.randrange(field.q)
+            B = Mat(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)])
+            G = B.transpose().mul(Mat(field, S)).mul(B)
+            assert G.rank() < n
+            assert witt_decompose(G) == witt_by_counting(G)
+
+
+def test_witt_rejects_asymmetric():
+    with pytest.raises(ValueError, match="symmetric"):
+        witt_decompose(Mat(F3, [[0, 1], [2, 0]]))
 
 
 def test_witt_oracle_admits_suite_sizes():
@@ -290,15 +348,6 @@ def test_subspace_sum():
     )
     assert full.m == 4 and not full.is_vertex
     assert classify_type(full) == SubspaceType(4, 4, 2)
-
-
-def test_edge_type_triple_symmetry():
-    s = oi43()
-    A = subspace_make(s, [s.e(1)])
-    B = subspace_make(s, [s.e(2)])
-    assert EdgeTypeTriple.of(A, B) == EdgeTypeTriple.of(B, A)
-    tr = EdgeTypeTriple.of(A, B)
-    assert tr.total == SubspaceType(2, 0, 0)
 
 
 # sha256 of `oigraph classify --format csv` over all dimensions, frozen

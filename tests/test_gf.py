@@ -321,6 +321,19 @@ def test_large_extension_field():
     assert f.frobenius(g, 3) == f.pow(g, 27)
 
 
+def test_table_build_peak_within_twice_the_tables():
+    # the add table once went through int64 q x q temporaries, a traced
+    # peak of 5.5 times the table bytes
+    f = GF(3001)
+    tracemalloc.start()
+    try:
+        tables = f.arrays
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(a.nbytes for a in vars(tables).values())
+
+
 def test_table_guard_before_allocating():
     # GF(3^10) walks its 59048 units but builds no q x q table; its first
     # product asks for ~14 GB of tables and is refused before any is made

@@ -313,8 +313,25 @@ def test_json_rejects_noncanonical_basis(g23):
         lambda d: d["edges"].append([2, 2]),
         lambda d: d["vertices"].append(dict(d["vertices"][3])),
         lambda d: d["vertices"][3].update(id=4),
+        lambda d: d["vertices"][3].update(basis=d["vertices"][2]["basis"]),
+        lambda d: (d["vertices"][0].update(id=1), d["vertices"][1].update(id=0)),
+        lambda d: (
+            d["vertices"].pop(),
+            d.update(edges=[e for e in d["edges"] if 3 not in e], loops=[v for v in d["loops"] if v != 3]),
+        ),
     ],
-    ids=["loop-99", "loop-negative", "edge-out-of-range", "edge-negative", "self-edge", "duplicate-vertex", "id-gap"],
+    ids=[
+        "loop-99",
+        "loop-negative",
+        "edge-out-of-range",
+        "edge-negative",
+        "self-edge",
+        "duplicate-vertex",
+        "id-gap",
+        "repeated-basis",
+        "swapped-ids",
+        "missing-point",
+    ],
 )
 def test_json_rejects_malformed_graph(g23, edit):
     data = json.loads(graph_to_json(g23))
@@ -392,7 +409,7 @@ def test_budget_bytes_before_allocating(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         build_graph(space_make(2, 1, GF(7)))
     assert exc.value.what == "bytes"
-    assert exc.value.needed == 285702 * 35713
+    assert exc.value.needed == 285702 * 35713 + 4 * 7**5  # the rows and the code table
     assert exc.value.budget == graph_module.MAX_ADJACENCY_BYTES
     with pytest.raises(Enumerated):
         build_graph(space_make(3, 0, F3))
@@ -414,6 +431,19 @@ def test_adjacency_symmetric(g43, u, v):
     assert adjacent(A, B) == adjacent(B, A)
     got = bool(g43.adjacency_matrix()[u, v]) if u != v else g43.loop_at(u)
     assert got == adjacent(A, B)
+
+
+@pytest.mark.parametrize("space", [(1, 0, F3, "one"), (1, 1, F3, "one"), (1, 1, F9, "z")], ids=["P4", "P13", "P91"])
+def test_dim1_subgraph_is_the_point_prefix(space):
+    # the point count is not a multiple of 8 here, so the last byte of each
+    # point row also holds bits of other vertices, which the subgraph drops
+    g = build_graph(space_make(*space))
+    ids = [v for v in range(g.nv) if g.verts[v].m == 1]
+    assert list(g.dim1_ids()) == ids
+    d1 = g.dim1_subgraph()
+    ref = g.adjacency_matrix(include_loops=True)[np.ix_(ids, ids)]
+    assert np.array_equal(d1.rows, np.packbits(ref, axis=1, bitorder="little"))
+    assert d1.verts == [g.verts[v] for v in ids]
 
 
 def test_induced_subgraph(g43):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from oigraph.verify import (
     CheckRecord,
     VerifyReport,
     _Ctx,
+    _edge_fiber_partition,
+    _vertex_fiber_partition,
     check_e_subgroup_order,
     check_matching_edge_rule,
     check_nu1_aut_orders,
@@ -35,6 +38,41 @@ def test_registry_shape():
     assert len(names) == len(set(names))
     for name, anchor, fn in ext:
         assert name and anchor and callable(fn)
+
+
+# Per graph: vertex fibers, edge fibers, the three largest edge fibers and
+# the sha256 of json.dumps of each partition, frozen before the partitions
+# were built from one classification per vertex.
+FROZEN_FIBER_PARTITIONS = {
+    (2, 0, 3, "one"): (
+        11,
+        24,
+        [144, 72, 72],
+        "2e74146a41b9e4f1e6d79d31d7f912a4547c1439ddc89bd4345f31722eb0eec8",
+        "31dce1b87b3836fc6a2b260f5768bddfda99b088ad7071a8aec0393e039b7f9c",
+    ),
+    (1, 1, 3, "one"): (
+        6,
+        8,
+        [12, 6, 6],
+        "15826adbceb98f87f8b94413c337ff927f805c5a881a33f7817ae284bd1e54f3",
+        "fd9336034fda091f1b1d026049d292770770fe0caaab36c98b10b62f59f54b58",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_FIBER_PARTITIONS), ids=["oi43", "oi33"])
+def test_fiber_partitions_frozen(ctx, key):
+    g = ctx.graph(*key)
+    vertex, edge = _vertex_fiber_partition(ctx.types(g)), _edge_fiber_partition(g, ctx.types(g))
+    computed = (
+        len(vertex),
+        len(edge),
+        sorted(map(len, edge), reverse=True)[:3],
+        hashlib.sha256(json.dumps(vertex).encode()).hexdigest(),
+        hashlib.sha256(json.dumps(edge).encode()).hexdigest(),
+    )
+    assert computed == FROZEN_FIBER_PARTITIONS[key]
 
 
 def test_o2_exhaustive(ctx):
