@@ -21,10 +21,39 @@ Loops never enter the refinement counting; they sit in the initial colors
 A leaf is accepted when its relabelling maps every adjacent pair, loops
 included, onto an adjacent pair, tested bit by bit in the packed rows.
 
-The subspace dimension is also used as an initial color, which is only
-honest if dimensions are graph-detectable.  full_aut_order certifies that
-first: refining from (loop, degree) alone must already separate the
-dimension classes, and the search refuses to run otherwise.
+search_result searches the P projective points, not the vertices: it
+runs the search on the looped point orthogonality graph h =
+g.dim1_subgraph() and lifts each point generator to the vertices with
+g.lift.  Aut(g) and Aut(h) have the same order, for g as build_graph and
+graph_from_json make it (adjacency is orthogonality under a nondegenerate
+form):
+
+- Every automorphism of g keeps dimension, so it permutes the points and
+  restricts to an automorphism of h.  This is certified per graph, not
+  assumed: refining from (loop, degree) alone must already separate the
+  dimension classes (certify_dimension_colors), and the search refuses
+  to run otherwise.  Write perp(X) for the points orthogonal to every
+  point of X, loops included, so perp is read from h alone.  The points
+  adjacent to a vertex A are the points of A^perp, and points(A) =
+  perp(points(A^perp)).  An automorphism s of g carries the points
+  adjacent to A onto those adjacent to s(A) and commutes with perp, so
+  points(s(A)) = s(points(A)): s is determined by its restriction, and
+  restriction embeds Aut(g) into Aut(h).
+- Every automorphism t of h lifts.  For every subspace W, points(W) =
+  perp(points(W^perp)), because the form is nondegenerate, and perp(Y) is
+  the point set of the subspace span(Y)^perp.  t commutes with perp, so
+  t(points(W)) = perp(t(points(W^perp))) is again the point set of a
+  subspace, of the same dimension as W since it has as many points: a
+  vertex.  This is why lift never raises on a generator found here; it
+  still checks that every vertex maps to a vertex.  A ~ B iff points(A)
+  lies in perp(points(B)) (the form is bilinear; B = A gives the loops),
+  and t keeps both inclusion and perp, so the lift is an automorphism of
+  g.
+
+So the order of the point group, which the leaf checks on the point rows
+prove, is |Aut(g)|, and the lifted generators generate Aut(g).  The
+full-graph search (search_automorphisms on the looped vertex adjacency)
+remains as the tests' oracle on small instances.
 """
 
 from __future__ import annotations
@@ -241,12 +270,8 @@ def certify_dimension_colors(g: OiGraph):
     Otherwise seeding the search with dimension colors could hide
     automorphisms, and the computed order would not be the full group.
     """
-    _certify_dimension_colors(g, neighbour_lists(g.rows))
-
-
-def _certify_dimension_colors(g: OiGraph, nbrs):
     colors = [c[1:] for c in _vertex_colors(g)]
-    for cell in refine_cells(nbrs, _cells_from_colors(colors)):
+    for cell in refine_cells(neighbour_lists(g.rows), _cells_from_colors(colors)):
         dims = {g.verts[v].m for v in cell}
         if len(dims) > 1:
             raise RuntimeError(
@@ -256,12 +281,18 @@ def _certify_dimension_colors(g: OiGraph, nbrs):
 
 
 def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
+    """Aut(g) from a search on the points, generators lifted to int64 vertex
+    arrays (see the module docstring for why the order is |Aut(g)|).
+    BudgetExceeded when g has more vertices than budget
+    (DEFAULT_SEARCH_BUDGET if None)."""
     cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if g.nv > cap:
         raise BudgetExceeded(g.nv, cap, "search vertices")
-    nbrs = neighbour_lists(g.rows)
-    _certify_dimension_colors(g, nbrs)
-    return _Search(g.rows, looped_pairs(g.rows), nbrs, _vertex_colors(g)).run()
+    certify_dimension_colors(g)
+    h = g.dim1_subgraph()
+    res = _Search(h.rows, looped_pairs(h.rows), neighbour_lists(h.rows), _vertex_colors(h)).run()
+    res.generators = [g.lift(p) for p in res.generators]
+    return res
 
 
 def full_aut_order(g: OiGraph, budget: int | None = None) -> int:

@@ -70,36 +70,69 @@ def _poly_divmod(a, b, p):
     return q, a
 
 
-def poly_is_irreducible(coeffs, p) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2.
+def _poly_mulmod(a, b, f, p):
+    """a * b mod f over Z_p."""
+    prod = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_divmod([c % p for c in prod], f, p)[1]
 
-    Exact and cheap at the sizes we care about (at most ~sqrt(q) divisions).
+
+def _poly_pow_p(a, f, p):
+    """a^p mod f over Z_p, by squaring."""
+    out, k = [1], p
+    while k:
+        if k & 1:
+            out = _poly_mulmod(out, a, f, p)
+        a, k = _poly_mulmod(a, a, f, p), k >> 1
+    return out
+
+
+def _poly_gcd_is_one(a, b, p):
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return len(a) == 1
+
+
+def poly_is_irreducible(coeffs, p) -> bool:
+    """Rabin's test: f of degree e >= 1 over Z_p is irreducible iff
+    x^(p^e) = x mod f and gcd(x^(p^(e/r)) - x, f) = 1 for each prime r | e.
+
+    x^(p^k) mod f is x raised to the p-th power k times, so the test costs
+    O(e log p) products mod f.
     """
-    c = list(coeffs)
-    _poly_trim(c)
-    deg = len(c) - 1
-    if deg < 1:
+    f = _poly_trim([c % p for c in coeffs])
+    e = len(f) - 1
+    if e < 1:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            div = list(tail) + [1]
-            _, r = _poly_divmod(c, div, p)
-            if not r:
-                return False
-    return True
+    x = _poly_divmod([0, 1], f, p)[1]
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(e):
+        frob.append(_poly_pow_p(frob[-1], f, p))
+
+    def minus_x(h):
+        h = h + [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        return _poly_trim(h)
+
+    if _poly_divmod(minus_x(frob[e]), f, p)[1]:
+        return False
+    return all(_poly_gcd_is_one(f, minus_x(frob[e // r]), p) for r in _prime_divisors(e))
 
 
 def canonical_modulus(p: int, e: int):
     """First monic irreducible of degree e in ascending coefficient order.
 
     Ordering is lexicographic on the little-endian coefficient tuple
-    (c0, c1, ..., c_{e-1}); the leading coefficient is fixed to 1.
+    (c0, c1, ..., c_{e-1}); the leading coefficient is fixed to 1.  For
+    e >= 2 a zero c0 makes x a factor, so those candidates, the first
+    p^(e-1) in this order, are skipped untested.
     """
     key = (p, e)
     if key not in _canonical_modulus_cache:
-        for tail in itertools.product(range(p), repeat=e):
+        heads = range(1 if e > 1 else 0, p)
+        for tail in itertools.product(heads, *[range(p)] * (e - 1)):
             cand = list(tail) + [1]
             if poly_is_irreducible(cand, p):
                 _canonical_modulus_cache[key] = tuple(cand)

@@ -616,7 +616,13 @@ def graph_from_json(text: str) -> OiGraph:
     r, c = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     rows = np.zeros((nv, (nv + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(rows, (r, c >> 3), (1 << (c & 7)).astype(np.uint8))
-    return OiGraph(space, verts, rows)
+    # Code that reasons from the form (the point search, lift) needs the
+    # edges to be the orthogonality relation, not merely well formed.
+    g = OiGraph(space, verts, np.zeros_like(rows))
+    _fill_adjacency(g)
+    if not np.array_equal(g.rows, rows):
+        raise ValueError("edges and loops are not the orthogonality relation of the vertices")
+    return g
 
 
 def graph_to_dot(g: OiGraph, header: bool = True) -> str:

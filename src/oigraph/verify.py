@@ -225,7 +225,8 @@ def check_oi43_full_aut_order(ctx):
     if computed == 2 * expected:
         note = (
             "independent backtracking search (every generator certified "
-            "against the adjacency matrix) finds twice the generated order: "
+            "on the point orthogonality graph and lifted to the vertices) "
+            "finds twice the generated order: "
             "scaling the form by the nonsquare z preserves adjacency while "
             "interchanging the two square-class tags, and that map lies "
             "outside the reflection+semilinear subgroup; the doubling occurs "
@@ -421,6 +422,26 @@ def check_oi53_full_aut_order(ctx):
     return expected, computed, status, ""
 
 
+def check_oi45_full_aut_order(ctx):
+    g = ctx.graph(2, 0, 5)
+    expected = 7200
+    computed = {
+        "generated": group_order(point_generators(g)),
+        "aut_order_formula": aut_order_formula(2, 0, 5),
+        "search": search_result(g).order,
+    }
+    agree = computed["generated"] == computed["search"] == computed["aut_order_formula"] == expected
+    note = (
+        "the formula halves its count when q = 1 mod 4 (-1 a square), "
+        "giving 7200, yet the checked reflection+semilinear group has order "
+        "14400; the independent search finds 28800, twice the generated "
+        "order, because in even ambient dimension the similitude scaling "
+        "the form by the nonsquare z preserves adjacency and lies outside "
+        "the generated group"
+    )
+    return expected, computed, STATUS_PASS if agree else STATUS_FAIL, note
+
+
 _CORE = (
     ("connectivity-diameter", 'Theorem 2.1, "connected graph if and only if"', check_connectivity_diameter),
     ("dimension-1-counts", 'Section 2, "The set of all vertices of dimension 1"', check_dimension_one_counts),
@@ -441,6 +462,7 @@ _CORE = (
 _EXTENDED_EXTRA = (
     ("oi53-generated-order", 'Corollary after ot2, "q^(nu^2) prod(q^i-1) prod(q^i+1)"', check_oi53_generated_order),
     ("oi53-full-aut-order", 'Theorem ot1, "Aut = PO*E"', check_oi53_full_aut_order),
+    ("oi45-full-aut-order", 'Theorem ot1, "Aut = PO*E"', check_oi45_full_aut_order),
 )
 
 SUITES = {

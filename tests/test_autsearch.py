@@ -8,6 +8,7 @@ from oigraph.autsearch import (
     DEFAULT_SEARCH_BUDGET,
     _cells_from_colors,
     _Search,
+    _vertex_colors,
     certify_dimension_colors,
     full_aut_order,
     initial_partition,
@@ -293,6 +294,10 @@ def test_search_generators_preserve_rank_profile(g43):
     assert orbits == sorted(tuple(sorted(f)) for f in fibers.values())
 
 
+def build(nu, delta, q, disc):
+    return build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
+
+
 @pytest.mark.parametrize(
     "nu,delta,q,disc,nodes,order",
     [
@@ -303,10 +308,32 @@ def test_search_generators_preserve_rank_profile(g43):
     ],
 )
 def test_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
-    # The search trace follows the refinement's cell order, so a change in
-    # that order shows up here.
-    res = search_result(build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc)))
+    # The oracle: the same search on all nv vertices, seeded with dimension
+    # colors.  The search trace follows the refinement's cell order, so a
+    # change in that order shows up here.
+    g = build(nu, delta, q, disc)
+    res = search_automorphisms(g.adjacency_matrix(include_loops=True), colors=_vertex_colors(g))
     assert (res.node_count, res.order) == (nodes, order)
+    assert search_result(g).order == order
+
+
+@pytest.mark.parametrize(
+    "nu,delta,q,disc,nodes,order",
+    [
+        (2, 0, 3, "one", 25, 1152),
+        (1, 1, 9, "one", 24, 1440),
+        (1, 1, 9, "z", 21, 1440),
+        (1, 2, 3, "one", 28, 1440),
+        (2, 1, 3, "one", 40, 51840),
+        (2, 0, 5, "one", 458, 28800),  # twice the generated 14400, four times the formula
+    ],
+)
+def test_point_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
+    # search_result searches the P points and lifts its generators.
+    g = build(nu, delta, q, disc)
+    res = search_result(g, budget=3000)
+    assert (res.node_count, res.order) == (nodes, order)
+    assert all(g.is_automorphism(p) for p in res.generators)
 
 
 def test_search_budget(g23):

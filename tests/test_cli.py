@@ -222,6 +222,17 @@ def test_aut_search(capsys):
     assert all(sorted(gen) == list(range(6)) for gen in payload["generators"])
 
 
+def test_aut_search_prints_vertex_automorphisms(capsys):
+    # The search runs on the points; the printed generators are their lifts.
+    code, out, _ = run(capsys, "aut", "--method", "search", "--nu", "2", "--delta", "0", "--field", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["order"], payload["node-count"]) == (1152, 25)
+    g = build_graph(space_make(2, 0, GF(3)))
+    assert payload["generators"]
+    assert all(g.is_automorphism(gen) for gen in payload["generators"])
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -12,6 +12,7 @@ from oigraph.gf import (
     canonical_modulus,
     factor_prime_power,
     parse_field,
+    _poly_divmod,
     poly_is_irreducible,
     primitive_unit,
 )
@@ -93,6 +94,40 @@ def test_canonical_modulus_is_first_irreducible_sympy_oracle():
 def test_canonical_modulus_values():
     assert canonical_modulus(3, 2) == (1, 0, 1)  # t^2 + 1
     assert canonical_modulus(3, 3) == (1, 0, 2, 1)  # t^3 + 2t^2 + 1
+    # found by trial division of every candidate; t^10 + 2t^8 + 1
+    assert canonical_modulus(3, 10) == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
+    # t^16 + t^14 + t^13 + 1, about a minute of trial division
+    assert canonical_modulus(3, 16) == (1,) + (0,) * 12 + (1, 1, 0, 1)
+
+
+def trial_division_is_irreducible(coeffs, p):
+    """Reference: no monic polynomial of degree 1..deg/2 divides coeffs."""
+    deg = len(coeffs) - 1
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not _poly_divmod(coeffs, list(tail) + [1], p)[1]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rabin_matches_trial_division(p):
+    for e in range(1, 5):
+        for tail in itertools.product(range(p), repeat=e):
+            coeffs = list(tail) + [1]
+            assert poly_is_irreducible(coeffs, p) == trial_division_is_irreducible(coeffs, p), coeffs
+
+
+def test_rabin_rejects_factors_of_coprime_degrees():
+    # A cubic times a quintic has no factor whose degree divides 8 / 2, so
+    # only x^(3^8) = x mod f tells it from an irreducible of degree 8.
+    a, b = canonical_modulus(3, 3), canonical_modulus(3, 5)
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % 3
+    assert not poly_is_irreducible(prod, 3)
+    assert not trial_division_is_irreducible(prod, 3)
 
 
 def test_irreducibility_degree4():

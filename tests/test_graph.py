@@ -319,6 +319,9 @@ def test_json_rejects_noncanonical_basis(g23):
             d["vertices"].pop(),
             d.update(edges=[e for e in d["edges"] if 3 not in e], loops=[v for v in d["loops"] if v != 3]),
         ),
+        lambda d: d["edges"].pop(),
+        lambda d: d["edges"].append([0, 2]),
+        lambda d: d["loops"].append(2),
     ],
     ids=[
         "loop-99",
@@ -331,6 +334,9 @@ def test_json_rejects_noncanonical_basis(g23):
         "repeated-basis",
         "swapped-ids",
         "missing-point",
+        "dropped-edge",
+        "non-orthogonal-edge",
+        "anisotropic-loop",
     ],
 )
 def test_json_rejects_malformed_graph(g23, edit):

@@ -19,6 +19,7 @@ from oigraph.verify import (
     check_o2_exhaustive,
     check_oi43_full_aut_order,
     check_oi43_generated_order,
+    check_oi45_full_aut_order,
     check_oi53_full_aut_order,
     run_suite,
 )
@@ -33,7 +34,7 @@ def test_registry_shape():
     assert set(SUITES) == {"core", "extended"}
     core, ext = SUITES["core"], SUITES["extended"]
     assert [c[0] for c in ext[: len(core)]] == [c[0] for c in core]
-    assert len(ext) == len(core) + 2
+    assert len(ext) == len(core) + 3
     names = [c[0] for c in ext]
     assert len(names) == len(set(names))
     for name, anchor, fn in ext:
@@ -104,6 +105,16 @@ def test_oi53_full_aut_order_is_generated_order(ctx):
     # odd n: the independent search finds no doubling; it agrees with the
     # formula, which oi53-generated-order checks against the generated group
     assert check_oi53_full_aut_order(ctx) == (51840, 51840, STATUS_PASS, "")
+
+
+def test_oi45_full_aut_order_records_three_orders(ctx):
+    # Aut = PO*E graded on Oi(4, 5): the formula, the generated group and the
+    # search give three different orders, each twice the one before.
+    expected, computed, status, note = check_oi45_full_aut_order(ctx)
+    assert expected == 7200
+    assert computed == {"generated": 14400, "aut_order_formula": 7200, "search": 28800}
+    assert status == STATUS_FAIL
+    assert "q = 1 mod 4" in note and "similitude" in note
 
 
 def test_matching_edge_rule_finding(ctx):
