@@ -283,15 +283,18 @@ def certify_dimension_colors(g: OiGraph):
 def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
     """Aut(g) from a search on the points, generators lifted to int64 vertex
     arrays (see the module docstring for why the order is |Aut(g)|).
+    seconds is the wall time of the whole call: certificate, search and lift.
     BudgetExceeded when g has more vertices than budget
     (DEFAULT_SEARCH_BUDGET if None)."""
     cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if g.nv > cap:
         raise BudgetExceeded(g.nv, cap, "search vertices")
+    t0 = time.perf_counter()
     certify_dimension_colors(g)
     h = g.dim1_subgraph()
     res = _Search(h.rows, looped_pairs(h.rows), neighbour_lists(h.rows), _vertex_colors(h)).run()
     res.generators = [g.lift(p) for p in res.generators]
+    res.seconds = time.perf_counter() - t0
     return res
 
 

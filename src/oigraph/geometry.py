@@ -17,8 +17,9 @@ anisotropic residual when r - 2s = 1.  The type is read off one RREF of
 the Gram matrix (witt_decompose): the rank and pivots from the RREF, the
 discriminant from the principal minor on the pivots.
 witt_bruteforce_oracle finds the Witt index by exhaustive search as an
-independent check, batched: one pair of array products tests every
-candidate subspace of a dimension.
+independent check, batched over forms as well as candidates: one pair of
+array products tests every candidate subspace of a dimension against a
+whole stack of same-size forms.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ class OSpace:
             rows[2 * nu][2 * nu] = 1
             rows[2 * nu + 1][2 * nu + 1] = field.neg(self.z)
         self.form = Mat(field, rows)
+        # S is monomial: row i holds its one nonzero entry, scale[i], in
+        # column col[i], so (x S)[col[i]] = x[i] scale[i]
+        self._col = tuple(next(j for j, a in enumerate(r) if a) for r in rows)
+        self._scale = tuple(r[j] for r, j in zip(rows, self._col))
 
     # named basis rows (unit vectors, as tuples)
 
@@ -172,8 +177,21 @@ def dual(P: Subspace) -> Subspace:
 
 
 def gram(P: Subspace) -> Mat:
-    B = P.basis_matrix()
-    return B.mul(P.space.form).mul(B.transpose())
+    """B S Bt for the basis rows B of P, each entry x S yt one dot product
+    of the rows x[i] scale[i] and y[col[i]] (S is monomial, see OSpace)."""
+    space = P.space
+    f = space.field
+    scaled = [[f.mul(a, c) for a, c in zip(x, space._scale)] for x in P.rows]
+    moved = [[y[j] for j in space._col] for y in P.rows]
+    out = [[0] * P.m for _ in range(P.m)]
+    for i, u in enumerate(scaled):
+        for j in range(i, P.m):
+            acc = 0
+            for a, b in zip(u, moved[j]):
+                if a and b:
+                    acc = f.add(acc, f.mul(a, b))
+            out[i][j] = out[j][i] = acc
+    return Mat(f, out)
 
 
 def subspace_sum(X1: Subspace, X2: Subspace) -> Subspace:
@@ -256,40 +274,56 @@ def witt_decompose(G: Mat):
 # every form up to 4x4 over F17, 5x5 over F5 and 6x6 over F3.
 ORACLE_MAX_BASES = 10**5
 
+# Entries per form chunk of the oracle's products, B G (forms, K, d, m).
+_ORACLE_CHUNK = 1 << 14
 
-def witt_bruteforce_oracle(G: Mat) -> int:
-    """Witt index by batched exhaustive search, for cross-checking
-    witt_decompose.
 
-    Finds the largest totally isotropic subspace of the (possibly degenerate)
-    form and subtracts the radical dimension.  Scans dimensions upward with
-    early exit: if no d-dimensional totally isotropic subspace exists, none
-    larger can.  Each dimension is one test of every candidate at once: the
-    rref bases B of shape (K, d, m) give the K Gram blocks B G Bt by two
-    GF.matmul calls, and d is reached when one block is zero.  Raises
-    ValueError, before allocating, when one dimension has more than
-    ORACLE_MAX_BASES candidates.
+def witt_bruteforce_oracle(grams) -> list[int]:
+    """Witt index of each of a sequence of same-size symmetric Mats over one
+    field, by batched exhaustive search, for cross-checking witt_decompose.
+
+    Finds the largest totally isotropic subspace of each (possibly
+    degenerate) form and subtracts the radical dimension.  Scans dimensions
+    upward with early exit per form: if no d-dimensional totally isotropic
+    subspace exists, none larger can, and the form drops out.  Each
+    dimension is one test of every candidate against every form still in:
+    the rref bases B of shape (K, d, m) give the Gram blocks B G Bt of
+    shape (forms, K, d, d) by two GF.matmul calls, in chunks of forms whose
+    temporaries hold about _ORACLE_CHUNK entries (at least one form), and
+    d is reached when one of a form's blocks is zero.  Raises ValueError
+    for mixed sizes or fields, and, before allocating, when one dimension
+    has more than ORACLE_MAX_BASES candidates.
     """
-    m = G.nrows
-    field = G.field
+    grams = list(grams)
+    if not grams:
+        return []
+    field, m = grams[0].field, grams[0].nrows
+    if any(G.field != field or (G.nrows, G.ncols) != (m, m) for G in grams):
+        raise ValueError("oracle forms must be square, of one size, over one field")
     worst = max(gauss_binomial(m, d, field.q) for d in range(m + 1))
     if worst > ORACLE_MAX_BASES:
         raise ValueError(
             f"oracle instance too large: {worst} candidate bases in one dimension, "
             f"limit {ORACLE_MAX_BASES}"
         )
-    if m == 0:
-        return 0
-    radical = m - G.rank()
-    gram_rows = np.array(G.rows)
-    max_ti = 0
-    for dim in range(1, m + 1):
-        B = _rref_bases(field, m, dim)
-        blocks = field.matmul(field.matmul(B, gram_rows), B.transpose(0, 2, 1))
-        if blocks.any(axis=(1, 2)).all():
-            break
-        max_ti = dim
-    return max_ti - radical
+    max_ti = np.zeros(len(grams), dtype=np.intp)
+    if m:
+        codes = np.array([G.rows for G in grams], dtype=field.arrays.mul.dtype)
+        alive = np.arange(len(grams))
+        for dim in range(1, m + 1):
+            B = _rref_bases(field, m, dim)
+            Bt = B.transpose(0, 2, 1)[None]
+            step = max(1, _ORACLE_CHUNK // B.size)
+            hit = []
+            for lo in range(0, len(alive), step):
+                XG = field.matmul(B[None], codes[alive[lo : lo + step], None])
+                blocks = field.matmul(XG, Bt)  # (chunk, K, d, d)
+                hit.append(~blocks.any(axis=(2, 3)).all(axis=1))
+            alive = alive[np.concatenate(hit)]
+            if not len(alive):
+                break
+            max_ti[alive] = dim
+    return [int(t) - (m - G.rank()) for t, G in zip(max_ti, grams)]
 
 
 @lru_cache(maxsize=64)

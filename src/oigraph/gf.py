@@ -383,12 +383,28 @@ class GF:
 
     def matmul(self, X, M) -> np.ndarray:
         """X @ M over the field for integer arrays of element codes, with
-        numpy's broadcasting over leading axes."""
-        t = self.arrays
-        X, M = np.asarray(X), np.asarray(M)
+        numpy's broadcasting over leading axes.
+
+        Each step reads the flat tables: a b = mul.ravel()[a q + b] and
+        a + b = add.ravel()[a q + b], the indices computed in the least
+        unsigned dtype that holds q^2 - 1 (uint8 up to q = 16)."""
+        t, q = self.arrays, self.q
+        mul, add = t.mul.ravel(), t.add.ravel()
+        dtype = np.min_scalar_type(q * q - 1)
+        scale = dtype.type(q)
+        X = np.asarray(X).astype(dtype) * scale  # rows pre-scaled: a q
+        M = np.asarray(M).astype(dtype, copy=False)
         out = 0
         for k in range(X.shape[-1]):
-            out = t.add[out, t.mul[X[..., k, None], M[..., k, None, :]]]
+            # index, not take: take would copy idx to intp first
+            idx = X[..., k, None] + M[..., k, None, :]
+            prod = mul[idx]
+            if k == 0:
+                out = prod
+            else:  # reuse idx for out q + prod
+                np.multiply(out, scale, out=idx)
+                idx += prod
+                out = add[idx]
         return out
 
     # -- misc --------------------------------------------------------------

@@ -281,24 +281,29 @@ def check_edge_orbits_are_type_triples(ctx):
     return expected, computed, status, ""
 
 
+def _oracle_agreement(grams) -> int:
+    """How many of the same-size forms grams get the same Witt index from
+    witt_decompose and from one witt_bruteforce_oracle pass."""
+    grams = list(grams)
+    return sum(witt_decompose(G)[0] == s for G, s in zip(grams, witt_bruteforce_oracle(grams)))
+
+
+def _random_form(rng, field, n):
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = rng.randrange(field.q)
+    return Mat(field, entries)
+
+
 def check_witt_oracle_agreement(ctx):
     F3, F5 = GF(3), GF(5)
-    agree3 = 0
-    for vals in itertools.product(range(3), repeat=6):
-        a, b, c, d, e, f = vals
-        G = Mat(F3, ((a, d, e), (d, b, f), (e, f, c)))
-        if witt_decompose(G)[0] == witt_bruteforce_oracle(G):
-            agree3 += 1
+    agree3 = _oracle_agreement(
+        Mat(F3, ((a, d, e), (d, b, f), (e, f, c)))
+        for a, b, c, d, e, f in itertools.product(range(3), repeat=6)
+    )
     rng = random.Random(8193)
-    agree5 = 0
-    for _ in range(500):
-        entries = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                entries[i][j] = entries[j][i] = rng.randrange(5)
-        G = Mat(F5, tuple(tuple(r) for r in entries))
-        if witt_decompose(G)[0] == witt_bruteforce_oracle(G):
-            agree5 += 1
+    agree5 = _oracle_agreement(_random_form(rng, F5, 4) for _ in range(500))
     expected = {"3x3-census": 729, "4x4-random": 500}
     computed = {"3x3-census": agree3, "4x4-random": agree5}
     status = STATUS_PASS if expected == computed else STATUS_FAIL

@@ -1,9 +1,11 @@
 import itertools
+import time
 from collections import deque
 
 import numpy as np
 import pytest
 
+from oigraph import autsearch
 from oigraph.autsearch import (
     DEFAULT_SEARCH_BUDGET,
     _cells_from_colors,
@@ -334,6 +336,19 @@ def test_point_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
     res = search_result(g, budget=3000)
     assert (res.node_count, res.order) == (nodes, order)
     assert all(g.is_automorphism(p) for p in res.generators)
+
+
+def test_search_seconds_cover_the_certificate(g43, monkeypatch):
+    certify = autsearch.certify_dimension_colors
+
+    def slow_certify(g):
+        time.sleep(0.05)
+        certify(g)
+
+    monkeypatch.setattr(autsearch, "certify_dimension_colors", slow_certify)
+    res = search_result(g43)
+    assert res.order == 1152
+    assert res.seconds >= 0.05
 
 
 def test_search_budget(g23):

@@ -31,6 +31,7 @@ from oigraph.geometry import (
 from oigraph.graph import build_graph
 from oigraph.linalg import Mat
 from oigraph.symmetry import edge_orbits, po_e_generators
+from oigraph.verify import _random_form
 
 F3 = GF(3)
 F5 = GF(5)
@@ -129,6 +130,33 @@ def test_gram_examples():
     assert gram(subspace_make(s, [s.e(1), s.f(1)])) == Mat(F3, [[0, 1], [1, 0]])
 
 
+def gram_by_products(P):
+    B = P.basis_matrix()
+    return B.mul(P.space.form).mul(B.transpose())
+
+
+def test_gram_delta1_disc_z():
+    s = space_make(1, 1, F3, "z")  # S = hyperbolic plane + (z), z = 2
+    assert gram(subspace_make(s, [s.eps()])) == Mat(F3, [[2]])
+    assert gram(subspace_make(s, [s.e(1), s.eps()])) == Mat(F3, [[0, 0], [0, 2]])
+    assert gram(subspace_make(s, [(1, 1, 1)])) == Mat(F3, [[1]])  # 2 + z
+    for space in (s, space_make(1, 1, GF(3, 2), "z")):
+        for m in (1, 2):
+            for P in enumerate_subspaces(space, m):
+                assert gram(P) == gram_by_products(P)
+
+
+def test_gram_delta2():
+    s = space_make(1, 2, F5)  # S = hyperbolic plane + diag(1, -z), -z = 3
+    assert gram(subspace_make(s, [s.eps(), s.kappa()])) == Mat(F5, [[1, 0], [0, 3]])
+    assert gram(subspace_make(s, [(1, 0, 0, 1)])) == Mat(F5, [[3]])
+    assert gram(subspace_make(s, [(1, 2, 0, 0), (0, 0, 1, 1)])) == Mat(F5, [[4, 0], [0, 4]])
+    for space in (s, space_make(1, 2, F3)):
+        for m in (1, 2, 3):
+            for P in enumerate_subspaces(space, m):
+                assert gram(P) == gram_by_products(P)
+
+
 def test_witt_examples():
     assert witt_decompose(Mat(F3, [[0, 1], [1, 0]])) == (1, 0, None)
     assert witt_decompose(Mat(F3, [[1, 0], [0, 1]])) == (0, 2, None)
@@ -139,9 +167,9 @@ def test_witt_examples():
 
 
 def test_witt_oracle_examples():
-    assert witt_bruteforce_oracle(Mat(F3, [[1, 0], [0, 1]])) == 0
-    assert witt_bruteforce_oracle(Mat.diagonal(F3, (1, 2, 0))) == 1
-    assert witt_bruteforce_oracle(Mat(F3, [[0, 1], [1, 0]])) == 1
+    assert witt_bruteforce_oracle([Mat(F3, [[1, 0], [0, 1]])]) == [0]
+    assert witt_bruteforce_oracle([Mat.diagonal(F3, (1, 2, 0))]) == [1]
+    assert witt_bruteforce_oracle([Mat(F3, [[0, 1], [1, 0]])]) == [1]
 
 
 def all_symmetric(field, n):
@@ -158,10 +186,11 @@ def all_symmetric(field, n):
 
 
 def test_witt_matches_oracle_2x2_f3_exhaustive():
-    for G in all_symmetric(F3, 2):
+    mats = list(all_symmetric(F3, 2))
+    for G, oracle in zip(mats, witt_bruteforce_oracle(mats), strict=True):
         s, gamma, _ = witt_decompose(G)
         assert 2 * s + gamma == G.rank()
-        assert s == witt_bruteforce_oracle(G)
+        assert s == oracle
 
 
 def test_witt_closed_form_crosscheck():
@@ -179,7 +208,7 @@ def test_witt_closed_form_crosscheck():
             G = Mat(field, G)
             s, gamma, _ = witt_decompose(G)
             assert 2 * s + gamma == G.rank()
-            assert s == witt_bruteforce_oracle(G)
+            assert [s] == witt_bruteforce_oracle([G])
 
 
 def witt_by_counting(G):
@@ -243,9 +272,9 @@ def test_witt_rejects_asymmetric():
 def test_witt_oracle_admits_suite_sizes():
     # the zero form is scanned in every dimension, largest batch included
     for field, n in ((GF(3, 2), 4), (GF(11), 4), (F3, 5)):
-        assert witt_bruteforce_oracle(Mat(field, [[0] * n] * n)) == 0
+        assert witt_bruteforce_oracle([Mat(field, [[0] * n] * n)]) == [0]
     hyperbolic = Mat(GF(11), [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    assert witt_bruteforce_oracle(hyperbolic) == 2
+    assert witt_bruteforce_oracle([hyperbolic]) == [2]
 
 
 def test_witt_oracle_rejects_oversized_before_allocating(monkeypatch):
@@ -258,7 +287,71 @@ def test_witt_oracle_rejects_oversized_before_allocating(monkeypatch):
 
     monkeypatch.setattr(geometry, "_rref_bases", no_bases)
     with pytest.raises(ValueError, match="too large"):
-        witt_bruteforce_oracle(Mat(GF(3, 2), [[0] * 6] * 6))
+        witt_bruteforce_oracle([Mat(GF(3, 2), [[0] * 6] * 6)])
+
+
+def suite_oracle_forms():
+    """The forms of the witt-oracle-agreement check: every 3x3 form over F3,
+    then 500 random 4x4 forms over F5."""
+    census = [
+        Mat(F3, ((a, d, e), (d, b, f), (e, f, c)))
+        for a, b, c, d, e, f in itertools.product(range(3), repeat=6)
+    ]
+    rng = random.Random(8193)
+    return census, [_random_form(rng, F5, 4) for _ in range(500)]
+
+
+@pytest.fixture(scope="module")
+def oracle_forms_one_by_one():
+    stacks = suite_oracle_forms()
+    return stacks, [[witt_bruteforce_oracle([G])[0] for G in stack] for stack in stacks]
+
+
+# 1000 entries: 25 of the F3 forms per chunk at d = 1 (729 = 29 * 25 + 4),
+# one F5 form per chunk at d = 1 and 2
+@pytest.mark.parametrize("chunk", [None, 1, 1000])
+def test_witt_oracle_batch_equals_one_form_batches(oracle_forms_one_by_one, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "_ORACLE_CHUNK", chunk)
+    stacks, singles = oracle_forms_one_by_one
+    for stack, want in zip(stacks, singles):
+        assert witt_bruteforce_oracle(stack) == want
+        assert want == [witt_decompose(G)[0] for G in stack]
+
+
+def test_witt_oracle_batch_zero_and_degenerate_forms():
+    zero = Mat(F3, [[0] * 3] * 3)
+    forms = [
+        zero,
+        Mat.diagonal(F3, (1, 2, 0)),  # hyperbolic plane plus radical: 1
+        Mat.diagonal(F3, (1, 1, 0)),  # anisotropic plane plus radical: 0
+        Mat.diagonal(F3, (1, 0, 0)),
+        Mat(F3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        zero,
+    ]
+    assert witt_bruteforce_oracle(forms) == [0, 1, 0, 0, 1, 0]
+    assert witt_bruteforce_oracle([Mat(F3, ())] * 2) == [0, 0]
+    assert witt_bruteforce_oracle([]) == []
+
+
+def test_witt_oracle_batch_extension_field():
+    f = GF(3, 2)
+    rng = random.Random(41)
+    forms = []
+    for _ in range(30):
+        entries = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                entries[i][j] = entries[j][i] = rng.choice([0, rng.randrange(f.q)])
+        forms.append(Mat(f, entries))
+    assert witt_bruteforce_oracle(forms) == [witt_decompose(G)[0] for G in forms]
+
+
+def test_witt_oracle_rejects_mixed_stacks():
+    with pytest.raises(ValueError, match="one size"):
+        witt_bruteforce_oracle([Mat(F3, [[0, 1], [1, 0]]), Mat.diagonal(F3, (1, 2, 0))])
+    with pytest.raises(ValueError, match="one field"):
+        witt_bruteforce_oracle([Mat(F3, [[0, 1], [1, 0]]), Mat(F5, [[0, 1], [1, 0]])])
 
 
 def test_classify_examples():

@@ -298,6 +298,50 @@ def test_arrays_match_oracle9():
     assert f9().matmul(X, M).tolist() == want
 
 
+def slow_matmul(f, X, M):
+    """X @ M entry by entry from f.add and f.mul, broadcasting leading axes."""
+    X, M = np.asarray(X), np.asarray(M)
+    lead = np.broadcast_shapes(X.shape[:-2], M.shape[:-2])
+    X = np.broadcast_to(X, lead + X.shape[-2:])
+    M = np.broadcast_to(M, lead + M.shape[-2:])
+    out = np.zeros(lead + (X.shape[-2], M.shape[-1]), dtype=np.int64)
+    for *at, i, j in np.ndindex(out.shape):
+        acc = 0
+        for k in range(X.shape[-1]):
+            acc = f.add(acc, f.mul(int(X[(*at, i, k)]), int(M[(*at, k, j)])))
+        out[(*at, i, j)] = acc
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,e,index_dtype",
+    [(3, 1, np.uint8), (5, 1, np.uint8), (3, 2, np.uint8), (5, 2, np.uint16), (257, 1, np.uint32)],
+)
+def test_matmul_matches_pure_python(p, e, index_dtype):
+    # the flat-table indices a q + b live in the least dtype for q^2 - 1
+    f = GF(p, e)
+    assert np.min_scalar_type(f.q * f.q - 1) == index_dtype
+    rng = np.random.default_rng(p * 10 + e)
+    X = rng.integers(0, f.q, size=(3, 4))
+    M = rng.integers(0, f.q, size=(4, 5))
+    got = f.matmul(X, M)
+    assert got.dtype == f.arrays.mul.dtype
+    assert np.array_equal(got, slow_matmul(f, X, M))
+    # the oracle's broadcast, (1, K, d, m) @ (N, 1, m, m), on uint8 bases
+    B = rng.integers(0, f.q, size=(1, 3, 2, 3)).astype(np.uint8 if f.q < 256 else np.uint16)
+    G = rng.integers(0, f.q, size=(2, 1, 3, 3))
+    assert np.array_equal(f.matmul(B, G), slow_matmul(f, B, G))
+    assert np.array_equal(f.matmul(f.matmul(B, G), B.transpose(0, 1, 3, 2)),
+                          slow_matmul(f, slow_matmul(f, B, G), B.transpose(0, 1, 3, 2)))
+    # transposed views, as _fill_adjacency (vectors.T) and reflect (w.T) pass
+    V = rng.integers(0, f.q, size=(6, 4))
+    assert np.array_equal(f.matmul(X, V.T), slow_matmul(f, X, V.T))
+    assert np.array_equal(f.matmul(V, M).T, slow_matmul(f, V, M).T)
+    # one inner step, and a single column
+    assert np.array_equal(f.matmul(X[:, :1], M[:1]), slow_matmul(f, X[:, :1], M[:1]))
+    assert np.array_equal(f.matmul(X, M[:, :1]), slow_matmul(f, X, M[:, :1]))
+
+
 def test_primitive_unit():
     assert primitive_unit(GF(3)) == 2
     assert primitive_unit(GF(5)) == 2
