@@ -15,7 +15,7 @@ from .autsearch import search_result
 from .geometry import classify_type, space_make
 from .gf import parse_field
 from .graph import BudgetExceeded, build_graph, graph_to_dot, graph_to_json
-from .symmetry import PermGroup, aut_order_formula, po_e_generators, point_generators, vertex_orbits
+from .symmetry import PermGroup, aut_order_formula, point_generators, vertex_generators, vertex_orbits
 from .verify import VERSION, run_suite
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def cmd_classify(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = build_graph(_space(args), args.budget)
-    orbits = vertex_orbits(g, po_e_generators(g))
+    orbits = vertex_orbits(g, vertex_generators(g))
     rows = []
     for i, orb in enumerate(orbits):
         rep = min(orb)

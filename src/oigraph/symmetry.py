@@ -3,7 +3,8 @@
 Aut(Oi(n, q)) keeps dimension and a vertex is its set of projective points,
 so it acts faithfully on the P points, and generators are plain int64 point
 arrays (point a goes to p[a]).  OiGraph.lift makes vertex arrays of them
-only where a caller needs those: po_e_generators, for the orbits.
+only where a caller needs those: vertex_generators, for the orbits, and
+po_e_generators, which lifts every generator.
 
 Two generator families: reflections through anisotropic vectors (these
 generate the full orthogonal group of the form in odd characteristic), all
@@ -15,9 +16,13 @@ point map, so the action quotients the matrix group by its center for free.
 Each generator set is checked once on the point graph (_check_on_points).
 
 Orders are certified by a deterministic stabilizer chain over the point
-action (base = first moved point, extended as needed), never by formula
-alone; the closed-form counts live in aut_order_formula for cross-checking.
-Orbits, of vertices, of edges and in the search, all come from orbit_labels.
+action, never by formula alone; the closed-form counts live in
+aut_order_formula for cross-checking.  The chain is incremental
+Schreier-Sims: its base points are first moved points, taken in generator
+order, and a generator joins it only if it does not sift through the chain
+built so far.  So its level_gens[0] is a small generating set of the same
+group, and the set vertex_generators lifts.  Orbits, of vertices, of
+edges and in the search, all come from orbit_labels.
 """
 
 from __future__ import annotations
@@ -149,6 +154,14 @@ def po_e_generators(g: OiGraph):
     return [g.lift(p) for p in point_generators(g)]
 
 
+def vertex_generators(g: OiGraph):
+    """int64 vertex arrays generating the same group as po_e_generators(g):
+    the point chain's level_gens[0] lifted, about ten arrays where
+    po_e_generators lifts all of them (723 on Oi(4, 9))."""
+    chain = PermGroup(len(g.dim1_ids()), point_generators(g))
+    return [g.lift(p) for p in chain.level_gens[0]]
+
+
 # ---------------------------------------------------------------------------
 # deterministic stabilizer chain
 
@@ -165,11 +178,20 @@ def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class PermGroup:
-    """Stabilizer chain with base points chosen as first moved points.
+    """Stabilizer chain of the group the generators generate on 0..degree-1,
+    by incremental Schreier-Sims (Seress, Permutation Group Algorithms, 4.2).
 
-    level_gens[i] generates the stabilizer of base[:i]; the chain is built
-    by sifting Schreier generators level by level until every one reduces
-    to the identity, so order() is exact.  transversals[i][gamma] is the
+    The base starts with the first moved point of each generator that fixes
+    the base so far, in input order, and grows by the first moved point of
+    any residue that fixes all of it.  Each generator is sifted through the
+    chain built so far and joins only if it does not sift to the identity:
+    its residue joins the levels it reached, and those levels are closed
+    again by sifting their Schreier generators, so order() is exact.  The
+    base and the transversal sizes depend on the generator order; the order
+    does not.
+
+    level_gens[i] generates the stabilizer of base[:i]; level_gens[0] is a
+    small generating set of the whole group.  transversals[i][gamma] is the
     inverse of the coset representative that maps base[i] to gamma, which
     is the form sifting and Schreier generators use.
     """
@@ -180,9 +202,7 @@ class PermGroup:
         seeds = []
         seen = set()
         for gen in generators:
-            arr = np.asarray(gen, dtype=np.int64)
-            if arr.shape != (degree,):
-                raise ValueError("generator degree mismatch")
+            arr = self._perm(gen)
             key = arr.tobytes()
             if np.array_equal(arr, self.identity) or key in seen:
                 continue
@@ -201,14 +221,23 @@ class PermGroup:
 
     # -- construction ------------------------------------------------------
 
+    def _perm(self, perm) -> np.ndarray:
+        """perm as an int64 array; ValueError unless it permutes 0..degree-1
+        (a non-permutation never sifts to the identity, and the chain would
+        grow without end)."""
+        arr = np.asarray(perm, dtype=np.int64)
+        if arr.shape != (self.degree,) or not np.array_equal(np.sort(arr), self.identity):
+            raise ValueError(f"not a permutation of 0..{self.degree - 1}")
+        return arr
+
     def _first_moved(self, g: np.ndarray) -> int:
         return int(np.nonzero(g != self.identity)[0][0])
 
     def _new_level(self, point: int):
         self.base.append(point)
         self.level_gens.append([])
-        self.transversals.append({})
-        self._orbit_order.append([])
+        self.transversals.append({point: self.identity})
+        self._orbit_order.append([point])
         self._done.append(0)
 
     def _recompute(self, i: int):
@@ -246,14 +275,21 @@ class PermGroup:
         for g in seeds:
             if all(g[b] == b for b in self.base):
                 self._new_level(self._first_moved(g))
-        for i in range(len(self.base)):
-            prefix = self.base[:i]
-            self.level_gens[i] = [g for g in seeds if all(g[b] == b for b in prefix)]
-            self._recompute(i)
-        i = len(self.base) - 1
-        while i >= 0:
-            nxt = self._close_level(i)
-            i = i - 1 if nxt is None else nxt
+        for g in seeds:
+            # the chain so far is complete for the group of the seeds before
+            # g, so g sifts to the identity exactly when it adds nothing
+            residue, j = self._sift(g, 0)
+            if residue is None:
+                continue
+            if j == len(self.base):
+                self._new_level(self._first_moved(residue))
+            for l in range(j + 1):
+                self.level_gens[l].append(residue)
+                self._recompute(l)
+            i = j
+            while i >= 0:
+                nxt = self._close_level(i)
+                i = i - 1 if nxt is None else nxt
 
     def _close_level(self, i: int):
         """Sift this level's Schreier generators; report the level to fix."""
@@ -294,7 +330,7 @@ class PermGroup:
         return [len(t) for t in self.transversals]
 
     def contains(self, perm) -> bool:
-        residue, _ = self._sift(np.asarray(perm, dtype=np.int64), 0)
+        residue, _ = self._sift(self._perm(perm), 0)
         return residue is None
 
 

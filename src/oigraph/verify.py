@@ -36,9 +36,9 @@ from .symmetry import (
     e_subgroup_order,
     edge_orbits,
     group_order,
-    po_e_generators,
     point_generators,
     reflection_group_order,
+    vertex_generators,
     vertex_orbits,
 )
 
@@ -260,7 +260,7 @@ def check_vertex_orbits_are_types(ctx):
     computed = {}
     for nu, delta, q, disc in ((2, 0, 3, "one"), (1, 1, 3, "one")):
         g = ctx.graph(nu, delta, q, disc)
-        orbits = sorted(tuple(sorted(o)) for o in vertex_orbits(g, po_e_generators(g)))
+        orbits = sorted(tuple(sorted(o)) for o in vertex_orbits(g, vertex_generators(g)))
         expected[g.space.label()] = True
         computed[g.space.label()] = orbits == _vertex_fiber_partition(ctx.types(g))
     status = STATUS_PASS if expected == computed else STATUS_FAIL
@@ -273,7 +273,7 @@ def check_edge_orbits_are_type_triples(ctx):
     for nu, delta, q, disc in ((2, 0, 3, "one"), (1, 1, 3, "one")):
         g = ctx.graph(nu, delta, q, disc)
         orbits = sorted(
-            tuple(sorted(o)) for o in edge_orbits(g, po_e_generators(g))
+            tuple(sorted(o)) for o in edge_orbits(g, vertex_generators(g))
         )
         expected[g.space.label()] = True
         computed[g.space.label()] = orbits == _edge_fiber_partition(g, ctx.types(g))

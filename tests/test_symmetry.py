@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import enumerate_rref, space_make, subspace_make
 from oigraph.graph import build_graph
@@ -21,6 +23,7 @@ from oigraph.symmetry import (
     point_generators,
     reflect,
     reflection_group_order,
+    vertex_generators,
     vertex_orbits,
 )
 
@@ -375,6 +378,42 @@ def test_chain_against_closure_oracle():
         for g in gens:
             assert G.contains(g)
         assert np.prod([float(s) for s in G.transversal_sizes]) == G.order()
+        assert PermGroup(degree, G.level_gens[0]).order() == G.order()
+        R = PermGroup(degree, gens[::-1])
+        assert R.order() == G.order()
+        assert all(R.contains(g) for g in gens)
+
+
+def test_chain_keeps_few_generators():
+    g45 = build_graph(space_make(2, 0, GF(5)))
+    gens = point_generators(g45)
+    G = PermGroup(len(g45.dim1_ids()), gens)
+    assert G.order() == 14400 and len(gens) == 122
+    # a generator that sifts through the chain so far is not kept
+    assert len(G.level_gens[0]) == 4
+    assert PermGroup(G.degree, G.level_gens[0]).order() == G.order()
+    R = PermGroup(G.degree, gens[::-1])
+    assert R.order() == G.order()
+    assert all(R.contains(p) for p in gens)
+
+
+def test_chain_base_oi47(capsys):
+    # the base is the chain's choice, not a group invariant: pinned as the
+    # incremental chain makes it from point_generators' order
+    assert main(["aut", "--nu", "2", "--delta", "0", "--field", "7"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"order": 112896, "base": [1, 0, 2, 8, 9], "transversal-sizes": [64, 14, 6, 7, 3]}
+
+
+def test_chain_rejects_non_permutations():
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermGroup(3, [np.array([1, 1, 0])])
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermGroup(3, [np.array([1, 0])])
+    G = PermGroup(4, [np.array([1, 0, 2, 3])])
+    for bad in ([1, 0, 3], [1, 0, 3, 7]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            G.contains(bad)
 
 
 def test_chain_transversal_product(g43):
@@ -393,6 +432,16 @@ def test_chain_transversal_product(g43):
     assert all(0 <= b < g43.nv for b in G.base)
     for p in gens:
         assert G.contains(p)
+
+
+def test_vertex_generators_generate_po_e(g43):
+    small = vertex_generators(g43)
+    full = po_e_generators(g43)
+    assert len(small) < len(full)
+    G = PermGroup(g43.nv, small)
+    assert G.order() == 576
+    assert all(G.contains(p) for p in full)
+    assert vertex_orbits(g43, small) == vertex_orbits(g43, full)
 
 
 def test_e_subgroup_order_values(g43):
