@@ -11,11 +11,14 @@ for z the canonical non-square.  Basis vectors are indexed e_1..e_nu,
 f_1..f_nu (= e_{nu+i}), then eps and kappa for the definite tail.
 
 Subspaces are canonical: the reduced-row-echelon basis identifies them
-uniquely.  A subspace is classified by (m, r, s, tag): dimension, Gram rank,
-Witt index of the restricted form, and the square class of the 1-dimensional
-anisotropic residual when r - 2s = 1.  The type is read off one RREF of
-the Gram matrix (witt_decompose): the rank and pivots from the RREF, the
-discriminant from the principal minor on the pivots.
+uniquely.  rref_bases is the one enumeration of them, an array per
+dimension sorted by basis: the graph's vertex order, its points and the
+oracle's candidates all come from it.  A subspace is classified by
+(m, r, s, tag): dimension, Gram rank, Witt index of the restricted form,
+and the square class of the 1-dimensional anisotropic residual when
+r - 2s = 1.  The type is read off one RREF of the Gram matrix
+(witt_decompose): the rank and pivots from the RREF, the discriminant from
+the principal minor on the pivots.
 witt_bruteforce_oracle finds the Witt index by exhaustive search as an
 independent check, batched over forms as well as candidates: one pair of
 array products tests every candidate subspace of a dimension against a
@@ -311,7 +314,7 @@ def witt_bruteforce_oracle(grams) -> list[int]:
         codes = np.array([G.rows for G in grams], dtype=field.arrays.mul.dtype)
         alive = np.arange(len(grams))
         for dim in range(1, m + 1):
-            B = _rref_bases(field, m, dim)
+            B = rref_bases(field, m, dim)
             Bt = B.transpose(0, 2, 1)[None]
             step = max(1, _ORACLE_CHUNK // B.size)
             hit = []
@@ -324,19 +327,6 @@ def witt_bruteforce_oracle(grams) -> list[int]:
                 break
             max_ti[alive] = dim
     return [int(t) - (m - G.rank()) for t, G in zip(max_ti, grams)]
-
-
-@lru_cache(maxsize=64)
-def _rref_bases(field: GF, m: int, dim: int) -> np.ndarray:
-    """enumerate_rref(field, m, dim) as one read-only array of shape
-    (K, dim, m), in enumeration order."""
-    entries = itertools.chain.from_iterable(
-        itertools.chain.from_iterable(enumerate_rref(field, m, dim))
-    )
-    count = gauss_binomial(m, dim, field.q) * dim * m
-    B = np.fromiter(entries, dtype=field.arrays.mul.dtype, count=count).reshape(-1, dim, m)
-    B.setflags(write=False)
-    return B
 
 
 def classify_type(P: Subspace) -> SubspaceType:
@@ -359,37 +349,39 @@ def gauss_binomial(n: int, m: int, q: int) -> int:
     return num // den
 
 
-def enumerate_rref(field: GF, n: int, m: int):
-    """All m-dimensional subspaces of F_q^n as rref row-tuples.
+@lru_cache(maxsize=64)
+def rref_bases(field: GF, n: int, m: int) -> np.ndarray:
+    """Every m-dimensional subspace of F_q^n as its rref basis: one
+    read-only (K, m, n) array, K = gauss_binomial(n, m, q), ascending by the
+    flattened rows, which is the vertex order.
 
-    Deterministic order: pivot-column sets lexicographically, then the free
-    entries counted in base q with the first free position (row-major scan)
-    as the least significant digit.
+    One block per pivot set, its free entries (right of a row's pivot, off
+    the pivot columns) the base-q digits of arange(q^free), then one
+    lexsort.  Codes are in the least unsigned dtype that holds q - 1, the
+    dtype of the field's tables, which enumerating does not build.
     """
     if not 1 <= m <= n:
         raise ValueError(f"dimension {m} out of range 1..{n}")
     q = field.q
+    blocks = []
     for pivots in itertools.combinations(range(n), m):
-        free = []
-        for i in range(m):
-            for j in range(pivots[i] + 1, n):
-                if j not in pivots:
-                    free.append((i, j))
-        total = q ** len(free)
-        for counter in range(total):
-            rows = [[0] * n for _ in range(m)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            c = counter
-            for i, j in free:
-                c, digit = divmod(c, q)
-                rows[i][j] = digit
-            yield tuple(tuple(r) for r in rows)
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+        B = np.zeros((q ** len(free), m, n), dtype=np.min_scalar_type(q - 1))
+        B[:, range(m), pivots] = 1
+        if free:
+            i, j = zip(*free)
+            B[:, i, j] = np.arange(len(B))[:, None] // q ** np.arange(len(free)) % q
+        blocks.append(B)
+    B = np.concatenate(blocks)
+    B = B[np.lexsort(B.reshape(len(B), -1).T[::-1])]
+    B.setflags(write=False)
+    return B
 
 
 def enumerate_subspaces(space: OSpace, m: int):
-    """Every m-dimensional vertex of the ambient space, exactly once."""
+    """Every m-dimensional vertex of the ambient space, exactly once, in
+    vertex order."""
     if not 1 <= m <= space.n - 1:
         raise ValueError(f"vertex dimension {m} out of range 1..{space.n - 1}")
-    for rows in enumerate_rref(space.field, space.n, m):
+    for rows in rref_bases(space.field, space.n, m).tolist():
         yield Subspace(space, rows)

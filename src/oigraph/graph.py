@@ -5,16 +5,18 @@ A S Bt is the zero matrix (equivalently B lies inside the dual of A).  A
 totally isotropic vertex is adjacent to itself: such loops are recorded but
 contribute nothing to degrees or distances.
 
-Internally a vertex is the set of projective points it contains; a
-point's id, among the P = (q^n - 1)/(q - 1), is its dimension-1 vertex id,
-and vertices sort by dimension first, so the points are ids 0..P-1.  Only
-the P point vectors ever meet field arithmetic.  By bilinearity A ~ B iff
-every point of A is orthogonal to every point of B, and the basis points
-of each vertex suffice, so adjacency is computed in row blocks from the
-packed point orthogonality rows of the basis points.  Maps of the space
-act as point arrays (point_action), and lift carries a point array to the
+Vertices are numbered in the order of geometry.rref_bases, by dimension
+and then by rref basis, the one enumeration of subspaces.  Internally a
+vertex is the set of projective points it contains; a point's id, among
+the P = (q^n - 1)/(q - 1), is its dimension-1 vertex id, so the points are
+ids 0..P-1.  Only the P point vectors ever meet field arithmetic.  By
+bilinearity A ~ B iff every point of A is orthogonal to every point of B,
+and the basis points of each vertex suffice, so the row of A is the AND
+of the rows of its basis points (_fill_adjacency).  Maps of the space act
+as point arrays (point_action), and lift carries a point array to the
 vertices by looking up each vertex's image among the sorted point-id lists
-of its dimension.
+of its dimension.  graph_from_json rebuilds the graph from its space and
+accepts a file only if it holds exactly that graph.
 
 The graph stores one adjacency: the looped matrix packed row by row, rows
 an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
@@ -35,15 +37,8 @@ import os
 
 import numpy as np
 
-from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, parse_field
-from .geometry import (
-    OSpace,
-    Subspace,
-    enumerate_subspaces,
-    gauss_binomial,
-    space_make,
-    subspace_make,
-)
+from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, factor_prime_power, parse_field
+from .geometry import OSpace, Subspace, check_space_params, gauss_binomial, rref_bases, space_make
 from .linalg import Mat
 
 DEFAULT_VERTEX_BUDGET = 10**6
@@ -145,10 +140,11 @@ class OiGraph:
     def _point_sets(self):
         """Per run of equal-dimension vertices: (first id, each vertex's
         sorted point ids, those keys sorted, the run position of each)."""
-        pts, f = self._points, self.space.field
+        pts, f, n = self._points, self.space.field, self.space.n
         out, start = [], 0
-        for bases in _bases_by_dimension(self.verts):
-            coeffs = _normal_vectors(f.q, bases.shape[1])
+        for m in range(1, n):
+            bases = rref_bases(f, n, m)
+            coeffs = rref_bases(f, m, 1)[:, 0]  # one combination per point
             points = np.sort(pts.ids(f.matmul(coeffs, bases)), axis=1)
             keys = _keys(points)
             order = np.argsort(keys, kind="stable")
@@ -397,10 +393,7 @@ def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
     if total > cap:
         raise BudgetExceeded(total, cap)
     _check_bytes(total * ((total + 7) // 8) + 4 * q**n)  # the rows and _Points.id_of_code
-    verts = []
-    for m in range(1, n):
-        verts.extend(enumerate_subspaces(space, m))
-    verts.sort(key=lambda P: (P.m, P.rows))
+    verts = [Subspace(space, B) for m in range(1, n) for B in rref_bases(space.field, n, m).tolist()]
     g = OiGraph(space, verts, np.zeros((len(verts), (len(verts) + 7) // 8), dtype=np.uint8))
     _fill_adjacency(g)
     return g
@@ -418,7 +411,7 @@ class _Points:
 
     def __init__(self, space: OSpace):
         f, n = space.field, space.n
-        self.vectors = _normal_vectors(f.q, n)
+        self.vectors = rref_bases(f, n, 1)[:, 0]
         self.weights = f.q ** np.arange(n - 1, -1, -1)
         self.id_of_code = np.full(f.q**n, -1, dtype=np.int32)
         ids = np.arange(len(self.vectors), dtype=np.int32)
@@ -430,25 +423,6 @@ class _Points:
         return self.id_of_code[np.asarray(vecs) @ self.weights]
 
 
-def _normal_vectors(q: int, n: int) -> np.ndarray:
-    """One vector per projective point of F_q^n, the one whose first nonzero
-    entry is 1, in lexicographic order (later leading entries first)."""
-    blocks = []
-    for lead in reversed(range(n)):
-        free = n - 1 - lead
-        tail = np.arange(q**free)[:, None] // q ** np.arange(free - 1, -1, -1) % q
-        head = np.zeros((len(tail), lead + 1), dtype=tail.dtype)
-        head[:, lead] = 1
-        blocks.append(np.hstack([head, tail]))
-    return np.concatenate(blocks)
-
-
-def _bases_by_dimension(verts):
-    """The bases of each run of equal-dimension vertices, as (N, m, n) arrays."""
-    runs = itertools.groupby(verts, key=lambda P: P.m)
-    return [np.array([P.rows for P in run], dtype=np.intp) for _, run in runs]
-
-
 def _keys(rows: np.ndarray) -> np.ndarray:
     """Each row of a 2-d array as one fixed-width bytes key."""
     rows = np.ascontiguousarray(rows)
@@ -458,14 +432,17 @@ def _keys(rows: np.ndarray) -> np.ndarray:
 def _fill_adjacency(g: OiGraph) -> None:
     """Pack the looped adjacency into g.rows from the basis points of each vertex.
 
-    First the packed P x P point orthogonality rows, one block of points at
-    a time: bit b of row a is set iff a S bt = 0.  perp[u], the AND of the
-    rows of u's basis points, marks the points orthogonal to every basis
-    point of u, i.e. the points of the dual of u, and u ~ v iff every basis
-    point of v lies in perp[u]; u ~ u is the loop of a totally isotropic u.
-    Bases are padded to n - 1 rows by repeating their last row.  Vertex
-    rows are computed in small blocks, each perp unpacked only for its
-    block, and packed straight into g.rows.
+    By bilinearity u ~ v iff v is orthogonal to every basis point of u, so
+    row u is the AND of the rows of u's basis points; u ~ u is the loop of
+    a totally isotropic u.  First the packed P x P point orthogonality rows,
+    one block of points at a time: bit b of row a is set iff a S bt = 0.
+    perp[v], the AND of those rows over v's basis points, marks the points
+    of the dual of v, so the row of point a is column a of perp: bit v is
+    set iff v lies in the dual of a.  perp is made and transposed into the
+    point rows in vertex blocks of a multiple of 8, whole bytes of a point
+    row, and then each vertex row is one AND-reduction of point rows, a row
+    block at a time.  Bases are padded to n - 1 rows by repeating their
+    last row.  Temporaries stay near _BLOCK bytes.
     """
     pts, f, n = g._points, g.space.field, g.space.n
     P = len(pts.vectors)
@@ -475,12 +452,17 @@ def _fill_adjacency(g: OiGraph) -> None:
     for lo in range(0, P, step):
         block = f.matmul(forms[lo : lo + step], pts.vectors.T) == 0
         orth[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
-    basis = [pts.ids(bases) for bases in _bases_by_dimension(g.verts)]
-    basis = np.concatenate([np.pad(ids, ((0, 0), (0, n - 1 - ids.shape[1])), mode="edge") for ids in basis])
-    step = max(1, _BLOCK // (g.nv * (n - 1)))
+    basis = np.concatenate(
+        [np.pad(pts.ids(rref_bases(f, n, m)), ((0, 0), (0, n - 1 - m)), mode="edge") for m in range(1, n)]
+    )
+    point_rows = np.empty((P, g.rows.shape[1]), dtype=np.uint8)
+    step = max(8, _BLOCK // P // 8 * 8)
     for lo in range(0, g.nv, step):
         perp = _unpack(np.bitwise_and.reduce(orth[basis[lo : lo + step]], axis=1), P)
-        g.rows[lo : lo + step] = np.packbits(perp[:, basis].all(axis=2), axis=1, bitorder="little")
+        point_rows[:, lo >> 3 : (lo + step) >> 3] = np.packbits(perp.T, axis=1, bitorder="little")
+    step = max(1, _BLOCK // ((n - 1) * g.rows.shape[1]))
+    for lo in range(0, g.nv, step):
+        g.rows[lo : lo + step] = np.bitwise_and.reduce(point_rows[basis[lo : lo + step]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +533,21 @@ def max_clique_dim1(g: OiGraph):
 
 
 def recover_parameters(clique_size: int, nonloop_count: int, dim1_count: int):
-    """Invert the invariant triple back to (nu, delta, q)."""
+    """Invert the invariant triple back to (nu, delta, q); ValueError
+    unless it names a space of dimension at least 2 over a field of odd
+    order."""
     delta = nonloop_count
     nu = clique_size - delta
+    check_space_params(nu, delta, "one")
     n = 2 * nu + delta
     q = 2
     while (q**n - 1) // (q - 1) < dim1_count:
         q += 1
     if (q**n - 1) // (q - 1) != dim1_count:
-        raise ValueError("dimension-1 count matches no prime power")
+        raise ValueError("dimension-1 count matches no field order")
+    p, _ = factor_prime_power(q)
+    if p == 2:
+        raise ValueError(f"dimension-1 count gives the even field order {q}")
     return nu, delta, q
 
 
@@ -576,10 +564,7 @@ def graph_to_json(g: OiGraph) -> str:
             "disc": space.disc,
             "field": space.field.descriptor(),
         },
-        "vertices": [
-            {"id": i, "dim": P.m, "basis": [list(r) for r in P.rows]}
-            for i, P in enumerate(g.verts)
-        ],
+        "vertices": _vertex_records(g),
         "edges": [[u, v] for u, v in g.edges()],
         "loops": list(g.loop_ids()),
     }
@@ -588,24 +573,22 @@ def graph_to_json(g: OiGraph) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
+def _vertex_records(g: OiGraph):
+    return [{"id": i, "dim": P.m, "basis": [list(r) for r in P.rows]} for i, P in enumerate(g.verts)]
+
+
 def graph_from_json(text: str) -> OiGraph:
+    """build_graph of the space of a graph_to_json text.  ValueError unless
+    the text's vertex records, sorted by id, and its edges and loops are
+    that graph's: code that reasons from the form (the point search, lift)
+    needs every subspace, in build order, and the orthogonality relation."""
     data = json.loads(text)
     sp = data["space"]
     field = parse_field(sp["field"], tuple(sp["modulus"]) if "modulus" in sp else None)
-    space = space_make(sp["nu"], sp["delta"], field, sp.get("disc") or "one")
-    records = sorted(data["vertices"], key=lambda r: r["id"])
-    nv = len(records)
-    if [rec["id"] for rec in records] != list(range(nv)):
-        raise ValueError(f"vertex ids are not exactly 0..{nv - 1}")
-    verts = []
-    for rec in records:
-        P = subspace_make(space, rec["basis"])
-        if P.rows != tuple(tuple(r) for r in rec["basis"]):
-            raise ValueError(f"vertex {rec['id']} basis is not in canonical form")
-        verts.append(P)
-    keys = [(P.m, P.rows) for P in verts]
-    if keys != sorted(set(keys)) or sum(P.m == 1 for P in verts) != gauss_binomial(space.n, 1, field.q):
-        raise ValueError("vertices are not distinct, ordered by (dimension, basis) and inclusive of every point")
+    g = build_graph(space_make(sp["nu"], sp["delta"], field, sp.get("disc") or "one"))
+    if sorted(data["vertices"], key=lambda r: r["id"]) != _vertex_records(g):
+        raise ValueError(f"vertex records are not the vertices of {g.space.label()} in build order")
+    nv = g.nv
     edges, loops = [tuple(e) for e in data["edges"]], list(data["loops"])
     for x in itertools.chain(loops, *edges):
         if type(x) is not int or not 0 <= x < nv:
@@ -614,12 +597,8 @@ def graph_from_json(text: str) -> OiGraph:
         raise ValueError("an edge joins a vertex to itself; loops belong in 'loops'")
     pairs = edges + [(v, u) for u, v in edges] + [(v, v) for v in loops]
     r, c = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    rows = np.zeros((nv, (nv + 7) // 8), dtype=np.uint8)
+    rows = np.zeros_like(g.rows)
     np.bitwise_or.at(rows, (r, c >> 3), (1 << (c & 7)).astype(np.uint8))
-    # Code that reasons from the form (the point search, lift) needs the
-    # edges to be the orthogonality relation, not merely well formed.
-    g = OiGraph(space, verts, np.zeros_like(rows))
-    _fill_adjacency(g)
     if not np.array_equal(g.rows, rows):
         raise ValueError("edges and loops are not the orthogonality relation of the vertices")
     return g

@@ -34,7 +34,7 @@ import numpy as np
 
 from .gf import GF, factor_prime_power, primitive_unit
 from .graph import OiGraph
-from .geometry import OSpace, _rref_bases, check_space_params
+from .geometry import OSpace, check_space_params, rref_bases
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +44,14 @@ from .geometry import OSpace, _rref_bases, check_space_params
 def reflect(space: OSpace, X) -> np.ndarray:
     """The images of the vectors X (rows of field-element codes) under every
     reflection x -> x - 2 (x.S.v / v.S.v) v, one axis v per anisotropic
-    point in enumerate_rref(field, n, 1) order: shape (axes, len(X), n)."""
+    point: shape (axes, len(X), n).  The axes are ordered by the position
+    of their leading 1, then by their later entries, the last one most
+    significant."""
     f, t = space.field, space.field.arrays
-    axes = _rref_bases(f, space.n, 1)[:, 0]
+    points = rref_bases(f, space.n, 1)[:, 0]
+    # not the vertex order: the stabilizer chain's base follows the order of
+    # its generators, and the frozen group answers follow the base
+    axes = points[np.lexsort((*points.T, (points != 0).argmax(axis=1)))]
     w = f.matmul(axes, np.array(space.form.rows))  # v.S, the transpose of S.vt
     norm = f.matmul(w[:, None, :], axes[:, :, None])[:, 0, 0]
     aniso = norm != 0

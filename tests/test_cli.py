@@ -71,10 +71,10 @@ def test_build_budget_exit(capsys):
 def test_build_bytes_budget_exit(capsys, monkeypatch):
     # Oi(5,7): within the vertex budget, over the byte ceiling; the budget
     # check must come before any vertex is enumerated
-    def enumerate_subspaces(*args):
+    def rref_bases(*args):
         raise AssertionError("vertices enumerated past the byte budget")
 
-    monkeypatch.setattr(graph_module, "enumerate_subspaces", enumerate_subspaces)
+    monkeypatch.setattr(graph_module, "rref_bases", rref_bases)
     code, _, err = run(capsys, "build", "--nu", "2", "--delta", "1", "--field", "7")
     assert code == 3
     assert "bytes" in err

@@ -18,10 +18,10 @@ from oigraph.geometry import (
     SubspaceType,
     classify_type,
     dual,
-    enumerate_rref,
     enumerate_subspaces,
     gauss_binomial,
     gram,
+    rref_bases,
     space_make,
     subspace_make,
     subspace_sum,
@@ -285,7 +285,7 @@ def test_witt_oracle_rejects_oversized_before_allocating(monkeypatch):
     def no_bases(*args):
         raise AssertionError("candidate bases built for an oversized form")
 
-    monkeypatch.setattr(geometry, "_rref_bases", no_bases)
+    monkeypatch.setattr(geometry, "rref_bases", no_bases)
     with pytest.raises(ValueError, match="too large"):
         witt_bruteforce_oracle([Mat(GF(3, 2), [[0] * 6] * 6)])
 
@@ -395,11 +395,21 @@ def test_enumerate_counts_and_uniqueness():
         list(enumerate_subspaces(s, 4))
 
 
-def test_enumerate_rref_forms_are_canonical():
-    for rows in enumerate_rref(F3, 3, 2):
-        M = Mat(F3, rows)
-        R, rank, _ = M.rref()
-        assert R == M and rank == 2
+def test_rref_bases_canonical_and_sorted():
+    for field, n in ((F3, 4), (GF(3, 2), 3), (F5, 3)):
+        for m in range(1, n + 1):
+            B = rref_bases(field, n, m)
+            assert B.shape == (gauss_binomial(n, m, field.q), m, n)
+            assert B.dtype == np.uint8 and not B.flags.writeable
+            assert rref_bases(field, n, m) is B  # cached
+            flat = [tuple(b) for b in B.reshape(len(B), -1).tolist()]
+            assert flat == sorted(set(flat))  # distinct, ascending
+            for rows in B.tolist():
+                M = Mat(field, rows)
+                R, rank, _ = M.rref()
+                assert R == M and rank == m
+    with pytest.raises(ValueError):
+        rref_bases(F3, 3, 4)
 
 
 def count_by_type(space, m):

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -279,6 +280,15 @@ def test_recover_parameters(g23, g33, g43):
         recover_parameters(2, 0, 41)
 
 
+def test_recover_parameters_rejects_non_spaces():
+    with pytest.raises(ValueError, match="not a prime power"):
+        recover_parameters(1, 0, 7)  # 7 = 6 + 1 points, q = 6
+    with pytest.raises(ValueError, match="even"):
+        recover_parameters(1, 0, 5)  # q = 4
+    with pytest.raises(ValueError, match="2\\*nu \\+ delta >= 2"):
+        recover_parameters(1, 1, 111)  # n = 1, where every q has one point
+
+
 def test_json_round_trip(g33):
     gz = build_graph(space_make(1, 1, F3, disc="z"))
     for g in (g33, gz):
@@ -293,6 +303,26 @@ def test_json_round_trip_extension_field():
     back = graph_from_json(graph_to_json(g))
     assert back == g
     assert back.space.field.modulus == (1, 0, 1)
+
+
+def test_json_loads_shuffled_vertex_records(g43):
+    data = json.loads(graph_to_json(g43))
+    random.Random(5).shuffle(data["vertices"])
+    assert data["vertices"][0]["id"] != 0
+    assert graph_from_json(json.dumps(data)) == g43
+
+
+def test_json_rejects_missing_last_vertex(g43):
+    # without its last plane, with that plane's edges and loops, every
+    # record is canonical and every edge is orthogonal, but the point
+    # search and lift need every subspace
+    data = json.loads(graph_to_json(g43))
+    last = data["vertices"].pop()
+    assert (last["id"], last["dim"]) == (209, 3)
+    data["edges"] = [e for e in data["edges"] if 209 not in e]
+    data["loops"] = [v for v in data["loops"] if v != 209]
+    with pytest.raises(ValueError, match="build order"):
+        graph_from_json(json.dumps(data))
 
 
 def test_json_rejects_noncanonical_basis(g23):
@@ -373,6 +403,23 @@ def test_artifact_digests_frozen(key):
     assert tuple(hashlib.sha256(a).hexdigest() for a in artifacts) == FROZEN_DIGESTS[key]
 
 
+# sha256 of the packed looped rows g.rows, frozen before the vertices came
+# from one array enumeration; Oi(6,3) (nu=3, delta=0, q=3) gives
+# d4979078...58dc3c too but takes minutes to build, so it is not pinned here
+FROZEN_ROWS_DIGESTS = {
+    (2, 1, F3, "one"): "4062913166d7e8f98ba42b877201303b9579bea3565dafab78d3579c03bd4f8d",
+    (2, 0, F9, "one"): "c48a77b240a172fef187bef7ea73ae0a11ada74e8c91adb8ce76973a76752f7b",
+    (1, 1, GF(5, 2), "one"): "06e29544744d3bf24605918eaa09155cbd46de85f6a2af1637b231bc41d20467",
+    (1, 2, F3, "one"): "063759559d63b8e94fc7faaa1365576ede49a7d25bbcea08cb58d8932e9e25fa",
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_ROWS_DIGESTS), ids=["oi53", "oi49", "oi325", "oi43-d2"])
+def test_rows_digests_frozen(key):
+    g = build_graph(space_make(*key))
+    assert hashlib.sha256(g.rows.tobytes()).hexdigest() == FROZEN_ROWS_DIGESTS[key]
+
+
 def test_dot_output(g23):
     dot = graph_to_dot(g23)
     body = [ln for ln in dot.splitlines() if not ln.startswith("//")]
@@ -408,10 +455,10 @@ def test_budget_bytes_before_allocating(monkeypatch):
     class Enumerated(Exception):
         pass
 
-    def enumerate_subspaces(*args):
+    def rref_bases(*args):
         raise Enumerated
 
-    monkeypatch.setattr(graph_module, "enumerate_subspaces", enumerate_subspaces)
+    monkeypatch.setattr(graph_module, "rref_bases", rref_bases)
     with pytest.raises(BudgetExceeded) as exc:
         build_graph(space_make(2, 1, GF(7)))
     assert exc.value.what == "bytes"

@@ -6,7 +6,7 @@ import pytest
 
 from oigraph.cli import main
 from oigraph.gf import GF
-from oigraph.geometry import enumerate_rref, space_make, subspace_make
+from oigraph.geometry import space_make, subspace_make
 from oigraph.graph import build_graph
 from oigraph.linalg import Mat
 from oigraph.symmetry import (
@@ -96,10 +96,21 @@ def mat_reflection(space, v):
     )
 
 
+def reference_axes(space):
+    """The anisotropic points, each as its vector whose first nonzero entry
+    is 1, in reflect's axis order: by the position of that entry, then by
+    the later entries, the last one most significant."""
+
+    def lead(v):
+        return next(i for i, a in enumerate(v) if a)
+
+    axes = [v for v in nonzero_vectors(space) if v[lead(v)] == 1 and space.pair(v, v) != 0]
+    return sorted(axes, key=lambda v: (lead(v), v[::-1]))
+
+
 def mat_reflections(space):
-    """One reference reflection per anisotropic point, in enumerate_rref order."""
-    axes = [rows[0] for rows in enumerate_rref(space.field, space.n, 1)]
-    return [mat_reflection(space, v) for v in axes if space.pair(v, v) != 0]
+    """One reference reflection per anisotropic point, in reflect's axis order."""
+    return [mat_reflection(space, v) for v in reference_axes(space)]
 
 
 def nonzero_vectors(space):
@@ -125,10 +136,19 @@ def test_reflection_example(sp43):
     assert T * T == Mat.identity(F3, 4)
     assert T.det() == F3.neg(1)
     # the vectorised images through the same axis
-    aniso = [r[0] for r in enumerate_rref(F3, 4, 1) if sp43.pair(r[0], r[0]) != 0]
+    aniso = reference_axes(sp43)
     basis = [sp43.e(1), sp43.f(1), sp43.e(2), sp43.f(2)]
     images = reflect(sp43, basis)[aniso.index(w)]
     assert [tuple(x) for x in images.tolist()] == [(0, 0, 2, 0), (2, 0, 0, 0), sp43.e(2), sp43.f(2)]
+
+
+@pytest.mark.parametrize("space", [space_make(2, 0, F3), space_make(1, 1, F9, "z")], ids=["oi43", "oi39-z"])
+def test_reflect_axis_order(space):
+    # a reflection negates exactly the multiples of its axis, so reflection
+    # k negates reference axis j iff it is the reflection through axis j
+    axes = np.array(reference_axes(space))
+    negated = (reflect(space, axes) == space.field.arrays.neg[axes]).all(axis=2)
+    assert np.array_equal(negated, np.eye(len(axes), dtype=bool))
 
 
 def test_reflection_rejects_isotropic(sp43):
