@@ -22,7 +22,7 @@ def main(argv):
     space = space_make(nu, delta, f, disc)
     g = build_graph(space)
     n = space.n
-    print(f"{space.label()}: {g.nv} vertices, {len(g.edges())} edges, "
+    print(f"{space.label()}: {g.nv} vertices, {g.edge_count()} edges, "
           f"{g.loops.bit_count()} loops")
     census = {}
     for i, P in enumerate(g.verts):

@@ -30,11 +30,17 @@ form):
 
 - Every automorphism of g keeps dimension, so it permutes the points and
   restricts to an automorphism of h.  This is certified per graph, not
-  assumed: refining from (loop, degree) alone must already separate the
-  dimension classes (certify_dimension_colors), and the search refuses
-  to run otherwise.  Write perp(X) for the points orthogonal to every
-  point of X, loops included, so perp is read from h alone.  The points
-  adjacent to a vertex A are the points of A^perp, and points(A) =
+  assumed: every class of vertices with the same (loop, degree) must hold
+  a single dimension (certify_dimension_colors), and the search refuses
+  to run otherwise.  An automorphism keeps loops and degrees, so it maps
+  each such class onto itself, and with it each dimension.  On these
+  graphs the check always passes: A ~ B iff B lies in A^perp, so deg(A)
+  = N(n - dim A) - [A lies in A^perp], where N(d) counts the nonzero
+  subspaces of F_q^d.  For d >= 1, N(d + 1) - N(d) >= q + 1 >= 2, more
+  than one loop can make up, so the degree alone tells the dimension.
+  Write perp(X) for the points orthogonal to every point of X, loops
+  included, so perp is read from h alone.  The points adjacent to a
+  vertex A are the points of A^perp, and points(A) =
   perp(points(A^perp)).  An automorphism s of g carries the points
   adjacent to A onto those adjacent to s(A) and commutes with perp, so
   points(s(A)) = s(points(A)): s is determined by its restriction, and
@@ -65,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BudgetExceeded, OiGraph, all_adjacent, looped_pairs, neighbour_lists
+from .graph import BudgetExceeded, OiGraph, _diagonal, all_adjacent, degrees, looped_pairs, neighbour_lists
 from .symmetry import PermGroup, orbit_labels
 
 DEFAULT_SEARCH_BUDGET = 2000
@@ -141,7 +147,7 @@ def refine_cells(nbrs, cells):
 
 def _vertex_colors(g: OiGraph):
     """(dimension, loop, degree) of each vertex, the search's initial colors."""
-    return [(g.verts[v].m, g.loop_at(v), g.degree(v)) for v in range(g.nv)]
+    return list(zip([P.m for P in g.verts], _diagonal(g.rows).tolist(), degrees(g.rows).tolist()))
 
 
 def initial_partition(g: OiGraph):
@@ -258,26 +264,26 @@ class _Search:
 def search_automorphisms(A, colors=None) -> SearchResult:
     """Core search over a looped boolean adjacency matrix; colors are optional seeds."""
     A = np.asarray(A, dtype=bool)
-    if colors is None:
-        colors = [(bool(A[v, v]), int(A[v].sum()) - bool(A[v, v])) for v in range(len(A))]
     rows = np.packbits(A, axis=1, bitorder="little")
+    if colors is None:
+        colors = zip(_diagonal(rows).tolist(), degrees(rows).tolist())
     return _Search(rows, np.nonzero(A), neighbour_lists(rows), list(colors)).run()
 
 
 def certify_dimension_colors(g: OiGraph):
-    """Dimensions must fall out of loop+degree refinement alone.
+    """RuntimeError unless every (loop, degree) class holds one dimension.
 
-    Otherwise seeding the search with dimension colors could hide
-    automorphisms, and the computed order would not be the full group.
+    Automorphisms keep loops and degrees, so they map each class onto
+    itself and then keep dimension: seeding the search with dimension
+    colors hides no automorphism.  On build_graph graphs this always holds,
+    as a degree is fixed by dimension and loop (see the module docstring).
     """
-    colors = [c[1:] for c in _vertex_colors(g)]
-    for cell in refine_cells(neighbour_lists(g.rows), _cells_from_colors(colors)):
-        dims = {g.verts[v].m for v in cell}
-        if len(dims) > 1:
-            raise RuntimeError(
-                "refinement does not separate subspace dimensions; "
-                "dimension-seeded search would not certify the full group"
-            )
+    colors = set(_vertex_colors(g))
+    if len(colors) != len({c[1:] for c in colors}):
+        raise RuntimeError(
+            "(loop, degree) classes do not separate subspace dimensions; "
+            "dimension-seeded search would not certify the full group"
+        )
 
 
 def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:

@@ -106,7 +106,7 @@ def _json_dump(payload) -> str:
 def cmd_build(args) -> int:
     g = build_graph(_space(args), args.budget)
     counts = (
-        f"{g.space.label()}: {g.nv} vertices, {len(g.edges())} edges, "
+        f"{g.space.label()}: {g.nv} vertices, {g.edge_count()} edges, "
         f"{g.loops.bit_count()} loops\n"
     )
     fmt = args.format

@@ -22,9 +22,10 @@ The graph stores one adjacency: the looped matrix packed row by row, rows
 an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
 row u is set iff u ~ v, and the diagonal bit iff the vertex is totally
 isotropic.  Degrees, loops, edges, single-source breadth-first search and
-the boolean matrix are read from these rows.  Loop-free CSR neighbour lists,
-built from them a row block at a time by neighbour_lists, serve the
-all-sources diameter and the automorphism search's refinement.
+the boolean matrix are read from these rows; every degree and edge count is
+one popcount of them (degrees).  Loop-free CSR neighbour lists, built from
+them a row block at a time by neighbour_lists, serve the all-sources
+diameter and the automorphism search's refinement.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class OiGraph:
     # -- basic queries -----------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return int(np.count_nonzero(_unpack(self.rows[v], self.nv))) - self.loop_at(v)
+        return int(np.bitwise_count(self.rows[v]).sum()) - self.loop_at(v)
 
     def loop_at(self, v: int) -> bool:
         return bool(self.rows[v, v >> 3] & _BIT[v & 7])
@@ -102,6 +103,10 @@ class OiGraph:
         r, c = self._looped_pairs
         upper = r < c
         return list(zip(r[upper].tolist(), c[upper].tolist()))
+
+    def edge_count(self) -> int:
+        """The number of non-loop edges, len(edges()) without listing them."""
+        return int(degrees(self.rows).sum()) // 2
 
     def edge_pairs_with_loops(self):
         return self.edges() + [(v, v) for v in self.loop_ids()]
@@ -306,7 +311,6 @@ def all_adjacent(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> bool:
 
 
 _BIT = (1 << np.arange(8)).astype(np.uint8)
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 _WORD_BIT = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
 
 # Blockwise loops size their temporaries to stay near this many bytes.
@@ -336,22 +340,28 @@ def looped_pairs(rows: np.ndarray):
 def neighbour_lists(rows: np.ndarray):
     """Loop-free CSR neighbour lists (indptr, indices) of the packed looped
     rows: the neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]].
-    Indices are int32 (vertex counts stay far below 2^31).  Degrees are
-    counted from the packed rows first (popcount minus the loop bit), so the
-    indices are filled into one array a row block at a time."""
+    Indices are int32 (vertex counts stay far below 2^31).  The degrees
+    come first, so the indices are filled into one array a row block at a
+    time."""
     nv = len(rows)
     indptr = np.zeros(nv + 1, dtype=np.intp)
-    step = max(1, _BLOCK // max(rows.shape[1], 1))
-    for lo in range(0, nv, step):
-        indptr[lo + 1 : lo + step + 1] = _POPCOUNT[rows[lo : lo + step]].sum(axis=1)
-    indptr[1:] -= _diagonal(rows)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(degrees(rows), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     for lo, block in _unpacked_blocks(rows):
         hi = lo + len(block)
         block[np.arange(len(block)), np.arange(lo, hi)] = False  # the loops
         np.remainder(np.flatnonzero(block), nv, out=indices[indptr[lo] : indptr[hi]])
     return indptr, indices
+
+
+def degrees(rows: np.ndarray) -> np.ndarray:
+    """The loop-free degree of each vertex of the packed looped rows: the
+    popcount of its row minus its loop bit, a row block at a time."""
+    out = np.empty(len(rows), dtype=np.intp)
+    step = max(1, _BLOCK // max(rows.shape[1], 1))
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = np.bitwise_count(rows[lo : lo + step]).sum(axis=1)
+    return out - _diagonal(rows)
 
 
 def _gather_chunks(indptr: np.ndarray, limit: int):
@@ -579,14 +589,19 @@ def _vertex_records(g: OiGraph):
 
 def graph_from_json(text: str) -> OiGraph:
     """build_graph of the space of a graph_to_json text.  ValueError unless
-    the text's vertex records, sorted by id, and its edges and loops are
-    that graph's: code that reasons from the form (the point search, lift)
-    needs every subspace, in build order, and the orthogonality relation."""
+    the text's vertex records, sorted by id, are that graph's as JSON text
+    (so 1.0 or true is no 1), and its edges and loops list that graph's
+    edges and loops once each, an edge either way round: code that reasons
+    from the form (the point search, lift) needs every subspace, in build
+    order, and the orthogonality relation."""
     data = json.loads(text)
     sp = data["space"]
+    if type(sp["nu"]) is not int or type(sp["delta"]) is not int:
+        raise ValueError(f"nu {sp['nu']!r} and delta {sp['delta']!r} must be integers")
     field = parse_field(sp["field"], tuple(sp["modulus"]) if "modulus" in sp else None)
     g = build_graph(space_make(sp["nu"], sp["delta"], field, sp.get("disc") or "one"))
-    if sorted(data["vertices"], key=lambda r: r["id"]) != _vertex_records(g):
+    records = sorted(data["vertices"], key=lambda r: r["id"])
+    if json.dumps(records, sort_keys=True) != json.dumps(_vertex_records(g), sort_keys=True):
         raise ValueError(f"vertex records are not the vertices of {g.space.label()} in build order")
     nv = g.nv
     edges, loops = [tuple(e) for e in data["edges"]], list(data["loops"])
@@ -601,6 +616,8 @@ def graph_from_json(text: str) -> OiGraph:
     np.bitwise_or.at(rows, (r, c >> 3), (1 << (c & 7)).astype(np.uint8))
     if not np.array_equal(g.rows, rows):
         raise ValueError("edges and loops are not the orthogonality relation of the vertices")
+    if len(edges) != g.edge_count() or len(loops) != len(g.loop_ids()):
+        raise ValueError("an edge or a loop is listed twice")
     return g
 
 
@@ -608,7 +625,7 @@ def graph_to_dot(g: OiGraph, header: bool = True) -> str:
     lines = []
     if header:
         lines.append(f"// {g.space.label()} nu={g.space.nu} delta={g.space.delta} q={g.space.field.q}")
-        lines.append(f"// vertices={g.nv} edges={len(g.edges())} loops={g.loops.bit_count()}")
+        lines.append(f"// vertices={g.nv} edges={g.edge_count()} loops={g.loops.bit_count()}")
         lines.append("// generated by oigraph 0.1.0")
     lines.append("graph oi {")
     for v in range(g.nv):

@@ -20,7 +20,7 @@ from oigraph.autsearch import (
 )
 from oigraph.gf import GF, factor_prime_power
 from oigraph.geometry import classify_type, space_make, subspace_make
-from oigraph.graph import BudgetExceeded, build_graph, neighbour_lists
+from oigraph.graph import BudgetExceeded, OiGraph, build_graph, neighbour_lists
 from oigraph.linalg import Mat
 from oigraph.symmetry import (
     PermGroup,
@@ -168,6 +168,14 @@ def test_refine_respects_types_odd_dimension():
 def test_certificate_passes(g43, g23):
     certify_dimension_colors(g43)
     certify_dimension_colors(g23)
+
+
+def test_certificate_rejects_mixed_dimension_classes():
+    # with no edges and no loops every vertex has color (False, 0), so the
+    # one class holds both dimensions of Oi(3,3)
+    g = build_graph(space_make(1, 1, F3))
+    with pytest.raises(RuntimeError, match="separate subspace dimensions"):
+        certify_dimension_colors(OiGraph(g.space, g.verts, np.zeros_like(g.rows)))
 
 
 # -- is_automorphism -------------------------------------------------------
@@ -349,6 +357,20 @@ def test_search_seconds_cover_the_certificate(g43, monkeypatch):
     res = search_result(g43)
     assert res.order == 1152
     assert res.seconds >= 0.05
+
+
+def test_search_result_lists_only_point_neighbours(g43, monkeypatch):
+    # the certificate reads the (loop, degree) classes, so the one set of
+    # neighbour lists a search_result builds is the P = 40 points'
+    sizes = []
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return neighbour_lists(rows)
+
+    monkeypatch.setattr(autsearch, "neighbour_lists", recording)
+    assert search_result(g43).order == 1152
+    assert sizes == [40]
 
 
 def test_search_budget(g23):

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from oigraph import graph as graph_module
 from oigraph.gf import GF
-from oigraph.geometry import classify_type, dual, gram, space_make, subspace_make
+from oigraph.geometry import classify_type, dual, gauss_binomial, gram, space_make, subspace_make
 from oigraph.graph import (
     BudgetExceeded,
     OiGraph,
     adjacent,
     build_graph,
+    degrees,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -376,6 +377,36 @@ def test_json_rejects_malformed_graph(g23, edit):
         graph_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["vertices"][1].update(id=True),
+        lambda d: d["vertices"][2].update(id=2.0),
+        lambda d: d["vertices"][0].update(dim=True),
+        lambda d: d["vertices"][0].update(basis=[[0, 0, True]]),
+        lambda d: d["space"].update(nu=True),
+        lambda d: d["space"].update(delta=1.0),
+        lambda d: d["edges"].append(d["edges"][0]),
+        lambda d: d["edges"].append(d["edges"][0][::-1]),
+        lambda d: d["loops"].append(d["loops"][0]),
+    ],
+    ids=["id-true", "id-float", "dim-true", "basis-true", "nu-true", "delta-float", "edge-twice", "edge-both-ways", "loop-twice"],
+)
+def test_json_rejects_coerced_values_and_repeats(g33, edit):
+    # == takes true for 1 and 2.0 for 2, and the bit comparison alone
+    # ignores repeats
+    data = json.loads(graph_to_json(g33))
+    edit(data)
+    with pytest.raises(ValueError):
+        graph_from_json(json.dumps(data))
+
+
+def test_json_accepts_a_reversed_edge(g33):
+    data = json.loads(graph_to_json(g33))
+    data["edges"][0].reverse()
+    assert graph_from_json(json.dumps(data)) == g33
+
+
 # sha256 of the artifacts, frozen before the adjacency moved to packed rows
 FROZEN_DIGESTS = {
     (2, 0, F3, "one"): (
@@ -418,6 +449,25 @@ FROZEN_ROWS_DIGESTS = {
 def test_rows_digests_frozen(key):
     g = build_graph(space_make(*key))
     assert hashlib.sha256(g.rows.tobytes()).hexdigest() == FROZEN_ROWS_DIGESTS[key]
+
+
+@pytest.fixture(scope="module", params=list(FROZEN_ROWS_DIGESTS), ids=["oi53", "oi49", "oi325", "oi43-d2"])
+def frozen_graph(request):
+    return build_graph(space_make(*request.param))
+
+
+def test_degrees_count_the_subspaces_of_the_dual(frozen_graph):
+    # A ~ B iff B lies in the dual of A, which has dimension n - dim A; the
+    # loop of a totally isotropic A is not counted
+    g = frozen_graph
+    n, q = g.space.n, g.space.field.q
+    nonzero = [sum(gauss_binomial(d, k, q) for k in range(1, d + 1)) for d in range(n + 1)]
+    expect = [nonzero[n - P.m] - g.loop_at(v) for v, P in enumerate(g.verts)]
+    assert degrees(g.rows).tolist() == expect
+
+
+def test_edge_count_matches_edges(frozen_graph):
+    assert frozen_graph.edge_count() == len(frozen_graph.edges())
 
 
 def test_dot_output(g23):
