@@ -14,7 +14,7 @@ import sys
 from .autsearch import search_result
 from .geometry import classify_type, space_make
 from .gf import parse_field
-from .graph import BudgetExceeded, build_graph, graph_to_dot, graph_to_json
+from .graph import BudgetExceeded, build_graph, dot_pieces, graph_to_json
 from .symmetry import PermGroup, aut_order_formula, point_generators, vertex_generators, vertex_orbits
 from .verify import VERSION, run_suite
 
@@ -92,11 +92,13 @@ def _space(args):
 
 
 def _emit(text, args):
+    """Write text, a str or an iterable of str pieces, to --out or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_dump(payload) -> str:
@@ -115,7 +117,7 @@ def cmd_build(args) -> int:
     if fmt == "json":
         _emit(graph_to_json(g), args)
     elif fmt == "dot":
-        _emit(graph_to_dot(g, header=not args.no_header), args)
+        _emit(dot_pieces(g, header=not args.no_header), args)
     if fmt and not args.out:
         sys.stderr.write(counts)
     else:

@@ -20,9 +20,11 @@ r - 2s = 1.  The type is read off one RREF of the Gram matrix
 (witt_decompose): the rank and pivots from the RREF, the discriminant from
 the principal minor on the pivots.
 witt_bruteforce_oracle finds the Witt index by exhaustive search as an
-independent check, batched over forms as well as candidates: one pair of
-array products tests every candidate subspace of a dimension against a
-whole stack of same-size forms.
+independent check, batched over forms as well as candidates.  Each row of
+an rref basis is a projective point (rref_point_ids), so every Gram block
+is read from one table of the points under each form: a candidate is
+tested only if its basis points are isotropic, and then only on the
+entries above the diagonal, so the oracle takes symmetric forms only.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def witt_decompose(G: Mat):
 # every form up to 4x4 over F17, 5x5 over F5 and 6x6 over F3.
 ORACLE_MAX_BASES = 10**5
 
-# Entries per form chunk of the oracle's products, B G (forms, K, d, m).
+# Entries per form chunk of the oracle's point table pts G, (forms, P, m).
 _ORACLE_CHUNK = 1 << 14
 
 
@@ -288,14 +290,25 @@ def witt_bruteforce_oracle(grams) -> list[int]:
     Finds the largest totally isotropic subspace of each (possibly
     degenerate) form and subtracts the radical dimension.  Scans dimensions
     upward with early exit per form: if no d-dimensional totally isotropic
-    subspace exists, none larger can, and the form drops out.  Each
-    dimension is one test of every candidate against every form still in:
-    the rref bases B of shape (K, d, m) give the Gram blocks B G Bt of
-    shape (forms, K, d, d) by two GF.matmul calls, in chunks of forms whose
-    temporaries hold about _ORACLE_CHUNK entries (at least one form), and
-    d is reached when one of a form's blocks is zero.  Raises ValueError
-    for mixed sizes or fields, and, before allocating, when one dimension
-    has more than ORACLE_MAX_BASES candidates.
+    subspace exists, none larger can, and the form drops out.
+
+    Each row of an rref basis has 1 as its first nonzero entry, so it is
+    the basis of one of the P points pts = rref_bases(field, m, 1), and
+    entry (i, j) of a candidate's Gram block B G Bt is p_i G p_jt for the
+    points p_i, p_j of its rows i and j (rref_point_ids).  The forms go in
+    chunks whose point table PG = pts G, (forms, P, m), holds about
+    _ORACLE_CHUNK entries (at least one form).  Per chunk, one GF.matmul
+    makes PG and one the isotropy Q(p) = (p G) pt of every point: a form
+    reaches d = 1 iff some Q(p) is 0.  For d >= 2 a candidate stays only if
+    its d points are all isotropic, a gather of Q that is its block's
+    diagonal; one GF.matmul then gives the d(d-1)/2 entries above the
+    diagonal for every (form, candidate) pair that stays, and, G being
+    symmetric, these complete the block.  A form reaches d when one of its
+    candidates has all of them zero.
+
+    Raises ValueError for mixed sizes or fields and for an asymmetric form,
+    and, before allocating, when one dimension has more than
+    ORACLE_MAX_BASES candidates.
     """
     grams = list(grams)
     if not grams:
@@ -303,30 +316,50 @@ def witt_bruteforce_oracle(grams) -> list[int]:
     field, m = grams[0].field, grams[0].nrows
     if any(G.field != field or (G.nrows, G.ncols) != (m, m) for G in grams):
         raise ValueError("oracle forms must be square, of one size, over one field")
+    if not all(G.is_symmetric() for G in grams):
+        raise ValueError("oracle forms must be symmetric")
     worst = max(gauss_binomial(m, d, field.q) for d in range(m + 1))
     if worst > ORACLE_MAX_BASES:
         raise ValueError(
             f"oracle instance too large: {worst} candidate bases in one dimension, "
             f"limit {ORACLE_MAX_BASES}"
         )
-    max_ti = np.zeros(len(grams), dtype=np.intp)
-    if m:
-        codes = np.array([G.rows for G in grams], dtype=field.arrays.mul.dtype)
-        alive = np.arange(len(grams))
-        for dim in range(1, m + 1):
-            B = rref_bases(field, m, dim)
-            Bt = B.transpose(0, 2, 1)[None]
-            step = max(1, _ORACLE_CHUNK // B.size)
-            hit = []
-            for lo in range(0, len(alive), step):
-                XG = field.matmul(B[None], codes[alive[lo : lo + step], None])
-                blocks = field.matmul(XG, Bt)  # (chunk, K, d, d)
-                hit.append(~blocks.any(axis=(2, 3)).all(axis=1))
-            alive = alive[np.concatenate(hit)]
-            if not len(alive):
-                break
-            max_ti[alive] = dim
+    if not m:
+        return [0] * len(grams)
+    codes = np.array([G.rows for G in grams], dtype=field.arrays.mul.dtype)
+    pts = rref_bases(field, m, 1)[:, 0]
+    step = max(1, _ORACLE_CHUNK // pts.size)
+    # one call per chunk, so its temporaries are gone before the ranks
+    max_ti = np.concatenate(
+        [_isotropic_dims(field, pts, codes[lo : lo + step]) for lo in range(0, len(codes), step)]
+    )
     return [int(t) - (m - G.rank()) for t, G in zip(max_ti, grams)]
+
+
+def _isotropic_dims(field: GF, pts: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The largest totally isotropic dimension of each form of codes,
+    (forms, m, m), from the points pts, (P, m): witt_bruteforce_oracle's
+    search on one chunk."""
+    m = pts.shape[1]
+    PG = field.matmul(pts, codes)
+    iso = field.matmul(PG[:, :, None], pts[:, :, None])[..., 0, 0] == 0
+    out = np.zeros(len(codes), dtype=np.intp)
+    alive = np.flatnonzero(iso.any(axis=1))
+    out[alive] = 1
+    for dim in range(2, m + 1):
+        if not len(alive):
+            break
+        ids = rref_point_ids(field, m, dim)
+        form, cand = np.nonzero(iso[alive][:, ids].all(axis=2))
+        i, j = np.nonzero(np.arange(dim)[:, None] < np.arange(dim))  # i < j, row-major
+        rows = ids[cand]
+        piG = PG[alive[form, None], rows[:, i]]  # (pairs, i < j, m)
+        pairs = field.matmul(piG[..., None, :], pts[rows[:, j], :, None])
+        hit = np.zeros(len(alive), dtype=bool)
+        hit[form[~pairs.any(axis=(1, 2, 3))]] = True
+        alive = alive[hit]
+        out[alive] = dim
+    return out
 
 
 def classify_type(P: Subspace) -> SubspaceType:
@@ -376,6 +409,21 @@ def rref_bases(field: GF, n: int, m: int) -> np.ndarray:
     B = B[np.lexsort(B.reshape(len(B), -1).T[::-1])]
     B.setflags(write=False)
     return B
+
+
+@lru_cache(maxsize=64)
+def rref_point_ids(field: GF, n: int, m: int) -> np.ndarray:
+    """The point id of each basis row of rref_bases(field, n, m): one
+    read-only (K, m) array, ids into the points rref_bases(field, n, 1).
+
+    A row of an rref basis has 1 as its first nonzero entry, so it is
+    itself a point's basis.  The points ascend by row, so by the row read
+    as a base-q number, and one searchsorted finds every row."""
+    digits = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    points = rref_bases(field, n, 1)[:, 0] @ digits
+    ids = np.searchsorted(points, rref_bases(field, n, m) @ digits)
+    ids.setflags(write=False)
+    return ids
 
 
 def enumerate_subspaces(space: OSpace, m: int):

@@ -25,7 +25,9 @@ isotropic.  Degrees, loops, edges, single-source breadth-first search and
 the boolean matrix are read from these rows; every degree and edge count is
 one popcount of them (degrees).  Loop-free CSR neighbour lists, built from
 them a row block at a time by neighbour_lists, serve the all-sources
-diameter and the automorphism search's refinement.
+diameter and the automorphism search's refinement.  The DOT text
+(dot_pieces) is written from them a row block at a time as well, with no
+list of all edges.
 """
 
 from __future__ import annotations
@@ -622,17 +624,26 @@ def graph_from_json(text: str) -> OiGraph:
 
 
 def graph_to_dot(g: OiGraph, header: bool = True) -> str:
-    lines = []
+    return "".join(dot_pieces(g, header))
+
+
+def dot_pieces(g: OiGraph, header: bool = True):
+    """graph_to_dot's text in pieces, so a writer need not hold all of it:
+    a line per vertex, per edge u -- v with u < v (row-major) and per loop.
+    The edges come a row block at a time as the packed rows are unpacked,
+    so no list of all edges is made."""
     if header:
-        lines.append(f"// {g.space.label()} nu={g.space.nu} delta={g.space.delta} q={g.space.field.q}")
-        lines.append(f"// vertices={g.nv} edges={g.edge_count()} loops={g.loops.bit_count()}")
-        lines.append("// generated by oigraph 0.1.0")
-    lines.append("graph oi {")
-    for v in range(g.nv):
-        lines.append(f"  v{v};")
-    for u, v in g.edges():
-        lines.append(f"  v{u} -- v{v};")
-    for v in g.loop_ids():
-        lines.append(f"  v{v} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield (
+            f"// {g.space.label()} nu={g.space.nu} delta={g.space.delta} q={g.space.field.q}\n"
+            f"// vertices={g.nv} edges={g.edge_count()} loops={g.loops.bit_count()}\n"
+            "// generated by oigraph 0.1.0\n"
+        )
+    yield "graph oi {\n"
+    yield "".join(f"  v{v};\n" for v in range(g.nv))
+    for lo, block in _unpacked_blocks(g.rows):
+        u, v = np.divmod(np.flatnonzero(block), g.nv)  # 2-d nonzero is ~6x slower
+        u += lo
+        upper = u < v
+        yield "".join(f"  v{a} -- v{b};\n" for a, b in zip(u[upper].tolist(), v[upper].tolist()))
+    yield "".join(f"  v{v} -- v{v};\n" for v in g.loop_ids())
+    yield "}\n"

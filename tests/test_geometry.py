@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from oigraph.geometry import (
     gauss_binomial,
     gram,
     rref_bases,
+    rref_point_ids,
     space_make,
     subspace_make,
     subspace_sum,
@@ -307,8 +309,9 @@ def oracle_forms_one_by_one():
     return stacks, [[witt_bruteforce_oracle([G])[0] for G in stack] for stack in stacks]
 
 
-# 1000 entries: 25 of the F3 forms per chunk at d = 1 (729 = 29 * 25 + 4),
-# one F5 form per chunk at d = 1 and 2
+# 1000 entries: the point table of a 3x3 form over F3 has 13 * 3 = 39, so
+# 25 F3 forms per chunk (729 = 29 * 25 + 4); a 4x4 form over F5 has
+# 156 * 4 = 624, so one F5 form per chunk
 @pytest.mark.parametrize("chunk", [None, 1, 1000])
 def test_witt_oracle_batch_equals_one_form_batches(oracle_forms_one_by_one, monkeypatch, chunk):
     if chunk is not None:
@@ -317,6 +320,32 @@ def test_witt_oracle_batch_equals_one_form_batches(oracle_forms_one_by_one, monk
     for stack, want in zip(stacks, singles):
         assert witt_bruteforce_oracle(stack) == want
         assert want == [witt_decompose(G)[0] for G in stack]
+
+
+def test_witt_oracle_peak_on_suite_f5_forms():
+    # the point table of a chunk, not a Gram block per candidate and form,
+    # bounds the temporaries; the warm-up call fills the caches (bases,
+    # point ids, field tables, the forms' eliminations)
+    forms = suite_oracle_forms()[1]
+    want = witt_bruteforce_oracle(forms)
+    tracemalloc.start()
+    try:
+        assert witt_bruteforce_oracle(forms) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
+
+
+def test_witt_oracle_rejects_asymmetric(monkeypatch):
+    # the oracle reads only the entries above the diagonal, so an
+    # asymmetric form would be misread
+    def no_bases(*args):
+        raise AssertionError("candidate bases built for an asymmetric form")
+
+    monkeypatch.setattr(geometry, "rref_bases", no_bases)
+    with pytest.raises(ValueError, match="symmetric"):
+        witt_bruteforce_oracle([Mat(F3, [[0, 1], [1, 0]]), Mat(F3, [[0, 1], [2, 0]])])
 
 
 def test_witt_oracle_batch_zero_and_degenerate_forms():
@@ -410,6 +439,17 @@ def test_rref_bases_canonical_and_sorted():
                 assert R == M and rank == m
     with pytest.raises(ValueError):
         rref_bases(F3, 3, 4)
+
+
+def test_rref_point_ids_name_the_rows():
+    # the oracle's premise: each row of an rref basis is a point's basis
+    for field, n in ((F3, 3), (F3, 4), (F3, 5), (F5, 4), (GF(3, 2), 3)):
+        pts = rref_bases(field, n, 1)[:, 0]
+        for m in range(1, n + 1):
+            ids = rref_point_ids(field, n, m)
+            assert np.array_equal(pts[ids], rref_bases(field, n, m))
+            assert not ids.flags.writeable
+            assert rref_point_ids(field, n, m) is ids  # cached
 
 
 def count_by_type(space, m):

@@ -483,6 +483,24 @@ def test_dot_output(g23):
     assert graph_to_dot(g23) == dot  # deterministic
 
 
+@pytest.mark.parametrize("block", [None, 1, 1000])
+def test_dot_edges_by_row_block(monkeypatch, block):
+    # the edges are written a row block at a time, across block bounds in
+    # the order of edges(), without building the cached pair arrays
+    if block is not None:
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
+    g = build_graph(space_make(2, 0, F3))  # 210 vertices: 4 rows a block at 1000
+    dot = graph_to_dot(g, header=False)
+    assert "_looped_pairs" not in vars(g)
+    want = (
+        ["graph oi {"]
+        + [f"  v{v};" for v in range(g.nv)]
+        + [f"  v{u} -- v{v};" for u, v in g.edge_pairs_with_loops()]
+        + ["}"]
+    )
+    assert dot == "\n".join(want) + "\n"
+
+
 def test_budget(g43):
     with pytest.raises(BudgetExceeded) as exc:
         build_graph(space_make(2, 0, F3), budget=100)
