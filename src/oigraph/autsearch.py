@@ -6,20 +6,22 @@ data, the coloring is driven to its coarsest equitable refinement, and a
 backtracking search over individualized vertices collects generators until
 the stabilizer chain accounts for every leaf equivalence.
 
-Refinement reads neighbour lists (one CSR pair from graph.neighbour_lists,
-built once per search from the packed looped rows, loops dropped) and keeps the
-partition as positions: an order array holding each cell's vertices
-contiguously, each vertex's cell start and each cell's size.  A splitter
-costs a bincount of its members' neighbours; only the cells those
-neighbours fall in are examined, and only the cells that split are
-reordered.  Splitters are processed in the same first-in first-out
-order as a rescan of every cell would use, and no fragment is skipped, so
-the cell order that the search trace depends on is fixed by the input.
+Refinement reads neighbour lists (the CSR pair graph.neighbour_lists makes
+from the packed looped rows, loops dropped, kept on a graph as
+OiGraph.nbrs) and keeps the partition as positions: an order array
+holding each cell's vertices contiguously, each vertex's cell start and
+each cell's size.  A splitter costs a bincount of its members'
+neighbours; only the cells those neighbours fall in are examined, and
+only the cells that split are reordered.  Splitters are processed in the
+same first-in first-out order as a rescan of every cell would use, and
+no fragment is skipped, so the cell order that the search trace depends
+on is fixed by the input.
 
 Loops never enter the refinement counting; they sit in the initial colors
 (and in the final adjacency verification, which includes the diagonal).
-A leaf is accepted when its relabelling maps every adjacent pair, loops
-included, onto an adjacent pair, tested bit by bit in the packed rows.
+A leaf is accepted when its relabelling keeps the loops and maps every
+pair of the neighbour lists onto a set bit of the packed rows
+(graph.preserves_adjacency, the test OiGraph.is_automorphism makes too).
 
 search_result searches the P projective points, not the vertices: it
 runs the search on the looped point orthogonality graph h =
@@ -71,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BudgetExceeded, OiGraph, _diagonal, all_adjacent, degrees, looped_pairs, neighbour_lists
+from .graph import BudgetExceeded, OiGraph, _diagonal, degrees, neighbour_lists, preserves_adjacency
 from .symmetry import PermGroup, orbit_labels
 
 DEFAULT_SEARCH_BUDGET = 2000
@@ -155,7 +157,7 @@ def initial_partition(g: OiGraph):
 
 
 def refine(g: OiGraph, cells):
-    return refine_cells(neighbour_lists(g.rows), cells)
+    return refine_cells(g.nbrs, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +173,9 @@ class SearchResult:
 
 
 class _Search:
-    def __init__(self, rows, pairs, nbrs, colors):
+    def __init__(self, rows, nbrs, colors):
         self.nv = len(rows)
         self.rows = rows
-        self.pairs = pairs
         self.nbrs = nbrs
         self.colors = colors
         self.gens: list[np.ndarray] = []
@@ -207,10 +208,7 @@ class _Search:
         leaf = [c[0] for c in cells]
         p = np.empty(self.nv, dtype=np.int64)
         p[self.first_leaf] = leaf
-        # p is a bijection, so mapping every adjacent pair (loops included)
-        # onto an adjacent pair means A[p][:, p] == A.
-        r, c = self.pairs
-        return p if all_adjacent(self.rows, p[r], p[c]) else None
+        return p if preserves_adjacency(self.rows, self.nbrs, p) else None
 
     def _orbit_labels(self, prefix) -> np.ndarray:
         """orbit_labels of the generators found so far that fix prefix."""
@@ -267,7 +265,7 @@ def search_automorphisms(A, colors=None) -> SearchResult:
     rows = np.packbits(A, axis=1, bitorder="little")
     if colors is None:
         colors = zip(_diagonal(rows).tolist(), degrees(rows).tolist())
-    return _Search(rows, np.nonzero(A), neighbour_lists(rows), list(colors)).run()
+    return _Search(rows, neighbour_lists(rows), list(colors)).run()
 
 
 def certify_dimension_colors(g: OiGraph):
@@ -298,7 +296,7 @@ def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
     t0 = time.perf_counter()
     certify_dimension_colors(g)
     h = g.dim1_subgraph()
-    res = _Search(h.rows, looped_pairs(h.rows), neighbour_lists(h.rows), _vertex_colors(h)).run()
+    res = _Search(h.rows, h.nbrs, _vertex_colors(h)).run()
     res.generators = [g.lift(p) for p in res.generators]
     res.seconds = time.perf_counter() - t0
     return res

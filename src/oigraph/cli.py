@@ -14,7 +14,7 @@ import sys
 from .autsearch import search_result
 from .geometry import classify_type, space_make
 from .gf import parse_field
-from .graph import BudgetExceeded, build_graph, dot_pieces, graph_to_json
+from .graph import BudgetExceeded, build_graph, dot_pieces, json_pieces
 from .symmetry import PermGroup, aut_order_formula, point_generators, vertex_generators, vertex_orbits
 from .verify import VERSION, run_suite
 
@@ -115,7 +115,7 @@ def cmd_build(args) -> int:
     if args.out and fmt is None:
         fmt = "json"
     if fmt == "json":
-        _emit(graph_to_json(g), args)
+        _emit(json_pieces(g), args)
     elif fmt == "dot":
         _emit(dot_pieces(g, header=not args.no_header), args)
     if fmt and not args.out:

@@ -21,13 +21,15 @@ accepts a file only if it holds exactly that graph.
 The graph stores one adjacency: the looped matrix packed row by row, rows
 an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
 row u is set iff u ~ v, and the diagonal bit iff the vertex is totally
-isotropic.  Degrees, loops, edges, single-source breadth-first search and
-the boolean matrix are read from these rows; every degree and edge count is
-one popcount of them (degrees).  Loop-free CSR neighbour lists, built from
-them a row block at a time by neighbour_lists, serve the all-sources
-diameter and the automorphism search's refinement.  The DOT text
-(dot_pieces) is written from them a row block at a time as well, with no
-list of all edges.
+isotropic.  Degrees, loops, single-source breadth-first search and the
+boolean matrix are read from these rows; every degree and edge count is one
+popcount of them (degrees).  One decoder, pair_blocks, turns them into
+adjacent pairs, loops left out, a row block at a time.  The loop-free CSR
+neighbour lists it fills (neighbour_lists, kept as OiGraph.nbrs) serve the
+all-sources diameter, the automorphism search's refinement and the one
+automorphism test, preserves_adjacency.  Its upper triangle (upper_pairs)
+gives edges(), and the JSON (json_pieces) and DOT (dot_pieces) texts, which
+a writer takes in pieces as they come.
 """
 
 from __future__ import annotations
@@ -84,9 +86,11 @@ class OiGraph:
     # -- basic queries -----------------------------------------------------
 
     def degree(self, v: int) -> int:
+        self._check_id(v)
         return int(np.bitwise_count(self.rows[v]).sum()) - self.loop_at(v)
 
     def loop_at(self, v: int) -> bool:
+        self._check_id(v)
         return bool(self.rows[v, v >> 3] & _BIT[v & 7])
 
     @property
@@ -97,14 +101,9 @@ class OiGraph:
     def loop_ids(self):
         return np.flatnonzero(_diagonal(self.rows)).tolist()
 
-    def neighbors(self, v: int):
-        return [w for w in np.flatnonzero(_unpack(self.rows[v], self.nv)).tolist() if w != v]
-
     def edges(self):
         """Non-loop edges as sorted (u, v) pairs with u < v."""
-        r, c = self._looped_pairs
-        upper = r < c
-        return list(zip(r[upper].tolist(), c[upper].tolist()))
+        return [e for u, v in upper_pairs(self.rows) for e in zip(u.tolist(), v.tolist())]
 
     def edge_count(self) -> int:
         """The number of non-loop edges, len(edges()) without listing them."""
@@ -130,12 +129,12 @@ class OiGraph:
             raise ValueError("permutation length does not match vertex count")
         if not np.array_equal(np.sort(arr), np.arange(self.nv)):
             raise ValueError("not a bijection on vertices")
-        r, c = self._looped_pairs
-        return all_adjacent(self.rows, arr[r], arr[c])
+        return preserves_adjacency(self.rows, self.nbrs, arr)
 
     @functools.cached_property
-    def _looped_pairs(self):
-        return looped_pairs(self.rows)
+    def nbrs(self):
+        """neighbour_lists of the rows, made once per graph."""
+        return neighbour_lists(self.rows)
 
     # -- point representation ----------------------------------------------
 
@@ -240,7 +239,7 @@ class OiGraph:
         quarter of _BLOCK bytes.  At the fixpoint reach is symmetric, so the
         graph is connected iff vertex 0 is reached from every source.
         """
-        indptr, indices = neighbour_lists(self.rows)
+        indptr, indices = self.nbrs
         part = _BLOCK // 4  # for reach, the next round's reach and one gather
         words = max(1, min(-(-self.nv // 64), part // (8 * max(self.nv, 1))))
         chunks = _gather_chunks(indptr, part // (8 * words))
@@ -306,10 +305,19 @@ class OiGraph:
         return OiGraph(self.space, self.verts[:P], sub)
 
 
-def all_adjacent(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> bool:
-    """Whether bit c[i] of packed row r[i] is set for every i."""
-    byte = rows.ravel()[r * rows.shape[1] + (c >> 3)]  # a flat gather beats rows[r, c >> 3]
-    return bool((byte & _BIT[c & 7]).all())
+def preserves_adjacency(rows: np.ndarray, nbrs, p: np.ndarray) -> bool:
+    """Whether the vertex bijection p keeps the packed looped rows: p maps
+    loops to loops and non-loops to non-loops, and every adjacent pair of
+    the CSR neighbour lists nbrs onto a set bit of rows.  A bijection maps
+    the finite set of adjacent pairs injectively into itself, hence onto
+    it, so this is A[p][:, p] == A."""
+    loops = _diagonal(rows)
+    if not np.array_equal(loops[p], loops):
+        return False
+    indptr, indices = nbrs
+    c = p[indices]
+    at = np.repeat(p * rows.shape[1], np.diff(indptr)) + (c >> 3)  # flat: beats rows[r, c >> 3]
+    return bool((rows.ravel()[at] & _BIT[c & 7]).all())
 
 
 _BIT = (1 << np.arange(8)).astype(np.uint8)
@@ -319,40 +327,40 @@ _WORD_BIT = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
 _BLOCK = 1 << 18
 
 
-def _unpacked_blocks(rows: np.ndarray):
-    """The packed looped rows as boolean row blocks (first row id, block),
-    in order.  One block at a time is unpacked, so no nv x nv matrix is
-    made beside one a caller may hold."""
+def pair_blocks(rows: np.ndarray):
+    """The adjacent ordered pairs of the packed looped rows, loops left out,
+    as row-major (u, v) intp id arrays, one row block at a time.  This is
+    the one place unpacked rows become pairs; one block is unpacked at a
+    time, so no nv x nv matrix is made beside one a caller may hold."""
     nv = len(rows)
     step = max(1, _BLOCK // max(nv, 1))
     for lo in range(0, nv, step):
-        yield lo, _unpack(rows[lo : lo + step], nv)
+        block = _unpack(rows[lo : lo + step], nv)
+        block[np.arange(len(block)), np.arange(lo, lo + len(block))] = False  # the loops
+        u, v = np.divmod(np.flatnonzero(block), nv)  # 2-d nonzero is ~6x slower
+        u += lo
+        yield u, v
 
 
-def looped_pairs(rows: np.ndarray):
-    """Every adjacent ordered pair, loops included, as row-major (r, c) id arrays."""
-    r, c = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for lo, block in _unpacked_blocks(rows):
-        br, bc = np.nonzero(block)
-        r.append(br + lo)
-        c.append(bc)
-    return np.concatenate(r), np.concatenate(c)
+def upper_pairs(rows: np.ndarray):
+    """The non-loop edges u < v of pair_blocks, a row block at a time."""
+    for u, v in pair_blocks(rows):
+        upper = u < v
+        yield u[upper], v[upper]
 
 
 def neighbour_lists(rows: np.ndarray):
     """Loop-free CSR neighbour lists (indptr, indices) of the packed looped
     rows: the neighbours of v, ascending, are indices[indptr[v]:indptr[v + 1]].
     Indices are int32 (vertex counts stay far below 2^31).  The degrees
-    come first, so the indices are filled into one array a row block at a
-    time."""
-    nv = len(rows)
-    indptr = np.zeros(nv + 1, dtype=np.intp)
+    come first, so pair_blocks fills the indices into one array."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
     np.cumsum(degrees(rows), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for lo, block in _unpacked_blocks(rows):
-        hi = lo + len(block)
-        block[np.arange(len(block)), np.arange(lo, hi)] = False  # the loops
-        np.remainder(np.flatnonzero(block), nv, out=indices[indptr[lo] : indptr[hi]])
+    at = 0
+    for _, v in pair_blocks(rows):
+        indices[at : at + len(v)] = v
+        at += len(v)
     return indptr, indices
 
 
@@ -568,6 +576,13 @@ def recover_parameters(clique_size: int, nonloop_count: int, dim1_count: int):
 
 
 def graph_to_json(g: OiGraph) -> str:
+    return "".join(json_pieces(g))
+
+
+def json_pieces(g: OiGraph):
+    """graph_to_json's text in pieces, so a writer need not hold all of it:
+    the bytes of json.dumps(payload, indent=1, sort_keys=True) + "\n", as
+    with an indent both run the same pure-Python encoder."""
     space = g.space
     payload = {
         "space": {
@@ -577,12 +592,13 @@ def graph_to_json(g: OiGraph) -> str:
             "field": space.field.descriptor(),
         },
         "vertices": _vertex_records(g),
-        "edges": [[u, v] for u, v in g.edges()],
-        "loops": list(g.loop_ids()),
+        "edges": g.edges(),  # tuples encode as lists
+        "loops": g.loop_ids(),
     }
     if space.field.e > 1:
         payload["space"]["modulus"] = list(space.field.modulus)
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    yield from json.JSONEncoder(indent=1, sort_keys=True).iterencode(payload)
+    yield "\n"
 
 
 def _vertex_records(g: OiGraph):
@@ -630,8 +646,8 @@ def graph_to_dot(g: OiGraph, header: bool = True) -> str:
 def dot_pieces(g: OiGraph, header: bool = True):
     """graph_to_dot's text in pieces, so a writer need not hold all of it:
     a line per vertex, per edge u -- v with u < v (row-major) and per loop.
-    The edges come a row block at a time as the packed rows are unpacked,
-    so no list of all edges is made."""
+    The edges come a row block at a time from upper_pairs, so no list of
+    all edges is made."""
     if header:
         yield (
             f"// {g.space.label()} nu={g.space.nu} delta={g.space.delta} q={g.space.field.q}\n"
@@ -640,10 +656,7 @@ def dot_pieces(g: OiGraph, header: bool = True):
         )
     yield "graph oi {\n"
     yield "".join(f"  v{v};\n" for v in range(g.nv))
-    for lo, block in _unpacked_blocks(g.rows):
-        u, v = np.divmod(np.flatnonzero(block), g.nv)  # 2-d nonzero is ~6x slower
-        u += lo
-        upper = u < v
-        yield "".join(f"  v{a} -- v{b};\n" for a, b in zip(u[upper].tolist(), v[upper].tolist()))
+    for u, v in upper_pairs(g.rows):
+        yield "".join(f"  v{a} -- v{b};\n" for a, b in zip(u.tolist(), v.tolist()))
     yield "".join(f"  v{v} -- v{v};\n" for v in g.loop_ids())
     yield "}\n"

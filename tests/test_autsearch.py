@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oigraph import autsearch
+from oigraph import graph as graph_module
 from oigraph.autsearch import (
     DEFAULT_SEARCH_BUDGET,
     _cells_from_colors,
@@ -20,7 +21,7 @@ from oigraph.autsearch import (
 )
 from oigraph.gf import GF, factor_prime_power
 from oigraph.geometry import classify_type, space_make, subspace_make
-from oigraph.graph import BudgetExceeded, OiGraph, build_graph, neighbour_lists
+from oigraph.graph import BudgetExceeded, OiGraph, build_graph, neighbour_lists, preserves_adjacency
 from oigraph.linalg import Mat
 from oigraph.symmetry import (
     PermGroup,
@@ -204,6 +205,38 @@ def test_is_automorphism_errors(g23):
         g23.is_automorphism(np.zeros(4, dtype=np.int64))
 
 
+@pytest.mark.parametrize("key", [(2, 0, 3), (2, 1, 3)], ids=["oi43", "oi53"])
+def test_preserves_adjacency_matches_dense_check(key):
+    # the one automorphism test against A[p][:, p] == A on the looped
+    # matrix: random bijections, every po_e_generators lift, the search's
+    # generators, and every fifth generator spoilt by a random transposition
+    g = build(*key, "one")
+    A = g.adjacency_matrix(include_loops=True)
+    rng = np.random.default_rng(19)
+    gens = po_e_generators(g) + search_result(g, budget=3000).generators
+    spoilt = []
+    for p in gens[::5]:
+        q = p.copy()
+        a, b = rng.choice(g.nv, 2, replace=False)
+        q[[a, b]] = q[[b, a]]
+        spoilt.append(q)
+    perms = [rng.permutation(g.nv) for _ in range(5)] + gens + spoilt
+    got = [preserves_adjacency(g.rows, g.nbrs, p) for p in perms]
+    assert got == [np.array_equal(A.take(p, 0).take(p, 1), A) for p in perms]  # A[p][:, p]
+    assert all(got[5 : 5 + len(gens)])
+
+
+def test_preserves_adjacency_checks_loops():
+    # edge 0-1, a loop on the isolated 2, and the isolated loop-free 3:
+    # swapping 2 and 3 keeps every edge but moves the loop
+    A = adj_from_edges(4, [(0, 1)], loops=[2])
+    rows = np.packbits(A, axis=1, bitorder="little")
+    nbrs = neighbour_lists(rows)
+    assert preserves_adjacency(rows, nbrs, np.array([1, 0, 2, 3]))
+    assert not preserves_adjacency(rows, nbrs, np.array([0, 1, 3, 2]))
+    assert not np.array_equal(A[[0, 1, 3, 2]][:, [0, 1, 3, 2]], A)
+
+
 # -- search against a brute-force oracle -----------------------------------
 
 
@@ -225,7 +258,7 @@ def test_check_leaf_accepts_only_automorphisms():
     for loops, reversal_ok in (([0, 3], True), ([0], False)):
         A = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)], loops)
         rows = np.packbits(A, axis=1, bitorder="little")
-        search = _Search(rows, np.nonzero(A), neighbour_lists(rows), [0] * 4)
+        search = _Search(rows, neighbour_lists(rows), [0] * 4)
         search.first_leaf = [0, 1, 2, 3]
         assert (search._check_leaf([[3], [2], [1], [0]]) is not None) == reversal_ok
         assert search._check_leaf([[1], [0], [2], [3]]) is None  # edge 1-2 goes to 0-2
@@ -359,18 +392,20 @@ def test_search_seconds_cover_the_certificate(g43, monkeypatch):
     assert res.seconds >= 0.05
 
 
-def test_search_result_lists_only_point_neighbours(g43, monkeypatch):
+def test_search_result_lists_only_point_neighbours(monkeypatch):
     # the certificate reads the (loop, degree) classes, so the one set of
-    # neighbour lists a search_result builds is the P = 40 points'
+    # neighbour lists a search_result builds is the P = 40 points', and
+    # none is kept on the (fresh) full graph
     sizes = []
 
     def recording(rows):
         sizes.append(len(rows))
         return neighbour_lists(rows)
 
-    monkeypatch.setattr(autsearch, "neighbour_lists", recording)
-    assert search_result(g43).order == 1152
-    assert sizes == [40]
+    monkeypatch.setattr(graph_module, "neighbour_lists", recording)
+    g = build_graph(space_make(2, 0, F3))
+    assert search_result(g).order == 1152
+    assert sizes == [40] and "nbrs" not in vars(g)
 
 
 def test_search_budget(g23):

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from oigraph.graph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
+    json_pieces,
     max_clique_dim1,
     neighbour_lists,
+    pair_blocks,
     recover_parameters,
 )
 from oigraph.linalg import Mat
@@ -187,17 +190,25 @@ def test_diameter_matches_single_source_oracle(diameter_cases, block, monkeypatc
     assert [g.diameter() for g, _ in diameter_cases] == expected
 
 
-@pytest.mark.parametrize("block", [None, 256])
+@pytest.mark.parametrize("block", [None, 1, 256, 1000])
 def test_neighbour_lists_match_adjacency(g23, g43, block, monkeypatch):
-    # Oi(2, 3) has looped points of degree 0; a 256-byte block counts the
-    # degrees a few rows at a time and fills the indices one row at a time
+    # the one decoder, its row blocks concatenated, gives the loop-free
+    # matrix's nonzero pairs in row-major order, and the CSR lists and
+    # edges() agree with it.  Oi(2, 3) has looped points of degree 0.  A
+    # 1-byte block decodes and counts one row at a time, a 256-byte block
+    # decodes one row and counts degrees a few rows at a time, and a
+    # 1000-byte block decodes four or five rows
+    g39 = build_graph(space_make(1, 1, F9, "z"))
     if block is not None:
         monkeypatch.setattr(graph_module, "_BLOCK", block)
-    for g in (g23, g43, build_graph(space_make(1, 1, F9, "z"))):
-        indptr, indices = neighbour_lists(g.rows)
+    for g in (g23, g43, g39):
         r, c = np.nonzero(g.adjacency_matrix())
+        u, v = (np.concatenate(a) for a in zip(*pair_blocks(g.rows)))
+        assert np.array_equal(u, r) and np.array_equal(v, c)
+        indptr, indices = neighbour_lists(g.rows)
         assert indices.dtype == np.int32 and np.array_equal(indices, c)
         assert np.array_equal(indptr, np.searchsorted(r, np.arange(g.nv + 1)))
+        assert g.edges() == [(a, b) for a, b in zip(r.tolist(), c.tolist()) if a < b]
 
 
 def test_witness_path(g43):
@@ -213,8 +224,10 @@ def test_witness_path(g43):
     for a, b in zip(path, path[1:]):
         assert adjacent(g43.verts[a], g43.verts[b])
     # each vertex's parent is the lowest-id neighbour one step nearer to u
+    indptr, indices = g43.nbrs
     for i in range(1, len(path)):
-        nearer = [w for w in g43.neighbors(path[i]) if g43.distance(u, w) == i - 1]
+        around = indices[indptr[path[i]] : indptr[path[i] + 1]].tolist()
+        nearer = [w for w in around if g43.distance(u, w) == i - 1]
         assert path[i - 1] == min(nearer)
 
 
@@ -236,9 +249,14 @@ def test_witness_path_errors(g23):
         lambda g: list(g.bfs_levels(-1)),
         lambda g: g.witness_path(0, 999),
         lambda g: g.witness_path(-1, 0),
+        lambda g: g.degree(-1),
+        lambda g: g.degree(g.nv),
+        lambda g: g.loop_at(-1),
+        lambda g: g.loop_at(g.nv),
     ],
     ids=["distance-src-negative", "distance-dst-negative", "distance-dst-huge", "distance-dst-nv",
-         "bfs-500", "bfs-negative", "witness-dst-999", "witness-src-negative"],
+         "bfs-500", "bfs-negative", "witness-dst-999", "witness-src-negative",
+         "degree-negative", "degree-nv", "loop-negative", "loop-nv"],
 )
 def test_bfs_rejects_vertex_ids_out_of_range(g43, call):
     with pytest.raises(ValueError, match="vertex id"):
@@ -486,12 +504,12 @@ def test_dot_output(g23):
 @pytest.mark.parametrize("block", [None, 1, 1000])
 def test_dot_edges_by_row_block(monkeypatch, block):
     # the edges are written a row block at a time, across block bounds in
-    # the order of edges(), without building the cached pair arrays
+    # the order of edges(), without building the cached neighbour lists
     if block is not None:
         monkeypatch.setattr(graph_module, "_BLOCK", block)
     g = build_graph(space_make(2, 0, F3))  # 210 vertices: 4 rows a block at 1000
     dot = graph_to_dot(g, header=False)
-    assert "_looped_pairs" not in vars(g)
+    assert "nbrs" not in vars(g)
     want = (
         ["graph oi {"]
         + [f"  v{v};" for v in range(g.nv)]
@@ -499,6 +517,22 @@ def test_dot_edges_by_row_block(monkeypatch, block):
         + ["}"]
     )
     assert dot == "\n".join(want) + "\n"
+
+
+def test_json_pieces_stream_under_a_small_traced_peak():
+    # Oi(5,3): 2662 vertices and 32146 edges in a 1.2 MB text; the edges
+    # list holds tuples made a row block at a time, and the text leaves in
+    # pieces (about 18 MiB traced when it was built as one string from
+    # lists of pairs, about 5 MiB now)
+    g = build_graph(space_make(2, 1, F3))
+    tracemalloc.start()
+    try:
+        for _ in json_pieces(g):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_budget(g43):
@@ -573,7 +607,7 @@ def test_induced_subgraph(g43):
     assert all(P.m == 1 for P in d1.verts)
     assert d1.loops.bit_count() == 16
     # degrees survive the relabeling
-    ids = g43.dim1_ids()
-    for new, old in enumerate(ids):
-        expect = sum(1 for w in g43.neighbors(old) if g43.verts[w].m == 1)
+    indptr, indices = g43.nbrs
+    for new, old in enumerate(g43.dim1_ids()):
+        expect = sum(1 for w in indices[indptr[old] : indptr[old + 1]].tolist() if g43.verts[w].m == 1)
         assert d1.degree(new) == expect
