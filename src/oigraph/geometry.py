@@ -290,7 +290,10 @@ def witt_bruteforce_oracle(grams) -> list[int]:
     Finds the largest totally isotropic subspace of each (possibly
     degenerate) form and subtracts the radical dimension.  Scans dimensions
     upward with early exit per form: if no d-dimensional totally isotropic
-    subspace exists, none larger can, and the form drops out.
+    subspace exists, none larger can, and the form drops out.  No Mat
+    elimination runs, so the oracle is independent of the one witt_decompose
+    reads: the radical dimension d comes from the point table below, whose
+    zero rows p G = 0 are the (q^d - 1)/(q - 1) points of the radical.
 
     Each row of an rref basis has 1 as its first nonzero entry, so it is
     the basis of one of the P points pts = rref_bases(field, m, 1), and
@@ -329,19 +332,20 @@ def witt_bruteforce_oracle(grams) -> list[int]:
     codes = np.array([G.rows for G in grams], dtype=field.arrays.mul.dtype)
     pts = rref_bases(field, m, 1)[:, 0]
     step = max(1, _ORACLE_CHUNK // pts.size)
-    # one call per chunk, so its temporaries are gone before the ranks
-    max_ti = np.concatenate(
-        [_isotropic_dims(field, pts, codes[lo : lo + step]) for lo in range(0, len(codes), step)]
+    witt = np.concatenate(
+        [_witt_indices(field, pts, codes[lo : lo + step]) for lo in range(0, len(codes), step)]
     )
-    return [int(t) - (m - G.rank()) for t, G in zip(max_ti, grams)]
+    return witt.tolist()
 
 
-def _isotropic_dims(field: GF, pts: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The largest totally isotropic dimension of each form of codes,
-    (forms, m, m), from the points pts, (P, m): witt_bruteforce_oracle's
-    search on one chunk."""
-    m = pts.shape[1]
+def _witt_indices(field: GF, pts: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The Witt index of each form of codes, (forms, m, m), from the points
+    pts, (P, m): its largest totally isotropic dimension less its radical
+    dimension, witt_bruteforce_oracle's search on one chunk."""
+    m, q = pts.shape[1], field.q
     PG = field.matmul(pts, codes)
+    radical_points = (~PG.any(axis=2)).sum(axis=1)
+    radical_dim = np.searchsorted((q ** np.arange(m + 1) - 1) // (q - 1), radical_points)
     iso = field.matmul(PG[:, :, None], pts[:, :, None])[..., 0, 0] == 0
     out = np.zeros(len(codes), dtype=np.intp)
     alive = np.flatnonzero(iso.any(axis=1))
@@ -359,7 +363,7 @@ def _isotropic_dims(field: GF, pts: np.ndarray, codes: np.ndarray) -> np.ndarray
         hit[form[~pairs.any(axis=(1, 2, 3))]] = True
         alive = alive[hit]
         out[alive] = dim
-    return out
+    return out - radical_dim
 
 
 def classify_type(P: Subspace) -> SubspaceType:

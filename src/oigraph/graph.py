@@ -26,10 +26,14 @@ boolean matrix are read from these rows; every degree and edge count is one
 popcount of them (degrees).  One decoder, pair_blocks, turns them into
 adjacent pairs, loops left out, a row block at a time.  The loop-free CSR
 neighbour lists it fills (neighbour_lists, kept as OiGraph.nbrs) serve the
-all-sources diameter, the automorphism search's refinement and the one
-automorphism test, preserves_adjacency.  Its upper triangle (upper_pairs)
+diameter, the automorphism search's refinement and the one automorphism
+test, preserves_adjacency.  The decoder's upper triangle (upper_pairs)
 gives edges(), and the JSON (json_pieces) and DOT (dot_pieces) texts, which
-a writer takes in pieces as they come.
+a writer takes in pieces as they come.  The diameter is the largest
+eccentricity of the leaf-dominated sources (diameter_sources): in Oi(n, q),
+n >= 3, every vertex is no farther from anything than some hyperplane, a
+leaf on its dual point, so the multi-source search starts from P vertices,
+not nv.
 """
 
 from __future__ import annotations
@@ -230,24 +234,39 @@ class OiGraph:
     def diameter(self):
         """The largest distance between two vertices, or math.inf if disconnected.
 
-        All sources advance together as bits (multi-source bit-parallel BFS):
-        bit s of reach[v] is set once source s has reached v, and one round
-        ORs into reach[v] the reach of every neighbour of v.  Rounds run until
-        nothing changes; the rounds that changed something number the largest
-        eccentricity.  The sources go in batches of 64-bit words, so reach is
-        (nv, words); it, the next round's reach and each gather stay within a
-        quarter of _BLOCK bytes.  At the fixpoint reach is symmetric, so the
-        graph is connected iff vertex 0 is reached from every source.
+        Only the sources of diameter_sources are searched.  Lemma: let H be
+        a leaf with neighbour x, and W != H a vertex with x = W or x ~ W.
+        Then ecc(W) <= ecc(H), with ecc infinite where a vertex is
+        unreachable.  Proof: for X != H every path from H to X leaves H
+        through x, so d(W, X) <= d(W, x) + d(x, X) <= 1 + d(x, X) = d(H, X);
+        and d(W, H) <= ecc(H).  Every vertex outside the sources is such a
+        W for some leaf H, which is a source, so the largest eccentricity
+        of the sources is the diameter, infinite exactly when the graph is
+        disconnected.  In Oi(n, q), n >= 3, the sources are the P
+        hyperplanes: H = x^perp has the one neighbour x, and every other
+        vertex W lies in some hyperplane H, so x = W or x ~ W.
+
+        The sources advance together as bits (multi-source bit-parallel
+        BFS): bit s of reach[v] is set once source s has reached v, and one
+        round ORs into reach[v] the reach of every neighbour of v.  Rounds
+        run until nothing changes; the rounds that changed something number
+        the largest eccentricity of the batch.  The sources go in batches
+        of 64-bit words, so reach is (nv, words); it, the next round's reach
+        and each gather stay within a quarter of _BLOCK bytes.  The graph
+        is connected iff every source reached every vertex, the AND of
+        reach over the vertices holding every source's bit.
         """
         indptr, indices = self.nbrs
+        sources = diameter_sources(self.nbrs)
         part = _BLOCK // 4  # for reach, the next round's reach and one gather
-        words = max(1, min(-(-self.nv // 64), part // (8 * max(self.nv, 1))))
+        words = max(1, min(-(-len(sources) // 64), part // (8 * max(self.nv, 1))))
         chunks = _gather_chunks(indptr, part // (8 * words))
         best = 0
-        for base in range(0, self.nv, 64 * words):
-            src = np.arange(base, min(base + 64 * words, self.nv))
+        for base in range(0, len(sources), 64 * words):
+            src = sources[base : base + 64 * words]
+            bit = np.arange(len(src))
             reach = np.zeros((self.nv, words), dtype=np.uint64)
-            reach[src, (src - base) >> 6] = _WORD_BIT[(src - base) & 63]
+            reach[src, bit >> 6] = _WORD_BIT[bit & 63]
             full = np.bitwise_or.reduce(reach, axis=0)
             rounds = 0
             while True:
@@ -257,7 +276,7 @@ class OiGraph:
                 if np.array_equal(grown, reach):
                     break
                 reach, rounds = grown, rounds + 1
-            if not np.array_equal(reach[0], full):
+            if not np.array_equal(np.bitwise_and.reduce(reach, axis=0), full):
                 return math.inf
             best = max(best, rounds)
         return best
@@ -372,6 +391,22 @@ def degrees(rows: np.ndarray) -> np.ndarray:
     for lo in range(0, len(rows), step):
         out[lo : lo + step] = np.bitwise_count(rows[lo : lo + step]).sum(axis=1)
     return out - _diagonal(rows)
+
+
+def diameter_sources(nbrs) -> np.ndarray:
+    """The ascending ids whose eccentricities give the diameter (the lemma
+    in OiGraph.diameter), from the CSR neighbour lists nbrs: the leaves,
+    and every other vertex that is neither a leaf's neighbour nor adjacent
+    to one.  Each vertex's test gathers its list, in runs of _gather_chunks."""
+    indptr, indices = nbrs
+    deg = np.diff(indptr)
+    leaf = deg == 1
+    hub = np.zeros(len(deg), dtype=bool)
+    hub[indices[indptr[:-1][leaf]]] = True
+    covered = hub.copy()
+    for ids, a, b, starts in _gather_chunks(indptr, _BLOCK):
+        covered[ids] |= np.logical_or.reduceat(hub[indices[a:b]], starts)
+    return np.flatnonzero(leaf | ~covered)
 
 
 def _gather_chunks(indptr: np.ndarray, limit: int):

@@ -337,6 +337,20 @@ def test_witt_oracle_peak_on_suite_f5_forms():
     assert peak < 256 * 2**10
 
 
+def test_witt_oracle_runs_no_elimination(monkeypatch):
+    # the oracle reads the radical from its point table, so it does not
+    # share the Gauss-Jordan elimination witt_decompose reads; the census
+    # holds degenerate forms down to the zero form
+    census = suite_oracle_forms()[0]
+    want = [witt_decompose(G)[0] for G in census]
+
+    def no_elimination(self):
+        raise AssertionError("the oracle ran a Mat elimination")
+
+    monkeypatch.setattr(Mat, "_eliminate", no_elimination)
+    assert witt_bruteforce_oracle(census) == want
+
+
 def test_witt_oracle_rejects_asymmetric(monkeypatch):
     # the oracle reads only the entries above the diagonal, so an
     # asymmetric form would be misread

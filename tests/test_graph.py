@@ -20,6 +20,7 @@ from oigraph.graph import (
     adjacent,
     build_graph,
     degrees,
+    diameter_sources,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -151,13 +152,15 @@ def bfs_diameter(g):
     return best
 
 
-def _relinked(g, edges):
-    """A graph on g's vertices whose only edges are the given ones."""
-    rows = np.zeros_like(g.rows)
-    for u, v in edges:
+def _relinked(g, edges, loops=(), nv=None):
+    """A graph on g's first nv vertices (all by default) whose only edges
+    and loops are the given ones."""
+    nv = g.nv if nv is None else nv
+    rows = np.zeros((nv, (nv + 7) // 8), dtype=np.uint8)
+    for u, v in [*edges, *((v, v) for v in loops)]:
         rows[u, v >> 3] |= 1 << (v & 7)
         rows[v, u >> 3] |= 1 << (u & 7)
-    return OiGraph(g.space, g.verts, rows)
+    return OiGraph(g.space, g.verts[:nv], rows)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +191,72 @@ def test_diameter_matches_single_source_oracle(diameter_cases, block, monkeypatc
     expected = [math.inf, math.inf, 4, 4, 4, 4, 4, 4, 209, math.inf]
     assert [want for _, want in diameter_cases] == expected
     assert [g.diameter() for g, _ in diameter_cases] == expected
+
+
+def _lemma_graph(rng, g, split):
+    """A random graph on g's first 2..nv vertices, their ids shuffled: a
+    random tree on a core with extra edges and random loops, pendant
+    vertices and pendant paths hung on it, and, if split, a second core,
+    K2 components and isolated looped vertices besides."""
+    nv = rng.randrange(2, g.nv + 1)
+    ids = rng.sample(range(nv), nv)
+    edges, loops = [], rng.sample(ids, len(ids) // 10)
+
+    def core(vs):
+        edges.extend((v, rng.choice(vs[:i])) for i, v in enumerate(vs) if i)
+        edges.extend(rng.sample(vs, 2) for _ in range(rng.randrange(len(vs))))
+
+    def hang(vs, onto):
+        for v in vs:
+            edges.append((v, rng.choice(onto)))
+            onto = onto + [v] if rng.random() < 0.3 else onto  # paths too
+
+    if not split:
+        k = rng.randrange(1, nv + 1)
+        core(ids[:k])
+        hang(ids[k:], ids[:k])
+    else:
+        k, m = sorted(rng.sample(range(1, nv + 1), 2))
+        pieces = ids[m:]
+        core(ids[:k])
+        core(ids[k:m])
+        hang(pieces[: len(pieces) // 2], ids[:m])
+        rest = pieces[len(pieces) // 2 :]
+        edges.extend(zip(rest[: len(rest) // 2 : 2], rest[1 : len(rest) // 2 : 2]))  # K2s
+        loops += rest[len(rest) // 2 :]  # isolated looped vertices
+    return _relinked(g, [(u, v) for u, v in edges if u != v], loops, nv)
+
+
+@pytest.mark.parametrize("block", [None, 256])
+def test_diameter_lemma_on_random_graphs(g43, block, monkeypatch):
+    # the leaf-dominated sources give the diameter of graphs that are no
+    # orthogonality graph.  The last is a path 0..187 with leaves 188..207
+    # on its vertices 9, 18, ..., 180 and leaves 208 and 209 on its ends:
+    # its sources fill three 64-source batches at a 256-byte block, and
+    # only the farthest pair, 208 and 209, the last two, have eccentricity
+    # 189
+    rng = random.Random(20)
+    graphs = [_lemma_graph(rng, g43, split) for split in [False, True] * 20]
+    path = [(v, v + 1) for v in range(187)]
+    leaves = [(9 * i, 187 + i) for i in range(1, 21)] + [(0, 208), (187, 209)]
+    graphs.append(_relinked(g43, path + leaves))
+    want = [bfs_diameter(g) for g in graphs]
+    assert want[-1] == 189 and len(diameter_sources(graphs[-1].nbrs)) > 128
+    assert any(d is math.inf for d in want) and sum(d is not math.inf for d in want) >= 20
+    if block is not None:
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
+    assert [g.diameter() for g in graphs] == want
+
+
+def test_diameter_sources_are_the_hyperplanes(diameter_cases):
+    # for n >= 3 a hyperplane x^perp is a leaf on the point x, and every
+    # other vertex is x or a neighbour of x, so the sources are the P
+    # hyperplanes, the last ids; Oi(2, q) has no such leaves
+    graphs = [g for g, _ in diameter_cases[:8]] + [build_graph(space_make(2, 1, F3))]
+    for g in graphs:
+        n, q = g.space.n, g.space.field.q
+        want = range(g.nv) if n == 2 else range(g.nv - gauss_binomial(n, 1, q), g.nv)
+        assert diameter_sources(g.nbrs).tolist() == list(want), g.space.label()
 
 
 @pytest.mark.parametrize("block", [None, 1, 256, 1000])
