@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autsearch import full_aut_order, search_result
+from .autsearch import search_result
 from .geometry import classify_type, space_make, subspace_make, subspace_span
 from .gf import GF, parse_field
 from .graph import (
@@ -16,7 +16,6 @@ from .graph import (
     max_clique_dim1,
     recover_parameters,
 )
-from .linalg import Mat
 from .symmetry import (
     PermGroup,
     aut_order_formula,
@@ -32,7 +31,6 @@ from .verify import run_suite
 
 __all__ = [
     "GF",
-    "Mat",
     "OiGraph",
     "BudgetExceeded",
     "PermGroup",
@@ -43,7 +41,6 @@ __all__ = [
     "e_subgroup_generators",
     "e_subgroup_order",
     "edge_orbits",
-    "full_aut_order",
     "graph_from_json",
     "graph_to_dot",
     "graph_to_json",

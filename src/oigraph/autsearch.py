@@ -152,14 +152,6 @@ def _vertex_colors(g: OiGraph):
     return list(zip([P.m for P in g.verts], _diagonal(g.rows).tolist(), degrees(g.rows).tolist()))
 
 
-def initial_partition(g: OiGraph):
-    return _cells_from_colors(_vertex_colors(g))
-
-
-def refine(g: OiGraph, cells):
-    return refine_cells(g.nbrs, cells)
-
-
 # ---------------------------------------------------------------------------
 # individualization-refinement search
 
@@ -300,7 +292,3 @@ def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
     res.generators = [g.lift(p) for p in res.generators]
     res.seconds = time.perf_counter() - t0
     return res
-
-
-def full_aut_order(g: OiGraph, budget: int | None = None) -> int:
-    return search_result(g, budget).order

@@ -10,6 +10,11 @@ The ambient space carries the symmetric bilinear form x S yt where
 for z the canonical non-square.  Basis vectors are indexed e_1..e_nu,
 f_1..f_nu (= e_{nu+i}), then eps and kappa for the definite tail.
 
+Forms and Gram matrices are GF code data: OSpace.form is a read-only
+(n, n) array, gram gives row tuples.  One pure-Python Gauss-Jordan
+elimination (eliminate) gives the reduced rows, pivots and signed pivot
+product that subspace_make, dual and witt_decompose read.
+
 Subspaces are canonical: the reduced-row-echelon basis identifies them
 uniquely.  rref_bases is the one enumeration of them, an array per
 dimension sorted by basis: the graph's vertex order, its points and the
@@ -20,11 +25,12 @@ r - 2s = 1.  The type is read off one RREF of the Gram matrix
 (witt_decompose): the rank and pivots from the RREF, the discriminant from
 the principal minor on the pivots.
 witt_bruteforce_oracle finds the Witt index by exhaustive search as an
-independent check, batched over forms as well as candidates.  Each row of
-an rref basis is a projective point (rref_point_ids), so every Gram block
-is read from one table of the points under each form: a candidate is
-tested only if its basis points are isotropic, and then only on the
-entries above the diagonal, so the oracle takes symmetric forms only.
+independent check that runs no elimination, batched over a (k, m, m)
+stack of forms as well as candidates.  Each row of an rref basis is a
+projective point (rref_point_ids), so every Gram block is read from one
+table of the points under each form: a candidate is tested only if its
+basis points are isotropic, and then only on the entries above the
+diagonal, so the oracle takes symmetric forms only.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from functools import lru_cache, total_ordering
 import numpy as np
 
 from .gf import GF
-from .linalg import Mat, dot_form
 
 
 def check_space_params(nu: int, delta: int, disc: str) -> None:
@@ -72,7 +77,8 @@ class OSpace:
         elif delta == 2:
             rows[2 * nu][2 * nu] = 1
             rows[2 * nu + 1][2 * nu + 1] = field.neg(self.z)
-        self.form = Mat(field, rows)
+        self.form = np.array(rows, dtype=np.min_scalar_type(field.q - 1))
+        self.form.setflags(write=False)
         # S is monomial: row i holds its one nonzero entry, scale[i], in
         # column col[i], so (x S)[col[i]] = x[i] scale[i]
         self._col = tuple(next(j for j, a in enumerate(r) if a) for r in rows)
@@ -97,7 +103,13 @@ class OSpace:
         return tuple(1 if j == 2 * self.nu + 1 else 0 for j in range(self.n))
 
     def pair(self, u, v) -> int:
-        return dot_form(self.field, u, self.form, v)
+        """u S vt, the sum of u[i] scale[i] v[col[i]]."""
+        f = self.field
+        acc = 0
+        for a, c, j in zip(u, self._scale, self._col):
+            if a and v[j]:
+                acc = f.add(acc, f.mul(f.mul(a, c), v[j]))
+        return acc
 
     def label(self) -> str:
         base = f"Oi({self.n}, {self.field.q})"
@@ -142,9 +154,6 @@ class Subspace:
     def is_vertex(self) -> bool:
         return 1 <= self.m <= self.space.n - 1
 
-    def basis_matrix(self) -> Mat:
-        return Mat(self.space.field, self.rows)
-
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.space == other.space and self.rows == other.rows
 
@@ -155,35 +164,90 @@ class Subspace:
         return f"Subspace({self.space.label()}, {[list(r) for r in self.rows]})"
 
 
+def eliminate(field: GF, rows):
+    """Gauss-Jordan elimination of rows of codes, the one elimination here:
+    (the nonzero reduced rows as tuples, the pivot columns, the signed
+    product of the pivots).
+
+    The reduced rows are the unique reduced row echelon form, so two row
+    lists span the same space iff they reduce to the same rows.  Each pivot
+    row is scaled by the inverse of its pivot and each row swap flips the
+    sign, so for a square matrix of full rank the signed product is the
+    determinant.
+    """
+    f = field
+    work = [list(r) for r in rows]
+    nr = len(work)
+    nc = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    d = 1
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            d = f.neg(d)
+        d = f.mul(d, work[r][c])
+        inv = f.inv(work[r][c])
+        work[r] = [f.mul(inv, a) for a in work[r]]
+        for i in range(nr):
+            if i != r and work[i][c] != 0:
+                m = work[i][c]
+                work[i] = [f.sub(a, f.mul(m, b)) for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, work[:r])), tuple(pivots), d
+
+
 def subspace_make(space: OSpace, rows) -> Subspace:
     """Canonicalize spanning rows into a vertex; rejects 0 and full dimension."""
-    R, rank, _ = Mat(space.field, rows).rref()
-    if rank == 0:
+    R, pivots, _ = eliminate(space.field, rows)
+    if not pivots:
         raise ValueError("zero row space is not a vertex")
-    if rank == space.n:
+    if len(pivots) == space.n:
         raise ValueError("the full space is not a vertex")
-    return Subspace(space, R.rows)
+    return Subspace(space, R)
 
 
 def subspace_span(space: OSpace, rows) -> Subspace:
     """Like subspace_make but allows the full space (flagged non-vertex)."""
-    R, rank, _ = Mat(space.field, rows).rref()
-    if rank == 0:
+    R, pivots, _ = eliminate(space.field, rows)
+    if not pivots:
         raise ValueError("zero row space")
-    return Subspace(space, R.rows)
+    return Subspace(space, R)
 
 
 def dual(P: Subspace) -> Subspace:
-    """P-perp = {x : x S bt = 0 for every basis row b}; dim = n - m."""
+    """P-perp = {x : x S bt = 0 for every basis row b}; dim = n - m.
+
+    x S bt is the sum of x[i] scale[i] b[col[i]] (S is monomial, see
+    OSpace), so P-perp is the kernel of the m x n matrix A with rows
+    (scale[i] b[col[i]])_i: one free column j of A's rref gives the kernel
+    vector with 1 at j and -R[k][j] at the k-th pivot, and one more
+    elimination makes those vectors the canonical basis."""
     space = P.space
-    M = space.form.mul(P.basis_matrix().transpose())  # n x m
-    K = M.left_kernel()
-    return Subspace(space, K.rows)
+    f, n = space.field, space.n
+    A = [[f.mul(c, b[j]) for c, j in zip(space._scale, space._col)] for b in P.rows]
+    R, pivots, _ = eliminate(f, A)
+    kernel = []
+    for j in range(n):
+        if j not in pivots:
+            v = [0] * n
+            v[j] = 1
+            for row, pc in zip(R, pivots):
+                v[pc] = f.neg(row[j])
+            kernel.append(v)
+    return Subspace(space, eliminate(f, kernel)[0])
 
 
-def gram(P: Subspace) -> Mat:
-    """B S Bt for the basis rows B of P, each entry x S yt one dot product
-    of the rows x[i] scale[i] and y[col[i]] (S is monomial, see OSpace)."""
+def gram(P: Subspace):
+    """B S Bt, as row tuples, for the basis rows B of P, each entry x S yt
+    one dot product of the rows x[i] scale[i] and y[col[i]] (S is
+    monomial, see OSpace)."""
     space = P.space
     f = space.field
     scaled = [[f.mul(a, c) for a, c in zip(x, space._scale)] for x in P.rows]
@@ -196,7 +260,7 @@ def gram(P: Subspace) -> Mat:
                 if a and b:
                     acc = f.add(acc, f.mul(a, b))
             out[i][j] = out[j][i] = acc
-    return Mat(f, out)
+    return tuple(map(tuple, out))
 
 
 def subspace_sum(X1: Subspace, X2: Subspace) -> Subspace:
@@ -240,9 +304,10 @@ class SubspaceType:
         return f"({self.m},{self.r},{self.s})"
 
 
-def witt_decompose(G: Mat):
-    """(s, gamma, tag) for a symmetric matrix: Witt index of the rank part,
-    anisotropic residual dimension, and the residual square class at gamma=1.
+def witt_decompose(field: GF, G):
+    """(s, gamma, tag) for a symmetric matrix G of codes (rows of ints or a
+    2-d array): Witt index of the rank part, anisotropic residual
+    dimension, and the residual square class at gamma=1.
 
     Closed form: over GF(q), q odd, the rank r and the discriminant D of a
     nondegenerate part fix the rank part up to isometry (Serre, A Course in
@@ -258,13 +323,14 @@ def witt_decompose(G: Mat):
     planes plus the anisotropic plane.  witt_bruteforce_oracle is the
     independent check.
     """
-    if not G.is_symmetric():
+    G = [tuple(row) for row in (G.tolist() if isinstance(G, np.ndarray) else G)]
+    m = len(G)
+    if any(len(row) != m for row in G) or list(zip(*G)) != G:
         raise ValueError("witt decomposition needs a symmetric matrix")
-    field = G.field
-    _, r, piv = G.rref()
-    # at full rank the minor is G, whose elimination rref already made
-    minor = G if r == G.nrows else Mat(field, [[G[i, j] for j in piv] for i in piv], ncols=r)
-    c = minor.det()
+    _, piv, c = eliminate(field, G)
+    r = len(piv)
+    if r < m:  # the minor is nondegenerate, so its signed pivot product is its det
+        c = eliminate(field, [[G[i][j] for j in piv] for i in piv])[2]
     s, odd = divmod(r, 2)
     if s % 2:
         c = field.neg(c)
@@ -283,14 +349,15 @@ ORACLE_MAX_BASES = 10**5
 _ORACLE_CHUNK = 1 << 14
 
 
-def witt_bruteforce_oracle(grams) -> list[int]:
-    """Witt index of each of a sequence of same-size symmetric Mats over one
-    field, by batched exhaustive search, for cross-checking witt_decompose.
+def witt_bruteforce_oracle(field: GF, forms) -> list[int]:
+    """Witt index of each form of a (k, m, m) stack of symmetric code
+    matrices over field, by batched exhaustive search, for cross-checking
+    witt_decompose.
 
     Finds the largest totally isotropic subspace of each (possibly
     degenerate) form and subtracts the radical dimension.  Scans dimensions
     upward with early exit per form: if no d-dimensional totally isotropic
-    subspace exists, none larger can, and the form drops out.  No Mat
+    subspace exists, none larger can, and the form drops out.  No
     elimination runs, so the oracle is independent of the one witt_decompose
     reads: the radical dimension d comes from the point table below, whose
     zero rows p G = 0 are the (q^d - 1)/(q - 1) points of the radical.
@@ -309,18 +376,21 @@ def witt_bruteforce_oracle(grams) -> list[int]:
     symmetric, these complete the block.  A form reaches d when one of its
     candidates has all of them zero.
 
-    Raises ValueError for mixed sizes or fields and for an asymmetric form,
-    and, before allocating, when one dimension has more than
-    ORACLE_MAX_BASES candidates.
+    Raises ValueError for a stack that is not k square forms of one size
+    and for an asymmetric form, and, before allocating, when one dimension
+    has more than ORACLE_MAX_BASES candidates.
     """
-    grams = list(grams)
-    if not grams:
+    if not len(forms):
         return []
-    field, m = grams[0].field, grams[0].nrows
-    if any(G.field != field or (G.nrows, G.ncols) != (m, m) for G in grams):
-        raise ValueError("oracle forms must be square, of one size, over one field")
-    if not all(G.is_symmetric() for G in grams):
+    try:
+        forms = np.asarray(forms)
+    except ValueError:  # ragged
+        forms = None
+    if forms is None or forms.ndim != 3 or forms.shape[1] != forms.shape[2]:
+        raise ValueError("oracle forms must be square and of one size")
+    if not np.array_equal(forms, forms.transpose(0, 2, 1)):
         raise ValueError("oracle forms must be symmetric")
+    m = forms.shape[1]
     worst = max(gauss_binomial(m, d, field.q) for d in range(m + 1))
     if worst > ORACLE_MAX_BASES:
         raise ValueError(
@@ -328,8 +398,8 @@ def witt_bruteforce_oracle(grams) -> list[int]:
             f"limit {ORACLE_MAX_BASES}"
         )
     if not m:
-        return [0] * len(grams)
-    codes = np.array([G.rows for G in grams], dtype=field.arrays.mul.dtype)
+        return [0] * len(forms)
+    codes = forms.astype(field.arrays.mul.dtype)
     pts = rref_bases(field, m, 1)[:, 0]
     step = max(1, _ORACLE_CHUNK // pts.size)
     witt = np.concatenate(
@@ -367,7 +437,7 @@ def _witt_indices(field: GF, pts: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def classify_type(P: Subspace) -> SubspaceType:
-    s, gamma, tag = witt_decompose(gram(P))
+    s, gamma, tag = witt_decompose(P.space.field, gram(P))
     return SubspaceType(m=P.m, r=2 * s + gamma, s=s, tag=tag)
 
 
@@ -428,12 +498,3 @@ def rref_point_ids(field: GF, n: int, m: int) -> np.ndarray:
     ids = np.searchsorted(points, rref_bases(field, n, m) @ digits)
     ids.setflags(write=False)
     return ids
-
-
-def enumerate_subspaces(space: OSpace, m: int):
-    """Every m-dimensional vertex of the ambient space, exactly once, in
-    vertex order."""
-    if not 1 <= m <= space.n - 1:
-        raise ValueError(f"vertex dimension {m} out of range 1..{space.n - 1}")
-    for rows in rref_bases(space.field, space.n, m).tolist():
-        yield Subspace(space, rows)

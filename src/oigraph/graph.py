@@ -47,8 +47,7 @@ import os
 import numpy as np
 
 from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, factor_prime_power, parse_field
-from .geometry import OSpace, Subspace, check_space_params, gauss_binomial, rref_bases, space_make
-from .linalg import Mat
+from .geometry import OSpace, Subspace, check_space_params, eliminate, gauss_binomial, rref_bases, space_make
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
@@ -501,7 +500,7 @@ def _fill_adjacency(g: OiGraph) -> None:
     """
     pts, f, n = g._points, g.space.field, g.space.n
     P = len(pts.vectors)
-    forms = f.matmul(pts.vectors, np.array(g.space.form.rows))  # x -> x S pt per point p
+    forms = f.matmul(pts.vectors, g.space.form)  # x -> x S pt per point p
     orth = np.empty((P, (P + 7) // 8), dtype=np.uint8)
     step = max(1, _BLOCK // P)
     for lo in range(0, P, step):
@@ -542,7 +541,7 @@ def max_clique_dim1(g: OiGraph):
     # phase 1: maximum independent clique among the loop vertices
     best_l: list = []
 
-    def grow_iso(chosen, basis_mat, cand):
+    def grow_iso(chosen, basis, cand):
         nonlocal best_l
         if len(chosen) + cand.bit_count() <= len(best_l):
             return
@@ -553,14 +552,13 @@ def max_clique_dim1(g: OiGraph):
         rest = cand
         for v in _bits(cand):
             rest ^= 1 << v
-            rows = (basis_mat.rows if basis_mat is not None else ()) + d1.verts[v].rows
-            M = Mat(field, rows)
-            if M.rank() == len(chosen) + 1:
-                grow_iso(chosen + [v], M, rest & adj[v])
+            rows = basis + d1.verts[v].rows
+            if len(eliminate(field, rows)[1]) == len(chosen) + 1:
+                grow_iso(chosen + [v], rows, rest & adj[v])
             if len(chosen) + 1 + rest.bit_count() <= len(best_l):
                 break
 
-    grow_iso([], None, d1.loops)
+    grow_iso([], (), d1.loops)
 
     # phase 2: extend by anisotropic points orthogonal to all of phase 1
     cand = (1 << d1.nv) - 1 & ~d1.loops
@@ -595,10 +593,22 @@ def recover_parameters(clique_size: int, nonloop_count: int, dim1_count: int):
     nu = clique_size - delta
     check_space_params(nu, delta, "one")
     n = 2 * nu + delta
-    q = 2
-    while (q**n - 1) // (q - 1) < dim1_count:
-        q += 1
-    if (q**n - 1) // (q - 1) != dim1_count:
+
+    def points(q):
+        return (q**n - 1) // (q - 1)
+
+    # points(q) = 1 + q + ... increases with q and exceeds q for n >= 2,
+    # so the least q >= 2 with points(q) >= dim1_count lies in
+    # 2..max(2, dim1_count): bisect for it, then check it exactly
+    lo, hi = 2, max(2, dim1_count)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if points(mid) < dim1_count:
+            lo = mid + 1
+        else:
+            hi = mid
+    q = lo
+    if points(q) != dim1_count:
         raise ValueError("dimension-1 count matches no field order")
     p, _ = factor_prime_power(q)
     if p == 2:

@@ -52,7 +52,7 @@ def reflect(space: OSpace, X) -> np.ndarray:
     # not the vertex order: the stabilizer chain's base follows the order of
     # its generators, and the frozen group answers follow the base
     axes = points[np.lexsort((*points.T, (points != 0).argmax(axis=1)))]
-    w = f.matmul(axes, np.array(space.form.rows))  # v.S, the transpose of S.vt
+    w = f.matmul(axes, space.form)  # v.S, the transpose of S.vt
     norm = f.matmul(w[:, None, :], axes[:, :, None])[:, 0, 0]
     aniso = norm != 0
     axes, w = axes[aniso], w[aniso]
@@ -113,9 +113,9 @@ def perm_from_semilinear(g: OiGraph, ks, d1: int = 1, d2: int = 1, pi: int = 0) 
     n = space.n
     if space.delta >= 1:
         eps = n - space.delta
-        diag.append(_slot_factor(f, d1, space.form[eps, eps], pi))
+        diag.append(_slot_factor(f, d1, int(space.form[eps, eps]), pi))
     if space.delta == 2:
-        diag.append(_slot_factor(f, d2, space.form[n - 1, n - 1], pi))
+        diag.append(_slot_factor(f, d2, int(space.form[n - 1, n - 1]), pi))
     t, D = f.arrays, np.array(diag)
     return g.point_action(lambda X: t.mul[t.frob[pi][X], D])
 

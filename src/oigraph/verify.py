@@ -18,18 +18,19 @@ import random
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from .autsearch import full_aut_order, search_result
+import numpy as np
+
+from .autsearch import search_result
 from .geometry import (
+    SubspaceType,
     classify_type,
     space_make,
-    subspace_span,
     subspace_sum,
     witt_bruteforce_oracle,
     witt_decompose,
 )
 from .gf import GF, factor_prime_power
 from .graph import build_graph, max_clique_dim1, recover_parameters
-from .linalg import Mat
 from .symmetry import (
     aut_order_formula,
     e_subgroup_generators,
@@ -200,7 +201,7 @@ def check_nu1_aut_orders(ctx):
     for q in (3, 5, 9):
         g = ctx.graph(1, 0, q)
         expected[g.space.label()] = aut_order_formula(1, 0, q)
-        computed[g.space.label()] = full_aut_order(g)
+        computed[g.space.label()] = search_result(g).order
     status = STATUS_PASS if expected == computed else STATUS_FAIL
     if expected != {"Oi(2, 3)": 4, "Oi(2, 5)": 16, "Oi(2, 9)": 768}:
         status = STATUS_FAIL
@@ -245,8 +246,9 @@ def _vertex_fiber_partition(types):
 def _edge_fiber_partition(g, types):
     """Edges, loops included, grouped by their endpoints' types and the type
     of the endpoints' sum.  A sum is a vertex, whose type is looked up, or
-    the whole space, classified once here."""
-    whole = classify_type(subspace_span(g.space, Mat.identity(g.space.field, g.space.n).rows))
+    the whole space, whose Gram matrix is the form, classified once here."""
+    s, gamma, tag = witt_decompose(g.space.field, g.space.form)
+    whole = SubspaceType(g.space.n, 2 * s + gamma, s, tag)
     fibers = {}
     for u, v in g.edge_pairs_with_loops():
         total = subspace_sum(g.verts[u], g.verts[v])
@@ -281,32 +283,36 @@ def check_edge_orbits_are_type_triples(ctx):
     return expected, computed, status, ""
 
 
-def _oracle_agreement(grams) -> int:
-    """How many of the same-size forms grams get the same Witt index from
-    witt_decompose and from one witt_bruteforce_oracle pass.  Each form
-    leaves the list before witt_decompose caches its elimination on it, so
-    one elimination at a time is alive."""
-    grams = list(grams)
-    witt = witt_bruteforce_oracle(grams)
-    return sum(witt_decompose(grams.pop())[0] == s for s in reversed(witt))
+def _oracle_agreement(field, forms) -> int:
+    """How many forms of the (k, m, m) stack forms get the same Witt index
+    from witt_decompose and from one witt_bruteforce_oracle pass."""
+    witt = witt_bruteforce_oracle(field, forms)
+    return sum(witt_decompose(field, G)[0] == s for G, s in zip(forms, witt))
 
 
-def _random_form(rng, field, n):
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entries[i][j] = entries[j][i] = rng.randrange(field.q)
-    return Mat(field, entries)
+def _random_forms(rng, field, n, k):
+    """k random symmetric n x n forms, each drawn row by row above the
+    diagonal, as a (k, n, n) stack."""
+    forms = np.zeros((k, n, n), dtype=np.min_scalar_type(field.q - 1))
+    for G in forms:
+        for i in range(n):
+            for j in range(i, n):
+                G[i, j] = G[j, i] = rng.randrange(field.q)
+    return forms
+
+
+def _census_3x3_f3():
+    """Every symmetric 3x3 form over F3, with diagonal (a, b, c) and
+    (d, e, f) above it, in the order of itertools.product(range(3),
+    repeat=6) over (a, b, c, d, e, f)."""
+    a, b, c, d, e, f = np.unravel_index(np.arange(3**6), (3,) * 6)
+    return np.stack([a, d, e, d, b, f, e, f, c], axis=1).reshape(-1, 3, 3).astype(np.uint8)
 
 
 def check_witt_oracle_agreement(ctx):
-    F3, F5 = GF(3), GF(5)
-    agree3 = _oracle_agreement(
-        Mat(F3, ((a, d, e), (d, b, f), (e, f, c)))
-        for a, b, c, d, e, f in itertools.product(range(3), repeat=6)
-    )
+    agree3 = _oracle_agreement(GF(3), _census_3x3_f3())
     rng = random.Random(8193)
-    agree5 = _oracle_agreement(_random_form(rng, F5, 4) for _ in range(500))
+    agree5 = _oracle_agreement(GF(5), _random_forms(rng, GF(5), 4, 500))
     expected = {"3x3-census": 729, "4x4-random": 500}
     computed = {"3x3-census": agree3, "4x4-random": agree5}
     status = STATUS_PASS if expected == computed else STATUS_FAIL
@@ -370,11 +376,14 @@ def check_matching_edge_rule(ctx):
 def check_o2_exhaustive(ctx):
     F3 = GF(3)
     sp = space_make(1, 0, F3)
+    S = sp.form.tolist()
     census = 0
-    for vals in itertools.product(range(3), repeat=4):
-        T = Mat(F3, ((vals[0], vals[1]), (vals[2], vals[3])))
-        if (T * sp.form * T.transpose()) == sp.form:
-            census += 1
+    for T in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
+        # (T S Tt)[i][j] = sum over k, l of T[i][k] S[k][l] T[j][l]
+        TSTt = [[0] * 2 for _ in range(2)]
+        for i, j, k, l in itertools.product(range(2), repeat=4):
+            TSTt[i][j] = F3.add(TSTt[i][j], F3.mul(F3.mul(T[i][k], S[k][l]), T[j][l]))
+        census += TSTt == S
     closure = reflection_group_order(sp)
     expected = {"census": 4, "closure": 4}
     computed = {"census": census, "closure": closure}

@@ -5,6 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
+from conftest import diagonal, mat_mul
+
 from oigraph import autsearch
 from oigraph import graph as graph_module
 from oigraph.autsearch import (
@@ -13,16 +15,13 @@ from oigraph.autsearch import (
     _Search,
     _vertex_colors,
     certify_dimension_colors,
-    full_aut_order,
-    initial_partition,
-    refine,
+    refine_cells,
     search_automorphisms,
     search_result,
 )
 from oigraph.gf import GF, factor_prime_power
 from oigraph.geometry import classify_type, space_make, subspace_make
 from oigraph.graph import BudgetExceeded, OiGraph, build_graph, neighbour_lists, preserves_adjacency
-from oigraph.linalg import Mat
 from oigraph.symmetry import (
     PermGroup,
     aut_order_formula,
@@ -70,20 +69,20 @@ def brute_order(A):
 
 
 def test_refine_trivial_coloring_oi23(g23):
-    cells = refine(g23, [[0, 1, 2, 3]])
+    cells = refine_cells(g23.nbrs, [[0, 1, 2, 3]])
     assert cells == [[0, 1], [2, 3]]  # loops split from edge endpoints by degree
 
 
 def test_refine_discrete_fixed_point(g23):
     discrete = [[0], [1], [2], [3]]
-    assert refine(g23, discrete) == discrete
+    assert refine_cells(g23.nbrs, discrete) == discrete
 
 
 def test_refine_rejects_non_partition(g23):
     with pytest.raises(ValueError):
-        refine(g23, [[0, 1], [2]])
+        refine_cells(g23.nbrs, [[0, 1], [2]])
     with pytest.raises(ValueError):
-        refine(g23, [[0, 1], [1, 2, 3]])
+        refine_cells(g23.nbrs, [[0, 1], [1, 2, 3]])
 
 
 def reference_refine_cells(adj, cells):
@@ -116,14 +115,14 @@ def test_refine_matches_bitset_reference(nu, delta, q, disc):
     # the search starts from, the certificate's (loop, degree) partition and
     # every individualisation of the first target cell.
     g = build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
-    start = initial_partition(g)
+    start = _cells_from_colors(_vertex_colors(g))
     inputs = [start, _cells_from_colors([(g.loop_at(v), g.degree(v)) for v in range(g.nv)])]
-    cells = refine(g, start)
+    cells = refine_cells(g.nbrs, start)
     ti = _Search._target(cells)
     inputs += [_Search._individualize(cells, ti, w) for w in cells[ti]]
     adj = [sum(1 << int(w) for w in np.flatnonzero(row)) for row in g.adjacency_matrix()]
     for cells in inputs:
-        assert refine(g, cells) == reference_refine_cells(adj, cells)
+        assert refine_cells(g.nbrs, cells) == reference_refine_cells(adj, cells)
 
 
 def rank_profile(g, v):
@@ -135,10 +134,10 @@ def similitude_perm(g, factor):
     """Vertex map of A -> A.diag(factor*I_nu, I_nu); scales the form by factor."""
     f = g.space.field
     nu = g.space.nu
-    T = Mat.diagonal(f, (factor,) * nu + (1,) * nu)
+    T = diagonal((factor,) * nu + (1,) * nu)
     arr = np.empty(g.nv, dtype=np.int64)
     for i, P in enumerate(g.verts):
-        arr[i] = g.index[subspace_make(g.space, (P.basis_matrix() * T).rows).rows]
+        arr[i] = g.index[subspace_make(g.space, mat_mul(f, P.rows, T)).rows]
     return arr
 
 
@@ -146,7 +145,7 @@ def test_refine_cells_are_rank_profile_fibers(g43):
     # On a 2nu-dimensional space the two square-class tags of each odd-rank
     # profile are interchangeable (scaling the form by a nonsquare is a graph
     # automorphism), and 1-WL refinement lands exactly on the merged fibers.
-    cells = sorted(tuple(sorted(c)) for c in refine(g43, initial_partition(g43)))
+    cells = sorted(tuple(sorted(c)) for c in refine_cells(g43.nbrs, _cells_from_colors(_vertex_colors(g43))))
     fibers = {}
     for v in range(g43.nv):
         fibers.setdefault((rank_profile(g43, v), g43.loop_at(v)), []).append(v)
@@ -159,7 +158,7 @@ def test_refine_cells_are_rank_profile_fibers(g43):
 def test_refine_respects_types_odd_dimension():
     # dimension 2nu+1: no form-scaling symmetry, cells match tagged types
     g33 = build_graph(space_make(1, 1, F3))
-    cells = sorted(tuple(sorted(c)) for c in refine(g33, initial_partition(g33)))
+    cells = sorted(tuple(sorted(c)) for c in refine_cells(g33.nbrs, _cells_from_colors(_vertex_colors(g33))))
     fibers = {}
     for v in range(g33.nv):
         fibers.setdefault((classify_type(g33.verts[v]).as_tuple(), g33.loop_at(v)), []).append(v)
@@ -293,9 +292,9 @@ def test_search_relabel_invariance():
 
 
 def test_full_aut_order_oi2_family(g23):
-    assert full_aut_order(g23) == 4 == aut_order_formula(1, 0, 3)
-    assert full_aut_order(build_graph(space_make(1, 0, F5))) == 16
-    assert full_aut_order(build_graph(space_make(1, 0, F9))) == 768
+    assert search_result(g23).order == 4 == aut_order_formula(1, 0, 3)
+    assert search_result(build_graph(space_make(1, 0, F5))).order == 16
+    assert search_result(build_graph(space_make(1, 0, F9))).order == 768
 
 
 def test_full_aut_order_oi43_twice_generated(g43):
@@ -409,7 +408,7 @@ def test_search_result_lists_only_point_neighbours(monkeypatch):
 
 
 def test_search_budget(g23):
-    assert full_aut_order(g23, budget=4) == 4
+    assert search_result(g23, budget=4).order == 4
     with pytest.raises(BudgetExceeded):
-        full_aut_order(g23, budget=3)
+        search_result(g23, budget=3)
     assert DEFAULT_SEARCH_BUDGET == 2000

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from oigraph import graph as graph_module
 from oigraph.gf import GF
-from oigraph.geometry import classify_type, dual, gauss_binomial, gram, space_make, subspace_make
+from oigraph.geometry import classify_type, dual, eliminate, gauss_binomial, gram, space_make, subspace_make
 from oigraph.graph import (
     BudgetExceeded,
     OiGraph,
@@ -30,7 +31,6 @@ from oigraph.graph import (
     pair_blocks,
     recover_parameters,
 )
-from oigraph.linalg import Mat
 
 F3 = GF(3)
 F5 = GF(5)
@@ -84,7 +84,7 @@ def test_vertex_order_and_counts(g43):
 
 def test_loops_are_totally_isotropic(g43):
     for v in range(g43.nv):
-        expect = not any(map(any, gram(g43.verts[v]).rows))
+        expect = not any(map(any, gram(g43.verts[v])))
         assert g43.loop_at(v) == expect
         assert classify_type(g43.verts[v]).r == 0 or not g43.loop_at(v)
 
@@ -102,8 +102,7 @@ def test_degrees_match_pairwise_test(g33):
 
 def test_adjacency_matches_dual_containment(g43):
     def contained(A, B):  # A subseteq B
-        M = Mat(B.space.field, B.rows + A.rows)
-        return M.rank() == B.m
+        return len(eliminate(B.space.field, B.rows + A.rows)[1]) == B.m
 
     for u, v in [(0, 1), (3, 77), (40, 200), (12, 199), (100, 101), (5, 150), (7, 7)]:
         A, B = g43.verts[u], g43.verts[v]
@@ -366,6 +365,20 @@ def test_recover_parameters(g23, g33, g43):
         assert recover_parameters(size, nonloop, d1) == want
     with pytest.raises(ValueError):
         recover_parameters(2, 0, 41)
+
+
+def test_recover_parameters_large_field():
+    # a line over F_q has q + 1 points: q is found by bisection, not by
+    # stepping through every smaller q
+    t0 = time.perf_counter()
+    assert recover_parameters(1, 0, 10**9 + 8) == (1, 0, 10**9 + 7)
+    assert time.perf_counter() - t0 < 1.0
+    q = 10**9 + 7
+    points = (q**4 - 1) // (q - 1)  # a 4-dimensional space
+    assert recover_parameters(2, 0, points) == (2, 0, q)
+    with pytest.raises(ValueError, match="no field order"):
+        recover_parameters(2, 0, points + 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_recover_parameters_rejects_non_spaces():

@@ -1,91 +1,108 @@
+"""The one Gauss-Jordan elimination (geometry.eliminate) and what is read
+from it: reduced rows, rank, determinant, and the kernel inside dual."""
+
 import itertools
 import random
 
 import pytest
 
+from conftest import det, mat_mul
+
+from oigraph.geometry import dual, eliminate, space_make, subspace_make, witt_bruteforce_oracle, witt_decompose
 from oigraph.gf import GF
-from oigraph.linalg import Mat, dot_form
 
 F3 = GF(3)
 F5 = GF(5)
 F9 = GF(3, 2)
 
 
-def rand_mat(field, r, c, rng):
-    return Mat(field, [[rng.randrange(field.q) for _ in range(c)] for _ in range(r)])
+def rand_rows(field, r, c, rng):
+    return tuple(tuple(rng.randrange(field.q) for _ in range(c)) for _ in range(r))
+
+
+def rank(field, rows):
+    return len(eliminate(field, rows)[1])
 
 
 def rand_invertible(field, n, rng):
     while True:
-        M = rand_mat(field, n, n, rng)
-        if M.rank() == n:
+        M = rand_rows(field, n, n, rng)
+        if rank(field, M) == n:
             return M
 
 
 def test_rref_examples():
-    R, rank, piv = Mat(F3, [[0, 1], [1, 0]]).rref()
-    assert R == Mat.identity(F3, 2) and rank == 2 and piv == (0, 1)
-    R, rank, _ = Mat(F3, [[1, 1], [2, 2]]).rref()
-    assert R == Mat(F3, [[1, 1]]) and rank == 1
-    M = Mat(F3, [[1, 2, 0], [0, 0, 1]])
-    R, rank, piv = M.rref()
+    R, piv, _ = eliminate(F3, [[0, 1], [1, 0]])
+    assert R == ((1, 0), (0, 1)) and piv == (0, 1)
+    R, piv, _ = eliminate(F3, [[1, 1], [2, 2]])
+    assert R == ((1, 1),) and len(piv) == 1
+    M = ((1, 2, 0), (0, 0, 1))
+    R, piv, _ = eliminate(F3, M)
     assert R == M and piv == (0, 2)
+    assert eliminate(F3, []) == ((), (), 1)
 
 
 def test_rref_idempotent_and_unique():
     rng = random.Random(7)
     for field in [F3, F5, F9]:
         for _ in range(60):
-            M = rand_mat(field, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-            R, rank, _ = M.rref()
-            assert R.rref()[0] == R
+            M = rand_rows(field, rng.randrange(1, 5), rng.randrange(1, 5), rng)
+            R, _, _ = eliminate(field, M)
+            assert eliminate(field, R)[0] == R
             # row-equivalent matrices share the canonical form
-            U = rand_invertible(field, M.nrows, rng)
-            assert U.mul(M).rref()[0] == R
+            U = rand_invertible(field, len(M), rng)
+            assert eliminate(field, mat_mul(field, U, M))[0] == R
 
 
 def test_kernel_examples():
-    assert Mat(F3, [[1, 0], [0, 1]]).left_kernel().nrows == 0
-    assert Mat(F3, [[1], [2]]).left_kernel() == Mat(F3, [[1, 1]])
-    assert Mat(F3, [[0, 0], [0, 0]]).left_kernel() == Mat.identity(F3, 2)
+    # dual(P) is the kernel of x -> x S Bt for the basis rows B of P
+    s = space_make(1, 0, F3)  # S = [[0, 1], [1, 0]]
+    assert dual(subspace_make(s, [(1, 0)])).rows == ((1, 0),)  # isotropic: its own dual
+    assert dual(subspace_make(s, [(1, 1)])).rows == ((1, 2),)
+    t = space_make(1, 1, F3)
+    assert dual(subspace_make(t, [(1, 0, 0), (0, 1, 0)])).rows == ((0, 0, 1),)
+    assert dual(subspace_make(t, [(0, 0, 1)])).rows == ((1, 0, 0), (0, 1, 0))
 
 
 def test_kernel_rank_identity():
     rng = random.Random(11)
-    for field in [F3, F5]:
+    for space in (space_make(2, 0, F3), space_make(1, 1, F5, "z"), space_make(1, 2, F3)):
+        n = space.n
         for _ in range(80):
-            M = rand_mat(field, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-            K = M.left_kernel()
-            assert K.nrows == M.nrows - M.rank()
-            if K.nrows:
-                assert not any(map(any, K.mul(M).rows))
+            rows = rand_rows(space.field, rng.randrange(1, n + 1), n, rng)
+            if rank(space.field, rows) in (0, n):
+                continue
+            P = subspace_make(space, rows)
+            K = dual(P)
+            assert K.m == n - P.m
+            assert eliminate(space.field, K.rows)[0] == K.rows
+            assert all(space.pair(x, b) == 0 for x in K.rows for b in P.rows)
 
 
 def test_det_examples():
     # det of the rank-2 hyperbolic pairing over F_3 is -1
-    assert Mat(F3, [[0, 1], [1, 0]]).det() == 2
-    assert Mat(F3, [[1, 2], [2, 1]]).det() == (1 - 4) % 3
+    assert det(F3, [[0, 1], [1, 0]]) == 2
+    assert det(F3, [[1, 2], [2, 1]]) == (1 - 4) % 3
     with pytest.raises(ValueError):
-        Mat(F3, [[1, 2, 0]]).det()
+        witt_decompose(F3, [[1, 2, 0]])
 
 
 def test_det_multiplicative():
     rng = random.Random(17)
     f = F9
     for _ in range(30):
-        A, B = rand_mat(f, 3, 3, rng), rand_mat(f, 3, 3, rng)
-        assert A.mul(B).det() == f.mul(A.det(), B.det())
+        A, B = rand_rows(f, 3, 3, rng), rand_rows(f, 3, 3, rng)
+        assert det(f, mat_mul(f, A, B)) == f.mul(det(f, A), det(f, B))
 
 
-def leibniz_det(M):
-    f = M.field
-    n = M.nrows
+def leibniz_det(f, M):
+    n = len(M)
     total = 0
     for perm in itertools.permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = 1
         for i, j in enumerate(perm):
-            term = f.mul(term, M[i, j])
+            term = f.mul(term, M[i][j])
         total = f.sub(total, term) if inversions % 2 else f.add(total, term)
     return total
 
@@ -95,30 +112,22 @@ def test_det_matches_leibniz():
     for field in (F3, F9):
         for n in range(1, 5):
             for _ in range(25):
-                M = rand_mat(field, n, n, rng)
+                M = list(rand_rows(field, n, n, rng))
                 if rng.random() < 0.3:  # a repeated row: singular
-                    rows = list(M.rows)
-                    rows[rng.randrange(n)] = rows[rng.randrange(n)]
-                    M = Mat(field, rows)
-                assert M.det() == leibniz_det(M)
-    assert Mat(F3, (), ncols=0).det() == 1
-
-
-def test_transpose_involution():
-    rng = random.Random(19)
-    M = rand_mat(F5, 3, 4, rng)
-    assert M.transpose().transpose() == M
+                    M[rng.randrange(n)] = M[rng.randrange(n)]
+                assert det(field, M) == leibniz_det(field, M)
+    assert det(F3, ()) == 1
 
 
 def test_vec_helpers():
-    S = Mat(F3, [[0, 1], [1, 0]])
-    assert Mat(F3, [(1, 2)]) * S == Mat(F3, [(2, 1)])
-    assert dot_form(F3, (1, 1), S, (1, 2)) == 0  # the n=2 edge pair
-    assert dot_form(F3, (1, 1), S, (1, 1)) == 2
+    s = space_make(1, 0, F3)  # S = [[0, 1], [1, 0]]
+    assert mat_mul(F3, [(1, 2)], s.form.tolist()) == ((2, 1),)
+    assert s.pair((1, 1), (1, 2)) == 0  # the n=2 edge pair
+    assert s.pair((1, 1), (1, 1)) == 2
 
 
 def test_shape_errors():
     with pytest.raises(ValueError):
-        Mat(F3, [[1, 2], [1]])
+        witt_decompose(F3, [[1, 2], [1]])
     with pytest.raises(ValueError):
-        Mat(F3, [[1, 2]]).mul(Mat(F3, [[1, 2]]))
+        witt_bruteforce_oracle(F3, [[[1, 2]]])

@@ -1,4 +1,5 @@
-"""Smoke tests: the scripts in scripts/ run end to end from the repo root."""
+"""Smoke tests: the scripts in scripts/ run end to end from the repo root,
+and the README's library example runs and prints what it says."""
 
 import pathlib
 import subprocess
@@ -47,3 +48,23 @@ def test_distance_profile_script():
         "  v4 = ((1, 0, 0),)",
         "  v14 = ((1, 0, 0), (0, 0, 1))",
     ]
+
+
+def test_readme_library_block():
+    # each expression line's comment starts with the repr of its value
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        try:
+            expr = compile(code.strip(), "README.md", "eval")
+        except SyntaxError:
+            exec(code, env)
+            continue
+        assert repr(eval(expr, env)) == comment.strip().split("  ")[0], line
+        checked += 1
+    assert checked == 4

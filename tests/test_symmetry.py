@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import det, diagonal, mat_mul
+
 from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import space_make, subspace_make
 from oigraph.graph import build_graph
-from oigraph.linalg import Mat
 from oigraph.symmetry import (
     PermGroup,
     _check_on_points,
@@ -64,9 +65,11 @@ def closure_order(degree, arrays):
     return len(elems)
 
 
-def row_times(v, T):
-    """The row vector v times T, by Mat's own product."""
-    return (Mat(T.field, [v]) * T).rows[0]
+def row_times(f, v, T):
+    """The row vector v times T, by the tests' scalar product."""
+    return mat_mul(f, [v], T)[0]
+
+
 
 
 def is_identity(p):
@@ -74,25 +77,23 @@ def is_identity(p):
 
 
 def is_orthogonal(space, T):
-    return T * space.form * T.transpose() == space.form
+    f, S = space.field, space.form.tolist()
+    return mat_mul(f, mat_mul(f, T, S), tuple(zip(*T))) == tuple(map(tuple, S))
 
 
 def mat_reflection(space, v):
-    """x |-> x - 2 (x.S.vt / v.S.vt) v as a Mat acting on row vectors, one
-    entry at a time: the reference for the vectorised reflect."""
+    """x |-> x - 2 (x.S.vt / v.S.vt) v as a matrix acting on row vectors,
+    one entry at a time: the reference for the vectorised reflect."""
     f = space.field
     norm = space.pair(v, v)
     if norm == 0:
         raise ValueError("reflection axis must be anisotropic")
     c = f.div(f.add(1, 1), norm)
-    w = (Mat(f, (tuple(v),)) * space.form).rows[0]
+    w = row_times(f, v, space.form.tolist())
     n = space.n
-    return Mat(
-        f,
-        tuple(
-            tuple(f.sub(1 if i == j else 0, f.mul(c, f.mul(w[i], v[j]))) for j in range(n))
-            for i in range(n)
-        ),
+    return tuple(
+        tuple(f.sub(1 if i == j else 0, f.mul(c, f.mul(w[i], v[j]))) for j in range(n))
+        for i in range(n)
     )
 
 
@@ -119,7 +120,7 @@ def nonzero_vectors(space):
 
 def matrix_points(g, T):
     """The point array of the matrix T acting on row vectors."""
-    return g.point_action(lambda X: g.space.field.matmul(X, np.array(T.rows)))
+    return g.point_action(lambda X: g.space.field.matmul(X, np.array(T)))
 
 
 # -- reflections -----------------------------------------------------------
@@ -128,13 +129,13 @@ def matrix_points(g, T):
 def test_reflection_example(sp43):
     w = tuple(map(sum, zip(sp43.e(1), sp43.f(1))))  # e1 + f1
     T = mat_reflection(sp43, w)
-    assert row_times(sp43.e(1), T) == (0, 0, 2, 0)  # e1 -> -f1
-    assert row_times(sp43.f(1), T) == (2, 0, 0, 0)
-    assert row_times(sp43.e(2), T) == sp43.e(2)
-    assert row_times(sp43.f(2), T) == sp43.f(2)
+    assert row_times(F3, sp43.e(1), T) == (0, 0, 2, 0)  # e1 -> -f1
+    assert row_times(F3, sp43.f(1), T) == (2, 0, 0, 0)
+    assert row_times(F3, sp43.e(2), T) == sp43.e(2)
+    assert row_times(F3, sp43.f(2), T) == sp43.f(2)
     assert is_orthogonal(sp43, T)
-    assert T * T == Mat.identity(F3, 4)
-    assert T.det() == F3.neg(1)
+    assert mat_mul(F3, T, T) == diagonal((1,) * 4)
+    assert det(F3, T) == F3.neg(1)
     # the vectorised images through the same axis
     aniso = reference_axes(sp43)
     basis = [sp43.e(1), sp43.f(1), sp43.e(2), sp43.f(2)]
@@ -164,12 +165,12 @@ def test_orthogonal_generators(sp43):
     mats = mat_reflections(sp43)
     assert len(mats) == 24  # 40 points, 16 isotropic
     assert all(is_orthogonal(sp43, T) for T in mats)
-    assert all(T.det() == F3.neg(1) for T in mats)
+    assert all(det(F3, T) == F3.neg(1) for T in mats)
     vecs = nonzero_vectors(sp43)
     images = reflect(sp43, vecs)
     assert images.shape == (24, 80, 4)
     for T, img in zip(mats, images):
-        assert [tuple(x) for x in img.tolist()] == [row_times(v, T) for v in vecs]
+        assert [tuple(x) for x in img.tolist()] == [row_times(F3, v, T) for v in vecs]
 
 
 def test_orthogonal_closure_order_1152(sp43):
@@ -177,7 +178,7 @@ def test_orthogonal_closure_order_1152(sp43):
     # independent route: explicit closure of the reference vector permutations
     vecs = nonzero_vectors(sp43)
     index = {v: i for i, v in enumerate(vecs)}
-    arrays = [np.array([index[row_times(v, T)] for v in vecs]) for T in mat_reflections(sp43)]
+    arrays = [np.array([index[row_times(F3, v, T)] for v in vecs]) for T in mat_reflections(sp43)]
     assert closure_order(len(vecs), arrays) == 1152
 
 
@@ -185,13 +186,13 @@ def test_orthogonal_closure_order_1152(sp43):
 
 
 def test_perm_from_matrix_basics(g43):
-    ident = matrix_points(g43, Mat.identity(F3, 4))
+    ident = matrix_points(g43, diagonal((1,) * 4))
     assert ident.dtype == np.int64 and is_identity(ident) and is_identity(g43.lift(ident))
-    minus = matrix_points(g43, Mat.diagonal(F3, (2,) * 4))
+    minus = matrix_points(g43, diagonal((2,) * 4))
     assert is_identity(minus)
     # not orthogonal: it permutes the points and lifts, but the point-graph
     # check and the full-graph reference both reject it
-    bad = matrix_points(g43, Mat.diagonal(F3, (1, 1, 1, 2)))
+    bad = matrix_points(g43, diagonal((1, 1, 1, 2)))
     assert not g43.dim1_subgraph().is_automorphism(bad)
     assert not g43.is_automorphism(g43.lift(bad))
     with pytest.raises(ValueError, match="orthogonality"):
@@ -203,12 +204,12 @@ def test_perm_from_matrix_basics(g43):
 def test_perm_matches_negated_matrix(g43):
     gens = mat_reflections(g43.space)
     rng = np.random.default_rng(7)
-    minus = Mat.diagonal(F3, (2,) * 4)
+    minus = diagonal((2,) * 4)
     for _ in range(20):
-        T = Mat.identity(F3, 4)
+        T = diagonal((1,) * 4)
         for i in rng.integers(0, len(gens), size=3):
-            T = T * gens[int(i)]
-        assert np.array_equal(matrix_points(g43, T), matrix_points(g43, T * minus))
+            T = mat_mul(F3, T, gens[int(i)])
+        assert np.array_equal(matrix_points(g43, T), matrix_points(g43, mat_mul(F3, T, minus)))
 
 
 def test_reflection_perm_preserves_adjacency(g43):
@@ -285,7 +286,7 @@ def test_point_action_matches_per_vertex_reference(g43):
     for g in (g43, gz):
         gens = point_generators(g)
         for p, T in list(zip(gens, mat_reflections(g.space)))[:12]:
-            want = reference_perm(g, lambda r: row_times(r, T))
+            want = reference_perm(g, lambda r: row_times(g.space.field, r, T))
             assert np.array_equal(g.lift(p), want)
     # pi = 1, d1 = -1: entrywise Frobenius, then diag(1, 1, -sqrt(z^3 / z))
     z = gz.space.z
