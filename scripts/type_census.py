@@ -7,9 +7,9 @@ import sys
 
 sys.path.insert(0, "src")
 
-from oigraph.geometry import classify_type, gauss_binomial, space_make
+from oigraph.geometry import gauss_binomial, space_make
 from oigraph.gf import parse_field
-from oigraph.graph import build_graph
+from oigraph.graph import build_graph, classify_types
 
 
 def main(argv):
@@ -25,8 +25,7 @@ def main(argv):
     print(f"{space.label()}: {g.nv} vertices, {g.edge_count()} edges, "
           f"{g.loops.bit_count()} loops")
     census = {}
-    for i, P in enumerate(g.verts):
-        t = classify_type(P)
+    for i, t in enumerate(classify_types(g)):
         census.setdefault(t.m, {}).setdefault(t.as_tuple(), [0, 0])
         census[t.m][t.as_tuple()][0] += 1
         census[t.m][t.as_tuple()][1] += g.loop_at(i)

@@ -10,6 +10,7 @@ from .graph import (
     OiGraph,
     adjacent,
     build_graph,
+    classify_types,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -38,6 +39,7 @@ __all__ = [
     "aut_order_formula",
     "build_graph",
     "classify_type",
+    "classify_types",
     "e_subgroup_generators",
     "e_subgroup_order",
     "edge_orbits",

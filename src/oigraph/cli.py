@@ -14,7 +14,7 @@ import sys
 from .autsearch import search_result
 from .geometry import classify_type, space_make
 from .gf import parse_field
-from .graph import BudgetExceeded, build_graph, dot_pieces, json_pieces
+from .graph import BudgetExceeded, build_graph, classify_types, dot_pieces, json_pieces
 from .symmetry import PermGroup, aut_order_formula, point_generators, vertex_generators, vertex_orbits
 from .verify import VERSION, run_suite
 
@@ -147,8 +147,7 @@ def cmd_classify(args) -> int:
         raise ValueError(f"--dim {args.dim} is out of range 1..{space.n - 1}")
     g = build_graph(space, args.budget)
     census = {}
-    for P in g.verts:
-        t = classify_type(P)
+    for t in classify_types(g):
         if args.dim is None or t.m == args.dim:
             census[t] = census.get(t, 0) + 1
     rows = [{"dim": t.m, "type": _type_json(t), "count": n} for t, n in sorted(census.items())]

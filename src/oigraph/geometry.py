@@ -11,9 +11,19 @@ for z the canonical non-square.  Basis vectors are indexed e_1..e_nu,
 f_1..f_nu (= e_{nu+i}), then eps and kappa for the definite tail.
 
 Forms and Gram matrices are GF code data: OSpace.form is a read-only
-(n, n) array, gram gives row tuples.  One pure-Python Gauss-Jordan
-elimination (eliminate) gives the reduced rows, pivots and signed pivot
-product that subspace_make, dual and witt_decompose read.
+(n, n) array, gram gives row tuples.  Gauss-Jordan elimination comes in
+two forms with the same steps, each giving the reduced rows, pivots and
+signed pivot product.  The scalar one (eliminate, pure Python) serves one
+matrix at a time: subspace_make and subspace_span, dual, witt_decompose
+and so classify_type, which the pipelines call once per vertex: one 4 x 4
+Gram matrix takes about 22 us in witt_decompose and about 230 us of numpy
+dispatch in witt_stack (2-core x86-64 Xeon, CPython 3.11, numpy 2.4).
+dual and adjacent stay on it, and off GF.matmul, as the references the
+packed adjacency is tested against.  The stacked one
+(eliminate_stack) reduces a (k, r, c) stack of code matrices at once
+through the GF.arrays tables: witt_stack types a stack of forms with it,
+graph.classify_types every vertex of a graph, and graph.sum_ids finds the
+vertex that each pair of vertices spans.
 
 Subspaces are canonical: the reduced-row-echelon basis identifies them
 uniquely.  rref_bases is the one enumeration of them, an array per
@@ -22,10 +32,11 @@ oracle's candidates all come from it.  A subspace is classified by
 (m, r, s, tag): dimension, Gram rank, Witt index of the restricted form,
 and the square class of the 1-dimensional anisotropic residual when
 r - 2s = 1.  The type is read off one RREF of the Gram matrix
-(witt_decompose): the rank and pivots from the RREF, the discriminant from
-the principal minor on the pivots.
+(witt_decompose, or witt_stack for a stack): the rank and pivots from the
+RREF, the discriminant from the principal minor on the pivots, and
+witt_type maps the two to the type.
 witt_bruteforce_oracle finds the Witt index by exhaustive search as an
-independent check that runs no elimination, batched over a (k, m, m)
+independent check that runs neither elimination, batched over a (k, m, m)
 stack of forms as well as candidates.  Each row of an rref basis is a
 projective point (rref_point_ids), so every Gram block is read from one
 table of the points under each form: a candidate is tested only if its
@@ -165,9 +176,9 @@ class Subspace:
 
 
 def eliminate(field: GF, rows):
-    """Gauss-Jordan elimination of rows of codes, the one elimination here:
-    (the nonzero reduced rows as tuples, the pivot columns, the signed
-    product of the pivots).
+    """Gauss-Jordan elimination of rows of codes, one matrix in pure
+    Python: (the nonzero reduced rows as tuples, the pivot columns, the
+    signed product of the pivots).
 
     The reduced rows are the unique reduced row echelon form, so two row
     lists span the same space iff they reduce to the same rows.  Each pivot
@@ -176,7 +187,7 @@ def eliminate(field: GF, rows):
     determinant.
     """
     f = field
-    work = [list(r) for r in rows]
+    work = [list(map(int, r)) for r in rows]  # numpy codes would wrap in f.mul and f.add
     nr = len(work)
     nc = len(work[0]) if work else 0
     pivots = []
@@ -185,8 +196,10 @@ def eliminate(field: GF, rows):
     for c in range(nc):
         if r == nr:
             break
-        pr = next((i for i in range(r, nr) if work[i][c] != 0), None)
-        if pr is None:
+        for pr in range(r, nr):
+            if work[pr][c] != 0:
+                break
+        else:
             continue
         if pr != r:
             work[r], work[pr] = work[pr], work[r]
@@ -263,12 +276,6 @@ def gram(P: Subspace):
     return tuple(map(tuple, out))
 
 
-def subspace_sum(X1: Subspace, X2: Subspace) -> Subspace:
-    if X1.space != X2.space:
-        raise ValueError("subspaces live in different ambient spaces")
-    return subspace_span(X1.space, X1.rows + X2.rows)
-
-
 # ---------------------------------------------------------------------------
 # Witt classification
 
@@ -316,29 +323,110 @@ def witt_decompose(field: GF, G):
     independent rows.  No nonzero x in span(e_piv) has x G = 0, so
     F^m = span(e_piv) + rad G is a direct sum, orthogonal because rad G
     pairs to zero with everything.  Hence the principal minor G[piv, piv]
-    is nondegenerate and is the rank part up to isometry, and D = its det.
-    A hyperbolic plane has discriminant -1, so with s = r // 2 and
-    c = (-1)^s D: r odd gives s planes plus <c>, tagged by the square class
-    of c; r even gives s planes when c is a square and otherwise s - 1
-    planes plus the anisotropic plane.  witt_bruteforce_oracle is the
-    independent check.
+    is nondegenerate and is the rank part up to isometry, and D = its det
+    (witt_type reads (r, D)).  witt_bruteforce_oracle is the independent
+    check.
     """
     G = [tuple(row) for row in (G.tolist() if isinstance(G, np.ndarray) else G)]
     m = len(G)
     if any(len(row) != m for row in G) or list(zip(*G)) != G:
         raise ValueError("witt decomposition needs a symmetric matrix")
     _, piv, c = eliminate(field, G)
-    r = len(piv)
-    if r < m:  # the minor is nondegenerate, so its signed pivot product is its det
+    if len(piv) < m:  # the minor is nondegenerate, so its signed pivot product is its det
         c = eliminate(field, [[G[i][j] for j in piv] for i in piv])[2]
+    return witt_type(field, len(piv), c)
+
+
+def witt_type(field: GF, r: int, D: int):
+    """(s, gamma, tag) of a nondegenerate symmetric form of rank r and
+    discriminant D, the closed form witt_decompose and witt_stack share.
+    A hyperbolic plane has discriminant -1, so with s = r // 2 and
+    c = (-1)^s D: r odd gives s planes plus <c>, tagged by the square class
+    of c; r even gives s planes when c is a square and otherwise s - 1
+    planes plus the anisotropic plane."""
     s, odd = divmod(r, 2)
-    if s % 2:
-        c = field.neg(c)
+    c = field.neg(D) if s % 2 else D
     if odd:
         return s, 1, "one" if field.is_square(c) else "z"
     if r and not field.is_square(c):
         return s - 1, 2, None
     return s, 0, None
+
+
+def eliminate_stack(field: GF, A):
+    """Gauss-Jordan elimination of every matrix of a (k, r, c) stack of
+    codes at once, eliminate's steps column by column through the
+    field.arrays tables.  Returns (R, rank, pivots, det): the reduced
+    stack R, whose matrix i holds its nonzero reduced rows in its first
+    rank[i] rows and zeros below; the pivot columns as a (k, c) mask; and
+    the signed pivot product of each matrix.  Per column, the matrices
+    that find a pivot at or below their next pivot row swap it up, scale
+    it by its inverse and clear the column in every other row, each step
+    one table gather over those matrices.  Each column costs a fixed few
+    dozen microseconds of numpy dispatch, so a single matrix is faster on
+    eliminate.
+    """
+    t = field.arrays
+    A = np.array(A, dtype=t.mul.dtype)
+    k, nr, nc = A.shape
+    rank = np.zeros(k, dtype=np.intp)
+    pivots = np.zeros((k, nc), dtype=bool)
+    det = np.ones(k, dtype=A.dtype)
+    below = np.arange(nr)
+    for c in range(nc):
+        found = (A[:, :, c] != 0) & (below >= rank[:, None])
+        at = np.flatnonzero(found.any(axis=1))
+        if not len(at):
+            continue
+        pr, r = found[at].argmax(axis=1), rank[at]
+        det[at] = t.mul[np.where(pr != r, t.neg[det[at]], det[at]), A[at, pr, c]]
+        top = t.mul[t.inv[A[at, pr, c]][:, None], A[at, pr]]
+        A[at, pr] = A[at, r]
+        A[at, r] = top
+        M = A[at]
+        factor = t.neg[M[:, :, c]]
+        factor[np.arange(len(at)), r] = 0
+        A[at] = t.add[M, t.mul[factor[:, :, None], top[:, None, :]]]
+        pivots[at, c] = True
+        rank[at] += 1
+    return A, rank, pivots, det
+
+
+def witt_stack(field: GF, forms):
+    """witt_decompose of each form of a (k, m, m) stack of symmetric code
+    matrices, as a list of (s, gamma, tag): one eliminate_stack of the
+    stack gives each form's rank and pivots, and the degenerate forms'
+    pivot minors, grouped by rank, one more eliminate_stack each for their
+    determinants (a rank-0 form's is 1, unread).  witt_type maps each
+    distinct (rank, discriminant) once.
+    ValueError unless forms is k symmetric square forms of one size."""
+    if not len(forms):
+        return []
+    forms = _form_stack(forms)
+    _, rank, piv, disc = eliminate_stack(field, forms)
+    for r in range(1, forms.shape[1]):
+        at = np.flatnonzero(rank == r)
+        if len(at):
+            cols = np.nonzero(piv[at])[1].reshape(len(at), r)
+            minors = forms[at[:, None, None], cols[:, :, None], cols[:, None, :]]
+            disc[at] = eliminate_stack(field, minors)[3]
+    keys = (rank * field.q + disc).tolist()
+    types = {key: witt_type(field, *divmod(key, field.q)) for key in set(keys)}
+    return [types[key] for key in keys]
+
+
+def _form_stack(forms) -> np.ndarray:
+    """forms as a (k, m, m) array; ValueError unless they are square forms
+    of one size and symmetric."""
+    try:
+        forms = np.asarray(forms)
+    except ValueError:  # ragged
+        forms = None
+    if forms is None or forms.ndim != 3 or forms.shape[1] != forms.shape[2]:
+        raise ValueError("forms must be square and of one size")
+    if not np.array_equal(forms, forms.transpose(0, 2, 1)):
+        raise ValueError("forms must be symmetric")
+    return forms
 
 
 # Most candidate bases witt_bruteforce_oracle tests in one dimension: admits
@@ -382,14 +470,7 @@ def witt_bruteforce_oracle(field: GF, forms) -> list[int]:
     """
     if not len(forms):
         return []
-    try:
-        forms = np.asarray(forms)
-    except ValueError:  # ragged
-        forms = None
-    if forms is None or forms.ndim != 3 or forms.shape[1] != forms.shape[2]:
-        raise ValueError("oracle forms must be square and of one size")
-    if not np.array_equal(forms, forms.transpose(0, 2, 1)):
-        raise ValueError("oracle forms must be symmetric")
+    forms = _form_stack(forms)
     m = forms.shape[1]
     worst = max(gauss_binomial(m, d, field.q) for d in range(m + 1))
     if worst > ORACLE_MAX_BASES:
@@ -491,10 +572,17 @@ def rref_point_ids(field: GF, n: int, m: int) -> np.ndarray:
     read-only (K, m) array, ids into the points rref_bases(field, n, 1).
 
     A row of an rref basis has 1 as its first nonzero entry, so it is
-    itself a point's basis.  The points ascend by row, so by the row read
-    as a base-q number, and one searchsorted finds every row."""
-    digits = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    points = rref_bases(field, n, 1)[:, 0] @ digits
-    ids = np.searchsorted(points, rref_bases(field, n, m) @ digits)
+    itself a point's basis (point_ids).  The bases ascend by their rows, so
+    the id rows ascend lexicographically too."""
+    ids = point_ids(field, rref_bases(field, n, m))
     ids.setflags(write=False)
     return ids
+
+
+def point_ids(field: GF, rows) -> np.ndarray:
+    """The point id of each row (last axis) of rows, each a vector whose
+    first nonzero entry is 1: the points ascend by row, so by the row read
+    as a base-q number, and one searchsorted finds every row."""
+    n = np.shape(rows)[-1]
+    digits = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(rref_bases(field, n, 1)[:, 0] @ digits, rows @ digits)

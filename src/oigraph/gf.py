@@ -264,6 +264,9 @@ class GF:
         return a
 
     # -- arithmetic --------------------------------------------------------
+    # The scalar operations take Python ints.  Prime fields compute with
+    # % p, so numpy codes would wrap at their width (uint8: 16 * 16 = 0);
+    # callers that read arrays convert first, as eliminate does.
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:

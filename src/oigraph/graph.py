@@ -47,7 +47,20 @@ import os
 import numpy as np
 
 from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, factor_prime_power, parse_field
-from .geometry import OSpace, Subspace, check_space_params, eliminate, gauss_binomial, rref_bases, space_make
+from .geometry import (
+    OSpace,
+    Subspace,
+    SubspaceType,
+    check_space_params,
+    eliminate,
+    eliminate_stack,
+    gauss_binomial,
+    point_ids,
+    rref_bases,
+    rref_point_ids,
+    space_make,
+    witt_stack,
+)
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
@@ -517,6 +530,72 @@ def _fill_adjacency(g: OiGraph) -> None:
     step = max(1, _BLOCK // ((n - 1) * g.rows.shape[1]))
     for lo in range(0, g.nv, step):
         g.rows[lo : lo + step] = np.bitwise_and.reduce(point_rows[basis[lo : lo + step]], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# vertex types and vertex sums, stacked
+
+
+def classify_types(g: OiGraph) -> list:
+    """classify_type of every vertex of g, in vertex order, by witt_stack.
+
+    Entry (i, j) of a vertex's Gram block B S Bt is p_i S p_jt for the
+    points p_i, p_j of its basis rows i and j (rref_point_ids), so every
+    block is read from the one (P, n) table pts S.  The vertices of each
+    dimension go in blocks whose gathers and elimination temporaries stay
+    near _BLOCK bytes; no table grows with P^2.  Equal types are one
+    SubspaceType object.
+    """
+    f, n = g.space.field, g.space.n
+    pts = g._points.vectors
+    ptsS = f.matmul(pts, g.space.form)
+    made = {}
+    out = []
+    for m in range(1, n):
+        ids = rref_point_ids(f, n, m)
+        step = max(1, _BLOCK // (8 * m * (2 * n + 3 * m)))  # two gathers, int index temporaries
+        for lo in range(0, len(ids), step):
+            block = ids[lo : lo + step]
+            grams = f.matmul(ptsS[block], pts[block].transpose(0, 2, 1))
+            for s, gamma, tag in witt_stack(f, grams):
+                key = (m, s, gamma, tag)
+                if key not in made:
+                    made[key] = SubspaceType(m, 2 * s + gamma, s, tag)
+                out.append(made[key])
+    return out
+
+
+def sum_ids(g: OiGraph, u, v) -> np.ndarray:
+    """The vertex id of the sum of vertices u[i] and v[i] for each i, or -1
+    where the sum is the whole space.
+
+    Each pair's two bases, padded with zero rows to n - 1 rows each, are
+    one matrix of a stack that eliminate_stack reduces, a block of pairs
+    near _BLOCK bytes at a time.  The rank of a sum is its dimension m, and
+    its first m reduced rows are its rref basis: their point ids, looked up
+    among the ascending id rows of rref_point_ids, give its vertex."""
+    f, n = g.space.field, g.space.n
+    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
+    dims = range(1, n)
+    bases = np.concatenate([np.pad(rref_bases(f, n, m), ((0, 0), (0, n - 1 - m), (0, 0))) for m in dims])
+    keys = [_id_keys(rref_point_ids(f, n, m)) for m in dims]
+    starts = np.cumsum([0] + [len(k) for k in keys])
+    out = np.full(len(u), -1, dtype=np.intp)
+    step = max(1, _BLOCK // (16 * (n - 1) * n))  # the stack's int index temporaries
+    for lo in range(0, len(u), step):
+        R, rank = eliminate_stack(f, np.concatenate([bases[u[lo : lo + step]], bases[v[lo : lo + step]]], axis=1))[:2]
+        for m, start, table in zip(dims, starts, keys):
+            at = np.flatnonzero(rank == m)
+            if len(at):
+                out[lo + at] = start + np.searchsorted(table, _id_keys(point_ids(f, R[at, :m])))
+    return out
+
+
+def _id_keys(ids: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array of point ids as one bytes key, big-endian so
+    that the keys order as the rows do lexicographically."""
+    rows = np.ascontiguousarray(ids, dtype=">u4")
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
 
 # ---------------------------------------------------------------------------

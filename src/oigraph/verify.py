@@ -21,16 +21,9 @@ from time import perf_counter
 import numpy as np
 
 from .autsearch import search_result
-from .geometry import (
-    SubspaceType,
-    classify_type,
-    space_make,
-    subspace_sum,
-    witt_bruteforce_oracle,
-    witt_decompose,
-)
+from .geometry import SubspaceType, space_make, witt_bruteforce_oracle, witt_decompose, witt_stack
 from .gf import GF, factor_prime_power
-from .graph import build_graph, max_clique_dim1, recover_parameters
+from .graph import build_graph, classify_types, max_clique_dim1, recover_parameters, sum_ids
 from .symmetry import (
     aut_order_formula,
     e_subgroup_generators,
@@ -149,9 +142,10 @@ class _Ctx:
         return self._graphs[key]
 
     def types(self, g):
-        """classify_type of each vertex of g, computed once per space."""
+        """classify_type of each vertex of g, computed once per space by
+        the stacked classify_types."""
         if g.space not in self._types:
-            self._types[g.space] = [classify_type(P) for P in g.verts]
+            self._types[g.space] = classify_types(g)
         return self._types[g.space]
 
 
@@ -245,14 +239,15 @@ def _vertex_fiber_partition(types):
 
 def _edge_fiber_partition(g, types):
     """Edges, loops included, grouped by their endpoints' types and the type
-    of the endpoints' sum.  A sum is a vertex, whose type is looked up, or
-    the whole space, whose Gram matrix is the form, classified once here."""
+    of the endpoints' sum.  One stacked sum_ids gives every sum: a vertex,
+    whose type is looked up, or the whole space (-1), whose Gram matrix is
+    the form, classified once here."""
     s, gamma, tag = witt_decompose(g.space.field, g.space.form)
     whole = SubspaceType(g.space.n, 2 * s + gamma, s, tag)
+    pairs = np.array(g.edge_pairs_with_loops(), dtype=np.intp).reshape(-1, 2)
     fibers = {}
-    for u, v in g.edge_pairs_with_loops():
-        total = subspace_sum(g.verts[u], g.verts[v])
-        key = (*sorted((types[u], types[v])), types[g.index[total.rows]] if total.is_vertex else whole)
+    for (u, v), w in zip(pairs.tolist(), sum_ids(g, pairs[:, 0], pairs[:, 1]).tolist()):
+        key = (*sorted((types[u], types[v])), types[w] if w >= 0 else whole)
         fibers.setdefault(key, []).append((u, v))
     return sorted(tuple(sorted(v)) for v in fibers.values())
 
@@ -285,9 +280,10 @@ def check_edge_orbits_are_type_triples(ctx):
 
 def _oracle_agreement(field, forms) -> int:
     """How many forms of the (k, m, m) stack forms get the same Witt index
-    from witt_decompose and from one witt_bruteforce_oracle pass."""
+    from the closed form, one witt_stack (witt_decompose form by form), and
+    from one witt_bruteforce_oracle pass."""
     witt = witt_bruteforce_oracle(field, forms)
-    return sum(witt_decompose(field, G)[0] == s for G, s in zip(forms, witt))
+    return sum(w[0] == s for w, s in zip(witt_stack(field, forms), witt))
 
 
 def _random_forms(rng, field, n, k):

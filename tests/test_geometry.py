@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import diagonal, mat_mul
 
 from oigraph import geometry
+from oigraph import graph as graph_module
 from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import (
@@ -29,11 +30,13 @@ from oigraph.geometry import (
     rref_point_ids,
     space_make,
     subspace_make,
-    subspace_sum,
+    subspace_span,
     witt_bruteforce_oracle,
     witt_decompose,
+    witt_stack,
 )
-from oigraph.graph import build_graph
+from oigraph.gf import factor_prime_power
+from oigraph.graph import build_graph, classify_types
 from oigraph.symmetry import edge_orbits, po_e_generators
 from oigraph.verify import _census_3x3_f3, _random_forms
 
@@ -346,8 +349,8 @@ def test_witt_oracle_peak_on_suite_f5_forms():
 
 
 def test_witt_oracle_runs_no_elimination(monkeypatch):
-    # the oracle reads the radical from its point table, so it does not
-    # share the Gauss-Jordan elimination witt_decompose reads; the census
+    # the oracle reads the radical from its point table, so it shares
+    # neither Gauss-Jordan elimination witt_decompose and witt_stack read; the census
     # holds degenerate forms down to the zero form
     f, census = suite_oracle_forms()[0]
     want = [witt_decompose(f, G)[0] for G in census]
@@ -356,6 +359,7 @@ def test_witt_oracle_runs_no_elimination(monkeypatch):
         raise AssertionError("the oracle ran an elimination")
 
     monkeypatch.setattr(geometry, "eliminate", no_elimination)
+    monkeypatch.setattr(geometry, "eliminate_stack", no_elimination)
     assert witt_bruteforce_oracle(f, census) == want
 
 
@@ -403,6 +407,69 @@ def test_witt_oracle_rejects_mixed_stacks():
         witt_bruteforce_oracle(F3, [[[0, 1], [1, 0]], diagonal((1, 2, 0))])
     with pytest.raises(ValueError, match="square"):
         witt_bruteforce_oracle(F3, np.zeros((2, 2, 3), dtype=np.uint8))
+
+
+def random_forms(field, m, k, seed):
+    """k random symmetric m x m forms, entries zero half the time, so
+    degenerate forms of every rank occur."""
+    rng = random.Random(seed)
+    forms = np.zeros((k, m, m), dtype=np.uint8)
+    for G in forms:
+        for i in range(m):
+            for j in range(i, m):
+                G[i, j] = G[j, i] = rng.choice([0, rng.randrange(field.q)])
+    return forms
+
+
+WITT_STACKS = {
+    "3x3-f3-census": (F3, _census_3x3_f3()),
+    "4x4-f5-suite": suite_oracle_forms()[1],
+    "3x3-f9-random": (GF(3, 2), random_forms(GF(3, 2), 3, 300, 91)),
+    "4x4-f25-random": (GF(5, 2), random_forms(GF(5, 2), 4, 300, 251)),
+    "1x1-f7": (GF(7), np.arange(7, dtype=np.uint8).reshape(7, 1, 1)),
+    "empty": (F3, np.zeros((0, 3, 3), dtype=np.uint8)),
+}
+
+
+@pytest.mark.parametrize("name", list(WITT_STACKS))
+def test_witt_stack_matches_witt_decompose(name):
+    f, forms = WITT_STACKS[name]
+    assert witt_stack(f, forms) == [witt_decompose(f, G) for G in forms]
+
+
+def test_witt_stack_rejects_what_witt_decompose_rejects():
+    assert witt_stack(F3, []) == []
+    with pytest.raises(ValueError, match="symmetric"):
+        witt_stack(F3, [[[0, 1], [2, 0]]])
+    with pytest.raises(ValueError, match="square"):
+        witt_stack(F3, np.zeros((2, 2, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(2, 0, 3, "one"), (1, 2, 3, "one"), (2, 0, 5, "one"), (2, 1, 3, "one"), (1, 1, 9, "one"), (1, 1, 9, "z"), (1, 1, 25, "one")],
+    ids=["oi43", "oi43-delta2", "oi45", "oi53", "oi39", "oi39-z", "oi3-25"],
+)
+def test_classify_types_matches_classify_type(params):
+    nu, delta, q, disc = params
+    g = build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
+    assert classify_types(g) == [classify_type(P) for P in g.verts]
+
+
+def test_classify_types_peak_near_block(monkeypatch):
+    # the Gram blocks come from the (P, n) table pts S a vertex block at a
+    # time, so the temporaries follow _BLOCK, not P^2 (424 KB here): 33 KB
+    # at this _BLOCK, 95 KB at the default
+    g = build_graph(space_make(1, 1, GF(5, 2)))  # 651 points, 1302 vertices
+    want = classify_types(g)
+    monkeypatch.setattr(graph_module, "_BLOCK", 1 << 14)
+    tracemalloc.start()
+    try:
+        assert classify_types(g) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_classify_examples():
@@ -504,13 +571,11 @@ def test_subspace_sum():
     s = oi43()
     A = subspace_make(s, [s.e(1)])
     B = subspace_make(s, [s.e(2)])
-    assert subspace_sum(A, B) == subspace_make(s, [s.e(1), s.e(2)])
+    assert subspace_span(s, A.rows + B.rows) == subspace_make(s, [s.e(1), s.e(2)])
     C = subspace_make(s, [tuple(F3.add(a, b) for a, b in zip(s.e(1), s.e(2)))])
-    assert subspace_sum(A, C) == subspace_make(s, [s.e(1), s.e(2)])
-    assert subspace_sum(A, A) == A
-    full = subspace_sum(
-        subspace_make(s, [s.e(1), s.e(2)]), subspace_make(s, [s.f(1), s.f(2)])
-    )
+    assert subspace_span(s, A.rows + C.rows) == subspace_make(s, [s.e(1), s.e(2)])
+    assert subspace_span(s, A.rows + A.rows) == A
+    full = subspace_span(s, subspace_make(s, [s.e(1), s.e(2)]).rows + subspace_make(s, [s.f(1), s.f(2)]).rows)
     assert full.m == 4 and not full.is_vertex
     assert classify_type(full) == SubspaceType(4, 4, 2)
 

@@ -1,14 +1,24 @@
-"""The one Gauss-Jordan elimination (geometry.eliminate) and what is read
-from it: reduced rows, rank, determinant, and the kernel inside dual."""
+"""The Gauss-Jordan eliminations, scalar (geometry.eliminate) and stacked
+(geometry.eliminate_stack), and what is read from them: reduced rows,
+rank, determinant, and the kernel inside dual."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import det, mat_mul
 
-from oigraph.geometry import dual, eliminate, space_make, subspace_make, witt_bruteforce_oracle, witt_decompose
+from oigraph.geometry import (
+    dual,
+    eliminate,
+    eliminate_stack,
+    space_make,
+    subspace_make,
+    witt_bruteforce_oracle,
+    witt_decompose,
+)
 from oigraph.gf import GF
 
 F3 = GF(3)
@@ -131,3 +141,40 @@ def test_shape_errors():
         witt_decompose(F3, [[1, 2], [1]])
     with pytest.raises(ValueError):
         witt_bruteforce_oracle(F3, [[[1, 2]]])
+
+
+@pytest.mark.parametrize("field", [F3, GF(17), F9, GF(5, 2)], ids=str)
+def test_eliminate_stack_matches_eliminate(field):
+    # every matrix of a stack, of several shapes with zero and repeated
+    # rows, reduces as the scalar elimination reduces it alone
+    rng = random.Random(field.q)
+    for r, c in [(1, 1), (2, 3), (3, 3), (4, 4), (4, 2), (6, 4)]:
+        A = np.array([rand_rows(field, r, c, rng) for _ in range(40)], dtype=np.uint8)
+        A[::5] = 0
+        A[1::5, -1] = A[1::5, 0]
+        R, rank, pivots, d = eliminate_stack(field, A)
+        for M, Ri, ri, pi, di in zip(A.tolist(), R.tolist(), rank.tolist(), pivots, d.tolist()):
+            rows, piv, want = eliminate(field, M)
+            assert (tuple(map(tuple, Ri[:ri])), ri, tuple(np.flatnonzero(pi)), di) == (rows, len(piv), piv, want)
+            assert not np.any(Ri[ri:])
+
+
+def test_eliminate_stack_empty_shapes():
+    R, rank, pivots, d = eliminate_stack(F3, np.zeros((0, 2, 2), dtype=np.uint8))
+    assert R.shape == (0, 2, 2) and rank.shape == d.shape == (0,) and pivots.shape == (0, 2)
+    R, rank, pivots, d = eliminate_stack(F3, np.zeros((3, 0, 0), dtype=np.uint8))
+    assert rank.tolist() == [0, 0, 0] and d.tolist() == [1, 1, 1]
+
+
+def test_scalar_path_takes_numpy_codes():
+    # codes as numpy uint8, the dtype of rref_bases: 16 * 16 wraps to 0 at
+    # that width, and pow rejects a numpy base, so eliminate reads them as
+    # Python ints
+    f = GF(17)
+    rows = np.array([[16, 16, 0], [16, 0, 1]], dtype=np.uint8)
+    assert eliminate(f, rows) == eliminate(f, rows.tolist())
+    # pivots 16 and 16, det -16 = 1; at uint8 width the product is 0
+    assert eliminate(f, [[np.uint8(16), np.uint8(16)], [np.uint8(1), np.uint8(0)]])[2] == 1
+    space = space_make(1, 1, f)
+    assert subspace_make(space, rows).rows == subspace_make(space, rows.tolist()).rows
+    assert witt_decompose(f, np.array([[16, 0], [0, 16]], dtype=np.uint8)) == witt_decompose(f, [[16, 0], [0, 16]])

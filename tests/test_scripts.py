@@ -67,4 +67,4 @@ def test_readme_library_block():
             continue
         assert repr(eval(expr, env)) == comment.strip().split("  ")[0], line
         checked += 1
-    assert checked == 4
+    assert checked == 5
