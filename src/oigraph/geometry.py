@@ -28,10 +28,12 @@ vertex that each pair of vertices spans.
 Subspaces are canonical: the reduced-row-echelon basis identifies them
 uniquely.  rref_bases is the one enumeration of them, an array per
 dimension sorted by basis: the graph's vertex order, its points and the
-oracle's candidates all come from it.  A subspace is classified by
-(m, r, s, tag): dimension, Gram rank, Witt index of the restricted form,
-and the square class of the 1-dimensional anisotropic residual when
-r - 2s = 1.  The type is read off one RREF of the Gram matrix
+oracle's candidates all come from it.  Point ids are owned here: the
+points are rref_bases(field, n, 1)[:, 0], and point_ids is the one map
+from vectors to point ids, for the graph as for the oracle.  A subspace
+is classified by (m, r, s, tag): dimension, Gram rank, Witt index of the
+restricted form, and the square class of the 1-dimensional anisotropic
+residual when r - 2s = 1.  The type is read off one RREF of the Gram matrix
 (witt_decompose, or witt_stack for a stack): the rank and pivots from the
 RREF, the discriminant from the principal minor on the pivots, and
 witt_type maps the two to the type.
@@ -95,29 +97,13 @@ class OSpace:
         self._col = tuple(next(j for j, a in enumerate(r) if a) for r in rows)
         self._scale = tuple(r[j] for r, j in zip(rows, self._col))
 
-    # named basis rows (unit vectors, as tuples)
-
-    def e(self, i: int):
-        return tuple(1 if j == i - 1 else 0 for j in range(self.n))
-
-    def f(self, i: int):
-        return tuple(1 if j == self.nu + i - 1 else 0 for j in range(self.n))
-
-    def eps(self):
-        if self.delta < 1:
-            raise ValueError("no eps vector when delta = 0")
-        return tuple(1 if j == 2 * self.nu else 0 for j in range(self.n))
-
-    def kappa(self):
-        if self.delta < 2:
-            raise ValueError("no kappa vector when delta < 2")
-        return tuple(1 if j == 2 * self.nu + 1 else 0 for j in range(self.n))
-
     def pair(self, u, v) -> int:
-        """u S vt, the sum of u[i] scale[i] v[col[i]]."""
+        """u S vt, the sum of u[i] scale[i] v[col[i]].  The entries are read
+        as Python ints: numpy codes would wrap in the field's scalar ops."""
         f = self.field
+        v = [int(b) for b in v]
         acc = 0
-        for a, c, j in zip(u, self._scale, self._col):
+        for a, c, j in zip(map(int, u), self._scale, self._col):
             if a and v[j]:
                 acc = f.add(acc, f.mul(f.mul(a, c), v[j]))
         return acc
@@ -151,14 +137,16 @@ class Subspace:
 
     Vertices of the graph are the proper nonzero subspaces (1 <= m <= n-1);
     the full space can still be represented (sums of vertices may fill the
-    space) and is flagged by is_vertex = False.
+    space) and is flagged by is_vertex = False.  The rows are tuples of
+    Python ints, whatever rref_rows holds: numpy codes would wrap in the
+    field's scalar ops.
     """
 
     __slots__ = ("space", "rows", "m")
 
     def __init__(self, space: OSpace, rref_rows):
         self.space = space
-        self.rows = tuple(tuple(r) for r in rref_rows)
+        self.rows = tuple(map(tuple, np.asarray(rref_rows).tolist()))
         self.m = len(self.rows)
 
     @property
@@ -429,8 +417,9 @@ def _form_stack(forms) -> np.ndarray:
     return forms
 
 
-# Most candidate bases witt_bruteforce_oracle tests in one dimension: admits
-# every form up to 4x4 over F17, 5x5 over F5 and 6x6 over F3.
+# Most candidate bases witt_bruteforce_oracle tests in one dimension, and most
+# codes q^m of the point table it reads (point_ids): admits every form up to
+# 4x4 over F17, 5x5 over F5 and 6x6 over F3.
 ORACLE_MAX_BASES = 10**5
 
 # Entries per form chunk of the oracle's point table pts G, (forms, P, m).
@@ -466,17 +455,18 @@ def witt_bruteforce_oracle(field: GF, forms) -> list[int]:
 
     Raises ValueError for a stack that is not k square forms of one size
     and for an asymmetric form, and, before allocating, when one dimension
-    has more than ORACLE_MAX_BASES candidates.
+    has more than ORACLE_MAX_BASES candidates or F_q^m more than
+    ORACLE_MAX_BASES vectors.
     """
     if not len(forms):
         return []
     forms = _form_stack(forms)
     m = forms.shape[1]
-    worst = max(gauss_binomial(m, d, field.q) for d in range(m + 1))
+    worst = max(field.q**m, *(gauss_binomial(m, d, field.q) for d in range(m + 1)))
     if worst > ORACLE_MAX_BASES:
         raise ValueError(
-            f"oracle instance too large: {worst} candidate bases in one dimension, "
-            f"limit {ORACLE_MAX_BASES}"
+            f"oracle instance too large: {worst} candidate bases in one dimension "
+            f"or vectors, limit {ORACLE_MAX_BASES}"
         )
     if not m:
         return [0] * len(forms)
@@ -569,20 +559,33 @@ def rref_bases(field: GF, n: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def rref_point_ids(field: GF, n: int, m: int) -> np.ndarray:
     """The point id of each basis row of rref_bases(field, n, m): one
-    read-only (K, m) array, ids into the points rref_bases(field, n, 1).
-
-    A row of an rref basis has 1 as its first nonzero entry, so it is
-    itself a point's basis (point_ids).  The bases ascend by their rows, so
-    the id rows ascend lexicographically too."""
+    read-only (K, m) int32 array, ids into the points rref_bases(field, n, 1).
+    The bases ascend by their rows, and the points by their vectors, so the
+    id rows ascend lexicographically too."""
     ids = point_ids(field, rref_bases(field, n, m))
     ids.setflags(write=False)
     return ids
 
 
-def point_ids(field: GF, rows) -> np.ndarray:
-    """The point id of each row (last axis) of rows, each a vector whose
-    first nonzero entry is 1: the points ascend by row, so by the row read
-    as a base-q number, and one searchsorted finds every row."""
-    n = np.shape(rows)[-1]
-    digits = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return np.searchsorted(rref_bases(field, n, 1)[:, 0] @ digits, rows @ digits)
+def point_ids(field: GF, vecs) -> np.ndarray:
+    """The int32 point id of each vector (last axis) of vecs, -1 for the
+    zero vector.  The points are the vectors with first nonzero entry 1,
+    numbered in lexicographic order, which is the order of a vector's code,
+    its big-endian base-q digit value.  One read-only table of q^n ids per
+    (field, n), cached, maps every code and so absorbs normalisation: each
+    nonzero multiple of a point's vector maps to that point's id."""
+    vecs = np.asarray(vecs)
+    n = vecs.shape[-1]
+    return _point_table(field, n)[vecs @ field.q ** np.arange(n - 1, -1, -1)]
+
+
+@lru_cache(maxsize=64)
+def _point_table(field: GF, n: int) -> np.ndarray:
+    """point_ids' table of F_q^n: one multiple of every point vector, per
+    unit, at a time."""
+    pts = rref_bases(field, n, 1)[:, 0]
+    table = np.full(field.q**n, -1, dtype=np.int32)
+    for c in field.units():
+        table[field.arrays.mul[c][pts] @ field.q ** np.arange(n - 1, -1, -1)] = np.arange(len(pts))
+    table.setflags(write=False)
+    return table

@@ -9,7 +9,10 @@ Vertices are numbered in the order of geometry.rref_bases, by dimension
 and then by rref basis, the one enumeration of subspaces.  Internally a
 vertex is the set of projective points it contains; a point's id, among
 the P = (q^n - 1)/(q - 1), is its dimension-1 vertex id, so the points are
-ids 0..P-1.  Only the P point vectors ever meet field arithmetic.  By
+ids 0..P-1.  geometry owns point ids: the points' vectors are
+rref_bases(field, n, 1)[:, 0], every vector becomes an id through
+geometry.point_ids, and a vertex's basis points are its row of
+rref_point_ids.  Only the P point vectors ever meet field arithmetic.  By
 bilinearity A ~ B iff every point of A is orthogonal to every point of B,
 and the basis points of each vertex suffice, so the row of A is the AND
 of the rows of its basis points (_fill_adjacency).  Maps of the space act
@@ -97,7 +100,6 @@ class OiGraph:
         self.verts = list(verts)
         self.nv = len(self.verts)
         self.rows = rows  # packed looped adjacency, see the module docstring
-        self.index = {P.rows: i for i, P in enumerate(self.verts)}
 
     # -- basic queries -----------------------------------------------------
 
@@ -155,20 +157,16 @@ class OiGraph:
     # -- point representation ----------------------------------------------
 
     @functools.cached_property
-    def _points(self) -> "_Points":
-        return _Points(self.space)
-
-    @functools.cached_property
     def _point_sets(self):
         """Per run of equal-dimension vertices: (first id, each vertex's
         sorted point ids, those keys sorted, the run position of each)."""
-        pts, f, n = self._points, self.space.field, self.space.n
+        f, n = self.space.field, self.space.n
         out, start = [], 0
         for m in range(1, n):
             bases = rref_bases(f, n, m)
             coeffs = rref_bases(f, m, 1)[:, 0]  # one combination per point
-            points = np.sort(pts.ids(f.matmul(coeffs, bases)), axis=1)
-            keys = _keys(points)
+            points = np.sort(point_ids(f, f.matmul(coeffs, bases)), axis=1)
+            keys = _id_keys(points)
             order = np.argsort(keys, kind="stable")
             out.append((start, points, keys[order], order))
             start += len(bases)
@@ -179,8 +177,8 @@ class OiGraph:
         goes to p[a]), or a stack of them if vec_map, which takes the (P, n)
         point vectors to their images, returns a stack of images.
         ValueError unless every image permutes the points."""
-        pts = self._points
-        p = pts.ids(vec_map(pts.vectors)).astype(np.int64)
+        f = self.space.field
+        p = point_ids(f, vec_map(rref_bases(f, self.space.n, 1)[:, 0])).astype(np.int64)
         if not (np.sort(p, axis=-1) == np.arange(p.shape[-1])).all():
             raise ValueError("map does not permute the projective points")
         return p
@@ -191,13 +189,13 @@ class OiGraph:
         A's.  ValueError unless point_perm permutes the points and every
         vertex's image is a vertex."""
         p = np.asarray(point_perm)
-        P = len(self._points.vectors)
+        P = len(self.dim1_ids())
         if p.shape != (P,) or not np.array_equal(np.sort(p), np.arange(P)):
             raise ValueError("not a permutation of the projective points")
-        p = p.astype(np.int32)  # the dtype of the keys
+        p = p.astype(np.int32)  # as the point ids: half the bytes to sort and key
         out = np.empty(self.nv, dtype=np.int64)
         for start, points, keys, order in self._point_sets:
-            found = _keys(np.sort(p[points], axis=1))
+            found = _id_keys(np.sort(p[points], axis=1))
             pos = np.searchsorted(keys, found).clip(max=len(keys) - 1)
             if not np.array_equal(keys[pos], found):
                 raise ValueError("map does not carry vertices to vertices")
@@ -232,16 +230,6 @@ class OiGraph:
                 return
             reached |= fresh
             level = np.flatnonzero(_unpack(fresh, self.nv))
-
-    def components(self):
-        seen = np.zeros(self.nv, dtype=bool)
-        out = []
-        for start in range(self.nv):
-            if not seen[start]:
-                comp = np.sort(np.concatenate(list(self.bfs_levels(start))))
-                seen[comp] = True
-                out.append(comp.tolist())
-        return out
 
     def diameter(self):
         """The largest distance between two vertices, or math.inf if disconnected.
@@ -459,41 +447,11 @@ def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
     cap = vertex_budget(budget)
     if total > cap:
         raise BudgetExceeded(total, cap)
-    _check_bytes(total * ((total + 7) // 8) + 4 * q**n)  # the rows and _Points.id_of_code
-    verts = [Subspace(space, B) for m in range(1, n) for B in rref_bases(space.field, n, m).tolist()]
+    _check_bytes(total * ((total + 7) // 8) + 4 * q**n)  # the rows and point_ids' table
+    verts = [Subspace(space, B) for m in range(1, n) for B in rref_bases(space.field, n, m)]
     g = OiGraph(space, verts, np.zeros((len(verts), (len(verts) + 7) // 8), dtype=np.uint8))
     _fill_adjacency(g)
     return g
-
-
-class _Points:
-    """The projective points of a space and its vector code -> point id table.
-
-    A vector's code is its big-endian base-q digit value, so code order is
-    lexicographic order.  Point ids number the normalised vectors (first
-    nonzero entry 1) in that order, which is the order of the dimension-1
-    vertices.  The table covers all q^n codes and absorbs normalisation:
-    every nonzero multiple of a point's vector maps to its id, 0 maps to -1.
-    """
-
-    def __init__(self, space: OSpace):
-        f, n = space.field, space.n
-        self.vectors = rref_bases(f, n, 1)[:, 0]
-        self.weights = f.q ** np.arange(n - 1, -1, -1)
-        self.id_of_code = np.full(f.q**n, -1, dtype=np.int32)
-        ids = np.arange(len(self.vectors), dtype=np.int32)
-        for c in f.units():
-            self.id_of_code[f.arrays.mul[c][self.vectors] @ self.weights] = ids
-
-    def ids(self, vecs) -> np.ndarray:
-        """Point ids of an array of vectors (last axis), -1 for zero."""
-        return self.id_of_code[np.asarray(vecs) @ self.weights]
-
-
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one fixed-width bytes key."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _fill_adjacency(g: OiGraph) -> None:
@@ -511,16 +469,17 @@ def _fill_adjacency(g: OiGraph) -> None:
     block at a time.  Bases are padded to n - 1 rows by repeating their
     last row.  Temporaries stay near _BLOCK bytes.
     """
-    pts, f, n = g._points, g.space.field, g.space.n
-    P = len(pts.vectors)
-    forms = f.matmul(pts.vectors, g.space.form)  # x -> x S pt per point p
+    f, n = g.space.field, g.space.n
+    pts = rref_bases(f, n, 1)[:, 0]
+    P = len(pts)
+    forms = f.matmul(pts, g.space.form)  # x -> x S pt per point p
     orth = np.empty((P, (P + 7) // 8), dtype=np.uint8)
     step = max(1, _BLOCK // P)
     for lo in range(0, P, step):
-        block = f.matmul(forms[lo : lo + step], pts.vectors.T) == 0
+        block = f.matmul(forms[lo : lo + step], pts.T) == 0
         orth[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
     basis = np.concatenate(
-        [np.pad(pts.ids(rref_bases(f, n, m)), ((0, 0), (0, n - 1 - m)), mode="edge") for m in range(1, n)]
+        [np.pad(rref_point_ids(f, n, m), ((0, 0), (0, n - 1 - m)), mode="edge") for m in range(1, n)]
     )
     point_rows = np.empty((P, g.rows.shape[1]), dtype=np.uint8)
     step = max(8, _BLOCK // P // 8 * 8)
@@ -547,7 +506,7 @@ def classify_types(g: OiGraph) -> list:
     SubspaceType object.
     """
     f, n = g.space.field, g.space.n
-    pts = g._points.vectors
+    pts = rref_bases(f, n, 1)[:, 0]
     ptsS = f.matmul(pts, g.space.form)
     made = {}
     out = []
@@ -593,7 +552,8 @@ def sum_ids(g: OiGraph, u, v) -> np.ndarray:
 
 def _id_keys(ids: np.ndarray) -> np.ndarray:
     """Each row of a 2-d array of point ids as one bytes key, big-endian so
-    that the keys order as the rows do lexicographically."""
+    that the keys order as the rows do lexicographically: the keys of lift
+    and sum_ids."""
     rows = np.ascontiguousarray(ids, dtype=">u4")
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 

@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import diagonal, mat_mul
+from conftest import diagonal, mat_mul, vertex_index
 
 from oigraph import autsearch
 from oigraph import graph as graph_module
@@ -135,9 +135,10 @@ def similitude_perm(g, factor):
     f = g.space.field
     nu = g.space.nu
     T = diagonal((factor,) * nu + (1,) * nu)
+    index = vertex_index(g)
     arr = np.empty(g.nv, dtype=np.int64)
     for i, P in enumerate(g.verts):
-        arr[i] = g.index[subspace_make(g.space, mat_mul(f, P.rows, T)).rows]
+        arr[i] = index[subspace_make(g.space, mat_mul(f, P.rows, T)).rows]
     return arr
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonal, mat_mul
+from conftest import diagonal, mat_mul, unit
 
 from oigraph import geometry
 from oigraph import graph as graph_module
@@ -26,6 +26,7 @@ from oigraph.geometry import (
     eliminate,
     gauss_binomial,
     gram,
+    point_ids,
     rref_bases,
     rref_point_ids,
     space_make,
@@ -80,34 +81,34 @@ def test_space_validation():
 
 def test_named_basis_vectors():
     s = space_make(2, 1, F3)
-    assert s.e(1) == (1, 0, 0, 0, 0)
-    assert s.f(2) == (0, 0, 0, 1, 0)
-    assert s.eps() == (0, 0, 0, 0, 1)
-    assert s.pair(s.e(1), s.f(1)) == 1
-    assert s.pair(s.e(1), s.f(2)) == 0
+    assert unit(s, "e", 1) == (1, 0, 0, 0, 0)
+    assert unit(s, "f", 2) == (0, 0, 0, 1, 0)
+    assert unit(s, "eps") == (0, 0, 0, 0, 1)
+    assert s.pair(unit(s, "e", 1), unit(s, "f", 1)) == 1
+    assert s.pair(unit(s, "e", 1), unit(s, "f", 2)) == 0
     with pytest.raises(ValueError):
-        s.kappa()
+        unit(s, "kappa")
 
 
 def test_subspace_make():
     s = oi43()
-    P = subspace_make(s, [s.e(1)])
+    P = subspace_make(s, [unit(s, "e", 1)])
     assert P.rows == ((1, 0, 0, 0),)
     P = subspace_make(s, [(1, 1, 0, 0), (2, 2, 0, 0)])
     assert P.rows == ((1, 1, 0, 0),) and P.m == 1
     with pytest.raises(ValueError):
         subspace_make(s, [(0, 0, 0, 0)])
     with pytest.raises(ValueError):
-        subspace_make(s, [s.e(1), s.e(2), s.f(1), s.f(2)])
+        subspace_make(s, [unit(s, "e", 1), unit(s, "e", 2), unit(s, "f", 1), unit(s, "f", 2)])
 
 
 def test_dual_examples():
     s = oi43()
-    P = subspace_make(s, [s.e(1)])
-    assert dual(P) == subspace_make(s, [s.e(1), s.e(2), s.f(2)])
+    P = subspace_make(s, [unit(s, "e", 1)])
+    assert dual(P) == subspace_make(s, [unit(s, "e", 1), unit(s, "e", 2), unit(s, "f", 2)])
     t = oi33()
-    E = subspace_make(t, [t.eps()])
-    assert dual(E) == subspace_make(t, [t.e(1), t.f(1)])
+    E = subspace_make(t, [unit(t, "eps")])
+    assert dual(E) == subspace_make(t, [unit(t, "e", 1), unit(t, "f", 1)])
 
 
 def contains(X, Y):
@@ -137,10 +138,10 @@ def test_dual_involution_and_reversal():
 
 def test_gram_examples():
     s = oi43()
-    assert gram(subspace_make(s, [s.e(1)])) == ((0,),)
-    v = tuple(F3.add(a, b) for a, b in zip(s.e(1), s.f(1)))
+    assert gram(subspace_make(s, [unit(s, "e", 1)])) == ((0,),)
+    v = tuple(F3.add(a, b) for a, b in zip(unit(s, "e", 1), unit(s, "f", 1)))
     assert gram(subspace_make(s, [v])) == ((2,),)
-    assert gram(subspace_make(s, [s.e(1), s.f(1)])) == ((0, 1), (1, 0))
+    assert gram(subspace_make(s, [unit(s, "e", 1), unit(s, "f", 1)])) == ((0, 1), (1, 0))
 
 
 def gram_by_products(P):
@@ -150,8 +151,8 @@ def gram_by_products(P):
 
 def test_gram_delta1_disc_z():
     s = space_make(1, 1, F3, "z")  # S = hyperbolic plane + (z), z = 2
-    assert gram(subspace_make(s, [s.eps()])) == ((2,),)
-    assert gram(subspace_make(s, [s.e(1), s.eps()])) == ((0, 0), (0, 2))
+    assert gram(subspace_make(s, [unit(s, "eps")])) == ((2,),)
+    assert gram(subspace_make(s, [unit(s, "e", 1), unit(s, "eps")])) == ((0, 0), (0, 2))
     assert gram(subspace_make(s, [(1, 1, 1)])) == ((1,),)  # 2 + z
     for space in (s, space_make(1, 1, GF(3, 2), "z")):
         for m in (1, 2):
@@ -161,7 +162,7 @@ def test_gram_delta1_disc_z():
 
 def test_gram_delta2():
     s = space_make(1, 2, F5)  # S = hyperbolic plane + diag(1, -z), -z = 3
-    assert gram(subspace_make(s, [s.eps(), s.kappa()])) == ((1, 0), (0, 3))
+    assert gram(subspace_make(s, [unit(s, "eps"), unit(s, "kappa")])) == ((1, 0), (0, 3))
     assert gram(subspace_make(s, [(1, 0, 0, 1)])) == ((3,),)
     assert gram(subspace_make(s, [(1, 2, 0, 0), (0, 0, 1, 1)])) == ((4, 0), (0, 4))
     for space in (s, space_make(1, 2, F3)):
@@ -474,13 +475,13 @@ def test_classify_types_peak_near_block(monkeypatch):
 
 def test_classify_examples():
     s = oi43()
-    assert classify_type(subspace_make(s, [s.e(1)])) == SubspaceType(1, 0, 0)
+    assert classify_type(subspace_make(s, [unit(s, "e", 1)])) == SubspaceType(1, 0, 0)
     t = oi33()
-    assert classify_type(subspace_make(t, [t.eps()])) == SubspaceType(1, 1, 0, "one")
-    v = tuple(F3.add(a, b) for a, b in zip(s.e(1), s.f(1)))
+    assert classify_type(subspace_make(t, [unit(t, "eps")])) == SubspaceType(1, 1, 0, "one")
+    v = tuple(F3.add(a, b) for a, b in zip(unit(s, "e", 1), unit(s, "f", 1)))
     assert classify_type(subspace_make(s, [v])) == SubspaceType(1, 1, 0, "z")
-    assert classify_type(subspace_make(s, [s.e(1), s.e(2)])) == SubspaceType(2, 0, 0)
-    assert classify_type(subspace_make(s, [s.e(1), s.f(1)])) == SubspaceType(2, 2, 1)
+    assert classify_type(subspace_make(s, [unit(s, "e", 1), unit(s, "e", 2)])) == SubspaceType(2, 0, 0)
+    assert classify_type(subspace_make(s, [unit(s, "e", 1), unit(s, "f", 1)])) == SubspaceType(2, 2, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -541,6 +542,30 @@ def test_rref_point_ids_name_the_rows():
             assert rref_point_ids(field, n, m) is ids  # cached
 
 
+def searchsorted_point_ids(field, vecs):
+    """The point id of each normalised vector (first nonzero entry 1) of
+    vecs: the points ascend by vector, so by the vector read as a base-q
+    number, and one searchsorted finds every vector.  The reference for
+    point_ids' table."""
+    n = np.shape(vecs)[-1]
+    digits = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(rref_bases(field, n, 1)[:, 0] @ digits, np.asarray(vecs) @ digits)
+
+
+@pytest.mark.parametrize("field, n", [(F3, 4), (GF(3, 2), 3), (GF(5, 2), 2)], ids=["F3^4", "F9^3", "F25^2"])
+def test_point_ids_table(field, n):
+    pts = rref_bases(field, n, 1)[:, 0]
+    for c in field.units():  # every nonzero multiple, by scalar products
+        multiples = np.array([[field.mul(c, x) for x in v] for v in pts.tolist()])
+        assert point_ids(field, multiples).tolist() == list(range(len(pts)))
+    assert point_ids(field, [0] * n) == -1
+    assert point_ids(field, np.zeros((2, 3, n), dtype=np.uint8)).tolist() == [[-1] * 3] * 2
+    for m in range(1, n + 1):
+        ids = rref_point_ids(field, n, m)
+        assert ids.dtype == np.int32
+        assert np.array_equal(ids, searchsorted_point_ids(field, rref_bases(field, n, m)))
+
+
 def count_by_type(space, m):
     return Counter(classify_type(P) for P in subspaces(space, m))
 
@@ -569,13 +594,14 @@ def test_count_by_type_small_spaces():
 
 def test_subspace_sum():
     s = oi43()
-    A = subspace_make(s, [s.e(1)])
-    B = subspace_make(s, [s.e(2)])
-    assert subspace_span(s, A.rows + B.rows) == subspace_make(s, [s.e(1), s.e(2)])
-    C = subspace_make(s, [tuple(F3.add(a, b) for a, b in zip(s.e(1), s.e(2)))])
-    assert subspace_span(s, A.rows + C.rows) == subspace_make(s, [s.e(1), s.e(2)])
+    A = subspace_make(s, [unit(s, "e", 1)])
+    B = subspace_make(s, [unit(s, "e", 2)])
+    assert subspace_span(s, A.rows + B.rows) == subspace_make(s, [unit(s, "e", 1), unit(s, "e", 2)])
+    C = subspace_make(s, [tuple(F3.add(a, b) for a, b in zip(unit(s, "e", 1), unit(s, "e", 2)))])
+    assert subspace_span(s, A.rows + C.rows) == subspace_make(s, [unit(s, "e", 1), unit(s, "e", 2)])
     assert subspace_span(s, A.rows + A.rows) == A
-    full = subspace_span(s, subspace_make(s, [s.e(1), s.e(2)]).rows + subspace_make(s, [s.f(1), s.f(2)]).rows)
+    E = subspace_make(s, [unit(s, "e", 1), unit(s, "e", 2)])
+    full = subspace_span(s, E.rows + subspace_make(s, [unit(s, "f", 1), unit(s, "f", 2)]).rows)
     assert full.m == 4 and not full.is_vertex
     assert classify_type(full) == SubspaceType(4, 4, 2)
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import components, unit, vertex_index
+
 from oigraph import graph as graph_module
 from oigraph.gf import GF
 from oigraph.geometry import classify_type, dual, eliminate, gauss_binomial, gram, space_make, subspace_make
@@ -60,7 +62,7 @@ def test_oi23_structure(g23):
     assert list(g23.loop_ids()) == [0, 1]
     assert g23.edges() == [(2, 3)]
     assert [g23.degree(v) for v in range(4)] == [0, 0, 1, 1]
-    assert sorted(map(sorted, g23.components())) == [[0], [1], [2, 3]]
+    assert sorted(components(g23)) == [[0], [1], [2, 3]]
     assert g23.diameter() is math.inf
 
 
@@ -68,7 +70,7 @@ def test_oi25_disconnected():
     g = build_graph(space_make(1, 0, F5))
     assert g.nv == 6
     assert g.edges() == [(2, 5), (3, 4)]  # 1+4 = 2+3 = 0 mod 5
-    assert len(g.components()) == 4
+    assert len(components(g)) == 4
     assert g.diameter() is math.inf
 
 
@@ -130,10 +132,10 @@ def test_extension_field_graph():
 
 
 def test_connectivity_small_spaces(g33, g43):
-    assert len(g33.components()) == 1
+    assert len(components(g33)) == 1
     gz = build_graph(space_make(1, 1, F3, disc="z"))
-    assert len(gz.components()) == 1
-    assert len(g43.components()) == 1
+    assert len(components(gz)) == 1
+    assert len(components(g43)) == 1
 
 
 def test_diameter_oi43(g43):
@@ -281,9 +283,10 @@ def test_neighbour_lists_match_adjacency(g23, g43, block, monkeypatch):
 
 def test_witness_path(g43):
     space = g43.space
-    A = subspace_make(space, [space.e(1), space.e(2), space.f(1)])
-    B = subspace_make(space, [space.e(1), space.f(1), space.f(2)])
-    u, v = g43.index[A.rows], g43.index[B.rows]
+    A = subspace_make(space, [unit(space, "e", 1), unit(space, "e", 2), unit(space, "f", 1)])
+    B = subspace_make(space, [unit(space, "e", 1), unit(space, "f", 1), unit(space, "f", 2)])
+    index = vertex_index(g43)
+    u, v = index[A.rows], index[B.rows]
     assert g43.distance(u, v) == 4
     path = g43.witness_path(u, v)
     assert path[0] == u and path[-1] == v
@@ -646,7 +649,7 @@ def test_budget_bytes_before_allocating(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         build_graph(space_make(2, 1, GF(7)))
     assert exc.value.what == "bytes"
-    assert exc.value.needed == 285702 * 35713 + 4 * 7**5  # the rows and the code table
+    assert exc.value.needed == 285702 * 35713 + 4 * 7**5  # the rows and point_ids' table
     assert exc.value.budget == graph_module.MAX_ADJACENCY_BYTES
     with pytest.raises(Enumerated):
         build_graph(space_make(3, 0, F3))

@@ -11,6 +11,9 @@ import pytest
 from conftest import det, mat_mul
 
 from oigraph.geometry import (
+    Subspace,
+    SubspaceType,
+    classify_type,
     dual,
     eliminate,
     eliminate_stack,
@@ -178,3 +181,9 @@ def test_scalar_path_takes_numpy_codes():
     space = space_make(1, 1, f)
     assert subspace_make(space, rows).rows == subspace_make(space, rows.tolist()).rows
     assert witt_decompose(f, np.array([[16, 0], [0, 16]], dtype=np.uint8)) == witt_decompose(f, [[16, 0], [0, 16]])
+    # Subspace and OSpace.pair read them as Python ints too: the square of
+    # (1, 0, 16) and of (0, 0, 16) is 16 * 16 = 1, not 0
+    P = Subspace(space, np.array([[1, 0, 16]], dtype=np.uint8))
+    assert classify_type(P) == SubspaceType(1, 1, 0, "one")
+    u = np.array([0, 0, 16], dtype=np.uint8)
+    assert space.pair(u, u) == 1

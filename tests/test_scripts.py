@@ -50,6 +50,17 @@ def test_distance_profile_script():
     ]
 
 
+def test_benchmark_smoke():
+    # the benchmark's self-check runs the library calls its sessions make
+    # on Oi(4,3), so retiring one of them fails here; it writes no files
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(": ok"), proc.stderr
+
+
 def test_readme_library_block():
     # each expression line's comment starts with the repr of its value
     readme = (ROOT / "README.md").read_text()

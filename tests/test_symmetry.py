@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import det, diagonal, mat_mul
+from conftest import det, diagonal, mat_mul, unit, vertex_index
 
 from oigraph.cli import main
 from oigraph.gf import GF
@@ -127,20 +127,20 @@ def matrix_points(g, T):
 
 
 def test_reflection_example(sp43):
-    w = tuple(map(sum, zip(sp43.e(1), sp43.f(1))))  # e1 + f1
+    w = tuple(map(sum, zip(unit(sp43, "e", 1), unit(sp43, "f", 1))))  # e1 + f1
     T = mat_reflection(sp43, w)
-    assert row_times(F3, sp43.e(1), T) == (0, 0, 2, 0)  # e1 -> -f1
-    assert row_times(F3, sp43.f(1), T) == (2, 0, 0, 0)
-    assert row_times(F3, sp43.e(2), T) == sp43.e(2)
-    assert row_times(F3, sp43.f(2), T) == sp43.f(2)
+    assert row_times(F3, unit(sp43, "e", 1), T) == (0, 0, 2, 0)  # e1 -> -f1
+    assert row_times(F3, unit(sp43, "f", 1), T) == (2, 0, 0, 0)
+    assert row_times(F3, unit(sp43, "e", 2), T) == unit(sp43, "e", 2)
+    assert row_times(F3, unit(sp43, "f", 2), T) == unit(sp43, "f", 2)
     assert is_orthogonal(sp43, T)
     assert mat_mul(F3, T, T) == diagonal((1,) * 4)
     assert det(F3, T) == F3.neg(1)
     # the vectorised images through the same axis
     aniso = reference_axes(sp43)
-    basis = [sp43.e(1), sp43.f(1), sp43.e(2), sp43.f(2)]
+    basis = [unit(sp43, "e", 1), unit(sp43, "f", 1), unit(sp43, "e", 2), unit(sp43, "f", 2)]
     images = reflect(sp43, basis)[aniso.index(w)]
-    assert [tuple(x) for x in images.tolist()] == [(0, 0, 2, 0), (2, 0, 0, 0), sp43.e(2), sp43.f(2)]
+    assert [tuple(x) for x in images.tolist()] == [(0, 0, 2, 0), (2, 0, 0, 0), unit(sp43, "e", 2), unit(sp43, "f", 2)]
 
 
 @pytest.mark.parametrize("space", [space_make(2, 0, F3), space_make(1, 1, F9, "z")], ids=["oi43", "oi39-z"])
@@ -154,10 +154,10 @@ def test_reflect_axis_order(space):
 
 def test_reflection_rejects_isotropic(sp43):
     with pytest.raises(ValueError):
-        mat_reflection(sp43, sp43.e(1))
+        mat_reflection(sp43, unit(sp43, "e", 1))
     # reflect has no reflection through an isotropic axis: a reflection
     # negates exactly the multiples of its axis, and no image negates e1
-    e1 = np.array(sp43.e(1))
+    e1 = np.array(unit(sp43, "e", 1))
     assert not (reflect(sp43, [e1])[:, 0] == F3.neg(1) * e1).all(axis=1).any()
 
 
@@ -276,9 +276,8 @@ def test_lift_extends_point_generators(params):
 
 def reference_perm(g, row_map):
     """Per-vertex action: map each basis row, re-canonicalise, look it up."""
-    return np.array(
-        [g.index[subspace_make(g.space, [row_map(r) for r in P.rows]).rows] for P in g.verts]
-    )
+    index = vertex_index(g)
+    return np.array([index[subspace_make(g.space, [row_map(r) for r in P.rows]).rows] for P in g.verts])
 
 
 def test_point_action_matches_per_vertex_reference(g43):
@@ -301,15 +300,16 @@ def test_semilinear_basics(g43):
     assert is_identity(perm_from_semilinear(g43, (1, 1)))
     p = perm_from_semilinear(g43, (1, 2))
     base_pts = [
-        g43.space.e(1),
-        g43.space.e(2),
-        g43.space.f(1),
-        g43.space.f(2),
+        unit(g43.space, "e", 1),
+        unit(g43.space, "e", 2),
+        unit(g43.space, "f", 1),
+        unit(g43.space, "f", 2),
     ]
+    index = vertex_index(g43)
     for v in base_pts:
-        i = g43.index[subspace_make(g43.space, [v]).rows]
+        i = index[subspace_make(g43.space, [v]).rows]
         assert p[i] == i
-    mixed = g43.index[subspace_make(g43.space, [(1, 1, 0, 0)]).rows]
+    mixed = index[subspace_make(g43.space, [(1, 1, 0, 0)]).rows]
     assert p[mixed] != mixed
 
 
@@ -334,13 +334,14 @@ def test_semilinear_frobenius_moves_points():
     g = build_graph(space_make(1, 0, F9))
     p = perm_from_semilinear(g, (1,), pi=1)
     assert not is_identity(p)
-    for v in (g.space.e(1), g.space.f(1)):
-        i = g.index[subspace_make(g.space, [v]).rows]
+    index = vertex_index(g)
+    for v in (unit(g.space, "e", 1), unit(g.space, "f", 1)):
+        i = index[subspace_make(g.space, [v]).rows]
         assert p[i] == i
     # [(1, t)] must move to [(1, t^3)] = [(1, -t)]
     t = 3  # coeff vector (0, 1)
-    src = g.index[subspace_make(g.space, [(1, t)]).rows]
-    dst = g.index[subspace_make(g.space, [(1, F9.neg(t))]).rows]
+    src = index[subspace_make(g.space, [(1, t)]).rows]
+    dst = index[subspace_make(g.space, [(1, F9.neg(t))]).rows]
     assert p[src] == dst
 
 
@@ -363,13 +364,14 @@ def test_semilinear_z_slot_scaling():
 def test_e_generators_fix_named_points(g43, g33):
     for g in (g43, g33):
         space = g.space
-        named = [space.e(i + 1) for i in range(space.nu)]
-        named += [space.f(i + 1) for i in range(space.nu)]
+        named = [unit(space, "e", i + 1) for i in range(space.nu)]
+        named += [unit(space, "f", i + 1) for i in range(space.nu)]
         if space.delta >= 1:
-            named.append(space.eps())
+            named.append(unit(space, "eps"))
         if space.delta == 2:
-            named.append(space.kappa())
-        ids = [g.index[subspace_make(space, [v]).rows] for v in named]
+            named.append(unit(space, "kappa"))
+        index = vertex_index(g)
+        ids = [index[subspace_make(space, [v]).rows] for v in named]
         for p in e_subgroup_generators(g):
             for i in ids:
                 assert p[i] == i

@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+from conftest import vertex_index
+
 from oigraph import graph as graph_module
 from oigraph.geometry import classify_type, subspace_span
 from oigraph.verify import (
@@ -82,12 +84,13 @@ def test_fiber_partitions_frozen(ctx, key):
 
 def per_pair_edge_fibers(g, types):
     """_edge_fiber_partition one pair at a time: each sum by the scalar
-    subspace_span and its vertex by g.index, the whole space classified by
-    classify_type."""
+    subspace_span and its vertex by vertex_index, the whole space classified
+    by classify_type."""
+    index = vertex_index(g)
     fibers = {}
     for u, v in g.edge_pairs_with_loops():
         total = subspace_span(g.space, g.verts[u].rows + g.verts[v].rows)
-        key = (*sorted((types[u], types[v])), types[g.index[total.rows]] if total.is_vertex else classify_type(total))
+        key = (*sorted((types[u], types[v])), types[index[total.rows]] if total.is_vertex else classify_type(total))
         fibers.setdefault(key, []).append((u, v))
     return sorted(tuple(sorted(v)) for v in fibers.values())
 
