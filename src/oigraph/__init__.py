@@ -1,6 +1,6 @@
 """Orthogonal inner product graphs over odd-characteristic finite fields."""
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # before the submodule imports: graph, verify and cli read it
 
 from .autsearch import search_result
 from .geometry import classify_type, space_make, subspace_make, subspace_span

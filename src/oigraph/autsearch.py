@@ -59,9 +59,9 @@ form):
   g.
 
 So the order of the point group, which the leaf checks on the point rows
-prove, is |Aut(g)|, and the lifted generators generate Aut(g).  The
-full-graph search (search_automorphisms on the looped vertex adjacency)
-remains as the tests' oracle on small instances.
+prove, is |Aut(g)|, and the lifted generators generate Aut(g).  The tests
+keep the full-graph search (_Search on the looped vertex adjacency) as
+their oracle on small instances.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BudgetExceeded, OiGraph, _diagonal, degrees, neighbour_lists, preserves_adjacency
+from .graph import BudgetExceeded, OiGraph, _diagonal, degrees, preserves_adjacency
 from .symmetry import PermGroup, orbit_labels
 
 DEFAULT_SEARCH_BUDGET = 2000
@@ -249,15 +249,6 @@ class _Search:
             if found is not None:
                 return found
         return None
-
-
-def search_automorphisms(A, colors=None) -> SearchResult:
-    """Core search over a looped boolean adjacency matrix; colors are optional seeds."""
-    A = np.asarray(A, dtype=bool)
-    rows = np.packbits(A, axis=1, bitorder="little")
-    if colors is None:
-        colors = zip(_diagonal(rows).tolist(), degrees(rows).tolist())
-    return _Search(rows, neighbour_lists(rows), list(colors)).run()
 
 
 def certify_dimension_colors(g: OiGraph):

@@ -11,12 +11,13 @@ import json
 import math
 import sys
 
+from . import __version__
 from .autsearch import search_result
 from .geometry import classify_type, space_make
 from .gf import parse_field
-from .graph import BudgetExceeded, build_graph, classify_types, dot_pieces, json_pieces
+from .graph import BudgetExceeded, _json_text, build_graph, classify_types, dot_pieces, json_pieces
 from .symmetry import PermGroup, aut_order_formula, point_generators, vertex_generators, vertex_orbits
-from .verify import VERSION, run_suite
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAIL = 1
@@ -101,10 +102,6 @@ def _emit(text, args):
         sys.stdout.writelines(pieces)
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-
-
 def cmd_build(args) -> int:
     g = build_graph(_space(args), args.budget)
     counts = (
@@ -133,12 +130,12 @@ def _emit_table(args, g, key, columns, rows):
     """rows as CSV (a static header, the column line, one compact line per
     row) or as JSON under key, by --format."""
     if args.format == "csv":
-        lines = [] if args.no_header else [f"# oigraph {args.command} {g.space.label()} version={VERSION}"]
+        lines = [] if args.no_header else [f"# oigraph {args.command} {g.space.label()} version={__version__}"]
         lines.append(",".join(columns))
         lines += [",".join(json.dumps(r[c]) for c in columns).replace(" ", "") for r in rows]
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit(_json_dump({"space": g.space.label(), key: rows}), args)
+        _emit(_json_text({"space": g.space.label(), key: rows}), args)
 
 
 def cmd_classify(args) -> int:
@@ -177,14 +174,14 @@ def cmd_diameter(args) -> int:
     g = build_graph(_space(args), args.budget)
     d = g.diameter()
     payload = {"space": g.space.label(), "diameter": "infinite" if d == math.inf else d}
-    _emit(_json_dump(payload), args)
+    _emit(_json_text(payload), args)
     return EXIT_OK
 
 
 def cmd_aut(args) -> int:
     if args.method == "formula":
         order = aut_order_formula(args.nu, args.delta, _field(args).q, args.disc)
-        _emit(_json_dump({"order": order}), args)
+        _emit(_json_text({"order": order}), args)
         return EXIT_OK
     g = build_graph(_space(args), args.budget)
     if args.method == "generated":
@@ -202,7 +199,7 @@ def cmd_aut(args) -> int:
             "node-count": res.node_count,
             "runtime": round(res.seconds, 3),
         }
-    _emit(_json_dump(payload), args)
+    _emit(_json_text(payload), args)
     return EXIT_OK
 
 

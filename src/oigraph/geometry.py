@@ -14,12 +14,12 @@ Forms and Gram matrices are GF code data: OSpace.form is a read-only
 (n, n) array, gram gives row tuples.  Gauss-Jordan elimination comes in
 two forms with the same steps, each giving the reduced rows, pivots and
 signed pivot product.  The scalar one (eliminate, pure Python) serves one
-matrix at a time: subspace_make and subspace_span, dual, witt_decompose
-and so classify_type, which the pipelines call once per vertex: one 4 x 4
+matrix at a time: subspace_span (and subspace_make), witt_decompose and
+so classify_type, which the pipelines call once per vertex: one 4 x 4
 Gram matrix takes about 22 us in witt_decompose and about 230 us of numpy
 dispatch in witt_stack (2-core x86-64 Xeon, CPython 3.11, numpy 2.4).
-dual and adjacent stay on it, and off GF.matmul, as the references the
-packed adjacency is tested against.  The stacked one
+graph.adjacent, the reference the packed adjacency is tested against,
+stays on the scalar field ops (OSpace.pair), off GF.matmul.  The stacked one
 (eliminate_stack) reduces a (k, r, c) stack of code matrices at once
 through the GF.arrays tables: witt_stack types a stack of forms with it,
 graph.classify_types every vertex of a graph, and graph.sum_ids finds the
@@ -204,45 +204,22 @@ def eliminate(field: GF, rows):
     return tuple(map(tuple, work[:r])), tuple(pivots), d
 
 
-def subspace_make(space: OSpace, rows) -> Subspace:
-    """Canonicalize spanning rows into a vertex; rejects 0 and full dimension."""
-    R, pivots, _ = eliminate(space.field, rows)
-    if not pivots:
-        raise ValueError("zero row space is not a vertex")
-    if len(pivots) == space.n:
-        raise ValueError("the full space is not a vertex")
-    return Subspace(space, R)
-
-
 def subspace_span(space: OSpace, rows) -> Subspace:
-    """Like subspace_make but allows the full space (flagged non-vertex)."""
+    """The canonical subspace the rows span, the full space included
+    (flagged non-vertex); ValueError for the zero row space."""
     R, pivots, _ = eliminate(space.field, rows)
     if not pivots:
         raise ValueError("zero row space")
     return Subspace(space, R)
 
 
-def dual(P: Subspace) -> Subspace:
-    """P-perp = {x : x S bt = 0 for every basis row b}; dim = n - m.
-
-    x S bt is the sum of x[i] scale[i] b[col[i]] (S is monomial, see
-    OSpace), so P-perp is the kernel of the m x n matrix A with rows
-    (scale[i] b[col[i]])_i: one free column j of A's rref gives the kernel
-    vector with 1 at j and -R[k][j] at the k-th pivot, and one more
-    elimination makes those vectors the canonical basis."""
-    space = P.space
-    f, n = space.field, space.n
-    A = [[f.mul(c, b[j]) for c, j in zip(space._scale, space._col)] for b in P.rows]
-    R, pivots, _ = eliminate(f, A)
-    kernel = []
-    for j in range(n):
-        if j not in pivots:
-            v = [0] * n
-            v[j] = 1
-            for row, pc in zip(R, pivots):
-                v[pc] = f.neg(row[j])
-            kernel.append(v)
-    return Subspace(space, eliminate(f, kernel)[0])
+def subspace_make(space: OSpace, rows) -> Subspace:
+    """subspace_span of the rows, which must be a vertex: ValueError for
+    the zero row space and for the full space."""
+    P = subspace_span(space, rows)
+    if not P.is_vertex:
+        raise ValueError("the full space is not a vertex")
+    return P
 
 
 def gram(P: Subspace):
@@ -282,10 +259,6 @@ class SubspaceType:
     r: int
     s: int
     tag: str | None = None
-
-    @property
-    def gamma(self) -> int:
-        return self.r - 2 * self.s
 
     def as_tuple(self):
         return (self.m, self.r, self.s, self.tag or "")

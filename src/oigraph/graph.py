@@ -49,6 +49,7 @@ import os
 
 import numpy as np
 
+from . import __version__
 from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, factor_prime_power, parse_field
 from .geometry import (
     OSpace,
@@ -577,50 +578,38 @@ def max_clique_dim1(g: OiGraph):
     # neighbour bitsets of the dimension-1 points, self-bits cleared
     adj = [int.from_bytes(row.tobytes(), "little") & ~(1 << v) for v, row in enumerate(d1.rows)]
 
-    # phase 1: maximum independent clique among the loop vertices
-    best_l: list = []
+    def largest(cand, independent):
+        """A largest clique within the bitset cand by branch and bound, its
+        members' rows independent if independent is set."""
+        best = []
 
-    def grow_iso(chosen, basis, cand):
-        nonlocal best_l
-        if len(chosen) + cand.bit_count() <= len(best_l):
-            return
-        if not cand:
-            if len(chosen) > len(best_l):
-                best_l = list(chosen)
-            return
-        rest = cand
-        for v in _bits(cand):
-            rest ^= 1 << v
-            rows = basis + d1.verts[v].rows
-            if len(eliminate(field, rows)[1]) == len(chosen) + 1:
-                grow_iso(chosen + [v], rows, rest & adj[v])
-            if len(chosen) + 1 + rest.bit_count() <= len(best_l):
-                break
+        def grow(chosen, basis, cand):
+            nonlocal best
+            if len(chosen) + cand.bit_count() <= len(best):
+                return
+            if not cand:
+                if len(chosen) > len(best):
+                    best = list(chosen)
+                return
+            rest = cand
+            for v in _bits(cand):
+                rest ^= 1 << v
+                rows = basis + d1.verts[v].rows
+                if not independent or len(eliminate(field, rows)[1]) == len(chosen) + 1:
+                    grow(chosen + [v], rows, rest & adj[v])
+                if len(chosen) + 1 + rest.bit_count() <= len(best):
+                    break
 
-    grow_iso([], (), d1.loops)
+        grow([], (), cand)
+        return best
 
-    # phase 2: extend by anisotropic points orthogonal to all of phase 1
+    # phase 1: maximum independent clique among the loop vertices; phase 2:
+    # extend by anisotropic points orthogonal to all of phase 1
+    best_l = largest(d1.loops, True)
     cand = (1 << d1.nv) - 1 & ~d1.loops
     for v in best_l:
         cand &= adj[v]
-    best_a: list = []
-
-    def grow_aniso(chosen, cand):
-        nonlocal best_a
-        if len(chosen) + cand.bit_count() <= len(best_a):
-            return
-        if not cand:
-            if len(chosen) > len(best_a):
-                best_a = list(chosen)
-            return
-        rest = cand
-        for v in _bits(cand):
-            rest ^= 1 << v
-            grow_aniso(chosen + [v], rest & adj[v])
-            if len(chosen) + 1 + rest.bit_count() <= len(best_a):
-                break
-
-    grow_aniso([], cand)
+    best_a = largest(cand, False)
     return len(best_l) + len(best_a), len(best_a)
 
 
@@ -663,10 +652,17 @@ def graph_to_json(g: OiGraph) -> str:
     return "".join(json_pieces(g))
 
 
+def _json_text(payload):
+    """The JSON text of every artifact, in pieces: the bytes of
+    json.dumps(payload, indent=1, sort_keys=True) + "\n", as with an indent
+    both run the same pure-Python encoder."""
+    yield from json.JSONEncoder(indent=1, sort_keys=True).iterencode(payload)
+    yield "\n"
+
+
 def json_pieces(g: OiGraph):
-    """graph_to_json's text in pieces, so a writer need not hold all of it:
-    the bytes of json.dumps(payload, indent=1, sort_keys=True) + "\n", as
-    with an indent both run the same pure-Python encoder."""
+    """graph_to_json's text in pieces (_json_text), so a writer need not
+    hold all of it."""
     space = g.space
     payload = {
         "space": {
@@ -681,8 +677,7 @@ def json_pieces(g: OiGraph):
     }
     if space.field.e > 1:
         payload["space"]["modulus"] = list(space.field.modulus)
-    yield from json.JSONEncoder(indent=1, sort_keys=True).iterencode(payload)
-    yield "\n"
+    yield from _json_text(payload)
 
 
 def _vertex_records(g: OiGraph):
@@ -736,7 +731,7 @@ def dot_pieces(g: OiGraph, header: bool = True):
         yield (
             f"// {g.space.label()} nu={g.space.nu} delta={g.space.delta} q={g.space.field.q}\n"
             f"// vertices={g.nv} edges={g.edge_count()} loops={g.loops.bit_count()}\n"
-            "// generated by oigraph 0.1.0\n"
+            f"// generated by oigraph {__version__}\n"
         )
     yield "graph oi {\n"
     yield "".join(f"  v{v};\n" for v in range(g.nv))

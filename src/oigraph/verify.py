@@ -10,6 +10,7 @@ grading it.
 """
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -20,10 +21,11 @@ from time import perf_counter
 
 import numpy as np
 
+from . import __version__
 from .autsearch import search_result
 from .geometry import SubspaceType, space_make, witt_bruteforce_oracle, witt_decompose, witt_stack
 from .gf import GF, factor_prime_power
-from .graph import build_graph, classify_types, max_clique_dim1, recover_parameters, sum_ids
+from .graph import _json_text, build_graph, classify_types, max_clique_dim1, recover_parameters, sum_ids
 from .symmetry import (
     aut_order_formula,
     e_subgroup_generators,
@@ -39,8 +41,6 @@ from .symmetry import (
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_OUTSIDE = "outside-paper-coverage"
-
-VERSION = "0.1.0"
 
 
 @dataclass
@@ -87,12 +87,12 @@ class VerifyReport:
             "failures": sum(r.status == STATUS_FAIL for r in self.records),
             "seconds": round(self.seconds, 3),
         }
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        return "".join(_json_text(payload))
 
     def to_csv(self, header: bool = True) -> str:
         buf = io.StringIO()
         if header:
-            buf.write(f"# oigraph verify suite={self.suite} version={VERSION}\n")
+            buf.write(f"# oigraph verify suite={self.suite} version={__version__}\n")
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["name", "status", "seconds", "anchor", "expected", "computed", "note"])
         for r in self.records:
@@ -126,13 +126,13 @@ class VerifyReport:
 
 
 class _Ctx:
-    """Shared cache so each desk-scale space is built, and its vertices
-    classified, exactly once."""
+    """Shared cache so each desk-scale space is built, and its vertex types
+    and generators computed, exactly once."""
 
     def __init__(self, budget=None):
         self.budget = budget
         self._graphs = {}
-        self._types = {}
+        self._derived = {}
 
     def graph(self, nu, delta, q, disc="one"):
         key = (nu, delta, q, disc)
@@ -141,12 +141,19 @@ class _Ctx:
             self._graphs[key] = build_graph(space_make(nu, delta, f, disc), self.budget)
         return self._graphs[key]
 
+    def _once(self, fn, g):
+        key = (fn, g.space)
+        if key not in self._derived:
+            self._derived[key] = fn(g)
+        return self._derived[key]
+
     def types(self, g):
-        """classify_type of each vertex of g, computed once per space by
-        the stacked classify_types."""
-        if g.space not in self._types:
-            self._types[g.space] = classify_types(g)
-        return self._types[g.space]
+        """classify_type of each vertex of g, by the stacked classify_types."""
+        return self._once(classify_types, g)
+
+    def generators(self, g):
+        """vertex_generators(g): the lifted top-level point generators."""
+        return self._once(vertex_generators, g)
 
 
 # The six desk-scale spaces exercised by the connectivity suite.
@@ -160,62 +167,74 @@ _SPACES = (
 )
 
 
+def _grade(expected, computed, note=""):
+    """A check's (expected, computed, status, note): pass iff the two agree."""
+    return expected, computed, STATUS_PASS if expected == computed else STATUS_FAIL, note
+
+
+def _per_space(ctx, spaces, expect, compute):
+    """({label: expect(g)}, {label: compute(g)}) over the graphs g of the
+    (nu, delta, q, disc) spaces."""
+    expected, computed = {}, {}
+    for key in spaces:
+        g = ctx.graph(*key)
+        expected[g.space.label()] = expect(g)
+        computed[g.space.label()] = compute(g)
+    return expected, computed
+
+
+def _partition(parts):
+    """parts as one canonical list: each part sorted, then the parts."""
+    return sorted(tuple(sorted(p)) for p in parts)
+
+
 def _diameter_value(g):
     d = g.diameter()
     return "infinite" if d == math.inf else d
 
 
 def check_connectivity_diameter(ctx):
-    expected = {}
-    computed = {}
-    for nu, delta, q, disc in _SPACES:
-        g = ctx.graph(nu, delta, q, disc)
-        label = g.space.label()
-        expected[label] = "infinite" if 2 * nu + delta == 2 else 4
-        computed[label] = _diameter_value(g)
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    return _grade(*_per_space(ctx, _SPACES, lambda g: "infinite" if g.space.n == 2 else 4, _diameter_value))
 
 
 def check_dimension_one_counts(ctx):
-    expected = {}
-    computed = {}
-    for nu, delta, q, disc in _SPACES:
-        g = ctx.graph(nu, delta, q, disc)
-        n = 2 * nu + delta
-        expected[g.space.label()] = (q**n - 1) // (q - 1)
-        computed[g.space.label()] = len(g.dim1_ids())
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    def points(g):
+        q = g.space.field.q
+        return (q**g.space.n - 1) // (q - 1)
+
+    return _grade(*_per_space(ctx, _SPACES, points, lambda g: len(g.dim1_ids())))
 
 
 def check_nu1_aut_orders(ctx):
-    expected = {}
-    computed = {}
-    for q in (3, 5, 9):
-        g = ctx.graph(1, 0, q)
-        expected[g.space.label()] = aut_order_formula(1, 0, q)
-        computed[g.space.label()] = search_result(g).order
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    if expected != {"Oi(2, 3)": 4, "Oi(2, 5)": 16, "Oi(2, 9)": 768}:
-        status = STATUS_FAIL
-    return expected, computed, status, ""
+    return _grade(
+        *_per_space(
+            ctx,
+            [(1, 0, q, "one") for q in (3, 5, 9)],
+            lambda g: aut_order_formula(1, 0, g.space.field.q),
+            lambda g: search_result(g).order,
+        )
+    )
 
 
-def check_oi43_generated_order(ctx):
-    g = ctx.graph(2, 0, 3)
-    expected = 576
-    computed = group_order(point_generators(g))
-    status = STATUS_PASS if computed == expected == aut_order_formula(2, 0, 3) else STATUS_FAIL
-    return expected, computed, status, ""
+def _generated_order(nu, delta, q, ctx):
+    """The generated group's order on the space, graded against the
+    Corollary's count, aut_order_formula."""
+    return _grade(aut_order_formula(nu, delta, q), group_order(point_generators(ctx.graph(nu, delta, q))))
 
 
-def check_oi43_full_aut_order(ctx):
-    g = ctx.graph(2, 0, 3)
-    expected = 576
-    res = search_result(g)
-    computed = res.order
-    status = STATUS_PASS if computed == expected else STATUS_FAIL
+check_oi43_generated_order = functools.partial(_generated_order, 2, 0, 3)
+check_oi53_generated_order = functools.partial(_generated_order, 2, 1, 3)
+
+
+# Oi(5, 3) has 2662 vertices, above DEFAULT_SEARCH_BUDGET.
+_FULL_SEARCH_BUDGET = 3000
+
+
+def _full_aut_order(nu, delta, q, ctx):
+    """The independent search's order of the automorphism group, graded
+    against "Aut = PO*E", whose order is aut_order_formula's."""
+    expected = aut_order_formula(nu, delta, q)
+    computed = search_result(ctx.graph(nu, delta, q), budget=_FULL_SEARCH_BUDGET).order
     note = ""
     if computed == 2 * expected:
         note = (
@@ -227,14 +246,18 @@ def check_oi43_full_aut_order(ctx):
             "outside the reflection+semilinear subgroup; the doubling occurs "
             "exactly when the ambient dimension is even"
         )
-    return expected, computed, status, note
+    return _grade(expected, computed, note)
+
+
+check_oi43_full_aut_order = functools.partial(_full_aut_order, 2, 0, 3)
+check_oi53_full_aut_order = functools.partial(_full_aut_order, 2, 1, 3)
 
 
 def _vertex_fiber_partition(types):
     fibers = {}
     for i, t in enumerate(types):
         fibers.setdefault(t, []).append(i)
-    return sorted(tuple(sorted(v)) for v in fibers.values())
+    return _partition(fibers.values())
 
 
 def _edge_fiber_partition(g, types):
@@ -249,33 +272,25 @@ def _edge_fiber_partition(g, types):
     for (u, v), w in zip(pairs.tolist(), sum_ids(g, pairs[:, 0], pairs[:, 1]).tolist()):
         key = (*sorted((types[u], types[v])), types[w] if w >= 0 else whole)
         fibers.setdefault(key, []).append((u, v))
-    return sorted(tuple(sorted(v)) for v in fibers.values())
+    return _partition(fibers.values())
+
+
+# The two spaces whose generated-group orbits the orbit checks compare.
+_ORBIT_SPACES = ((2, 0, 3, "one"), (1, 1, 3, "one"))
 
 
 def check_vertex_orbits_are_types(ctx):
-    expected = {}
-    computed = {}
-    for nu, delta, q, disc in ((2, 0, 3, "one"), (1, 1, 3, "one")):
-        g = ctx.graph(nu, delta, q, disc)
-        orbits = sorted(tuple(sorted(o)) for o in vertex_orbits(g, vertex_generators(g)))
-        expected[g.space.label()] = True
-        computed[g.space.label()] = orbits == _vertex_fiber_partition(ctx.types(g))
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    def agree(g):
+        return _partition(vertex_orbits(g, ctx.generators(g))) == _vertex_fiber_partition(ctx.types(g))
+
+    return _grade(*_per_space(ctx, _ORBIT_SPACES, lambda g: True, agree))
 
 
 def check_edge_orbits_are_type_triples(ctx):
-    expected = {}
-    computed = {}
-    for nu, delta, q, disc in ((2, 0, 3, "one"), (1, 1, 3, "one")):
-        g = ctx.graph(nu, delta, q, disc)
-        orbits = sorted(
-            tuple(sorted(o)) for o in edge_orbits(g, vertex_generators(g))
-        )
-        expected[g.space.label()] = True
-        computed[g.space.label()] = orbits == _edge_fiber_partition(g, ctx.types(g))
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    def agree(g):
+        return _partition(edge_orbits(g, ctx.generators(g))) == _edge_fiber_partition(g, ctx.types(g))
+
+    return _grade(*_per_space(ctx, _ORBIT_SPACES, lambda g: True, agree))
 
 
 def _oracle_agreement(field, forms) -> int:
@@ -309,36 +324,28 @@ def check_witt_oracle_agreement(ctx):
     agree3 = _oracle_agreement(GF(3), _census_3x3_f3())
     rng = random.Random(8193)
     agree5 = _oracle_agreement(GF(5), _random_forms(rng, GF(5), 4, 500))
-    expected = {"3x3-census": 729, "4x4-random": 500}
-    computed = {"3x3-census": agree3, "4x4-random": agree5}
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    return _grade({"3x3-census": 729, "4x4-random": 500}, {"3x3-census": agree3, "4x4-random": agree5})
 
 
 def check_orthogonal_closure_order(ctx):
-    sp = ctx.graph(2, 0, 3).space
-    expected = 1152
-    computed = reflection_group_order(sp)
-    status = STATUS_PASS if computed == expected else STATUS_FAIL
-    return expected, computed, status, ""
+    return _grade(1152, reflection_group_order(ctx.graph(2, 0, 3).space))
 
 
 def check_parameter_recovery(ctx):
-    expected = {}
-    computed = {}
     invariants = {}
-    for nu, delta, q, disc in _SPACES:
-        g = ctx.graph(nu, delta, q, disc)
-        size, nonloop = max_clique_dim1(g)
-        dim1 = len(g.dim1_ids())
-        expected[g.space.label()] = [nu, delta, q]
-        computed[g.space.label()] = list(recover_parameters(size, nonloop, dim1))
-        invariants.setdefault((size, nonloop, dim1), set()).add((nu, delta, q))
-    distinct = all(len(v) == 1 for v in invariants.values())
+
+    def parameters(g):
+        return [g.space.nu, g.space.delta, g.space.field.q]
+
+    def recover(g):
+        triple = (*max_clique_dim1(g), len(g.dim1_ids()))
+        invariants.setdefault(triple, set()).add(tuple(parameters(g)))
+        return list(recover_parameters(*triple))
+
+    expected, computed = _per_space(ctx, _SPACES, parameters, recover)
     expected["distinct-invariant-triples"] = True
-    computed["distinct-invariant-triples"] = distinct
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    computed["distinct-invariant-triples"] = all(len(v) == 1 for v in invariants.values())
+    return _grade(expected, computed)
 
 
 def check_matching_edge_rule(ctx):
@@ -380,24 +387,18 @@ def check_o2_exhaustive(ctx):
         for i, j, k, l in itertools.product(range(2), repeat=4):
             TSTt[i][j] = F3.add(TSTt[i][j], F3.mul(F3.mul(T[i][k], S[k][l]), T[j][l]))
         census += TSTt == S
-    closure = reflection_group_order(sp)
-    expected = {"census": 4, "closure": 4}
-    computed = {"census": census, "closure": closure}
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    return _grade({"census": 4, "closure": 4}, {"census": census, "closure": reflection_group_order(sp)})
 
 
 def check_e_subgroup_order(ctx):
     g43 = ctx.graph(2, 0, 3)
     sp49 = space_make(2, 0, GF(3, 2))
-    expected = {"Oi(4, 3)": 2, "Oi(4, 9)": 32, "generated-Oi(4, 3)": 2}
     computed = {
         "Oi(4, 3)": e_subgroup_order(g43.space),
         "Oi(4, 9)": e_subgroup_order(sp49),
         "generated-Oi(4, 3)": group_order(e_subgroup_generators(g43)),
     }
-    status = STATUS_PASS if expected == computed else STATUS_FAIL
-    return expected, computed, status, ""
+    return _grade({"Oi(4, 3)": 2, "Oi(4, 9)": 32, "generated-Oi(4, 3)": 2}, computed)
 
 
 def check_delta2_minus_one_nonsquare(ctx):
@@ -413,26 +414,6 @@ def check_delta2_minus_one_nonsquare(ctx):
         "generated order because the ambient dimension is even"
     )
     return expected, computed, STATUS_OUTSIDE, note
-
-
-def check_oi53_generated_order(ctx):
-    g = ctx.graph(2, 1, 3)
-    expected = 51840
-    computed = group_order(point_generators(g))
-    status = STATUS_PASS if computed == expected == aut_order_formula(2, 1, 3) else STATUS_FAIL
-    return expected, computed, status, ""
-
-
-# Oi(5, 3) has 2662 vertices, above DEFAULT_SEARCH_BUDGET.
-_OI53_SEARCH_BUDGET = 3000
-
-
-def check_oi53_full_aut_order(ctx):
-    g = ctx.graph(2, 1, 3)
-    expected = 51840
-    computed = search_result(g, budget=_OI53_SEARCH_BUDGET).order
-    status = STATUS_PASS if computed == expected == aut_order_formula(2, 1, 3) else STATUS_FAIL
-    return expected, computed, status, ""
 
 
 def check_oi45_full_aut_order(ctx):

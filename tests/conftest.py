@@ -1,6 +1,10 @@
 import functools
 
-from oigraph.geometry import eliminate
+import numpy as np
+
+from oigraph.autsearch import _Search
+from oigraph.geometry import Subspace, eliminate
+from oigraph.graph import _diagonal, degrees, neighbour_lists
 
 ACCEPTANCE_LINES = []
 
@@ -62,3 +66,39 @@ def unit(space, name, i=1):
     if name in ("e", "f") and not 1 <= i <= nu or j >= space.n:
         raise ValueError(f"{space.label()} has no basis vector {name!r}, index {i}")
     return tuple(int(k == j) for k in range(space.n))
+
+
+def dual(P):
+    """P-perp = {x : x S bt = 0 for every basis row b}, as a Subspace of
+    dimension n - m: the tests' reference for the orthogonality the packed
+    adjacency computes.
+
+    x S bt is the sum of x[i] scale[i] b[col[i]] (S is monomial, see
+    OSpace), so P-perp is the kernel of the m x n matrix A with rows
+    (scale[i] b[col[i]])_i: one free column j of A's rref gives the kernel
+    vector with 1 at j and -R[k][j] at the k-th pivot, and one more
+    elimination makes those vectors the canonical basis."""
+    space = P.space
+    f, n = space.field, space.n
+    A = [[f.mul(c, b[j]) for c, j in zip(space._scale, space._col)] for b in P.rows]
+    R, pivots, _ = eliminate(f, A)
+    kernel = []
+    for j in range(n):
+        if j not in pivots:
+            v = [0] * n
+            v[j] = 1
+            for row, pc in zip(R, pivots):
+                v[pc] = f.neg(row[j])
+            kernel.append(v)
+    return Subspace(space, eliminate(f, kernel)[0])
+
+
+def search_automorphisms(A, colors=None):
+    """The automorphism search on a looped boolean adjacency matrix, all of
+    its vertices, seeded with colors (default: loop and degree): the tests'
+    oracle for search_result's point search and lift."""
+    A = np.asarray(A, dtype=bool)
+    rows = np.packbits(A, axis=1, bitorder="little")
+    if colors is None:
+        colors = zip(_diagonal(rows).tolist(), degrees(rows).tolist())
+    return _Search(rows, neighbour_lists(rows), list(colors)).run()

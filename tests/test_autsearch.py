@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import diagonal, mat_mul, vertex_index
+from conftest import diagonal, mat_mul, search_automorphisms, vertex_index
 
 from oigraph import autsearch
 from oigraph import graph as graph_module
@@ -16,7 +16,6 @@ from oigraph.autsearch import (
     _vertex_colors,
     certify_dimension_colors,
     refine_cells,
-    search_automorphisms,
     search_result,
 )
 from oigraph.gf import GF, factor_prime_power

@@ -1,7 +1,10 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
+import oigraph
 from oigraph import graph as graph_module
 from oigraph.cli import main
 from oigraph.gf import GF
@@ -10,10 +13,41 @@ from oigraph.graph import build_graph, graph_from_json
 from oigraph.verify import STATUS_FAIL, STATUS_PASS, CheckRecord, VerifyReport
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands():
+    """(argv, shown output) of each `$ oigraph ...` line of the README's
+    "Command line" block that shows output."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```console\n", 1)[1].split("```", 1)[0]
+    cases = []
+    for line in block.splitlines():
+        if line.startswith("$ oigraph "):
+            cases.append([shlex.split(line.removeprefix("$ oigraph "), comments=True), ""])
+        elif line:
+            cases[-1][1] += line + "\n"
+    return [(argv, shown) for argv, shown in cases if shown]
+
+
+def test_readme_command_line_block(capsys):
+    cases = readme_commands()
+    assert [argv[0] for argv, _ in cases] == ["build", "classify", "diameter"]
+    for argv, shown in cases:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, shown), argv
+
+
+def test_pyproject_version_is_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == oigraph.__version__
 
 
 def test_build_counts_line(capsys):

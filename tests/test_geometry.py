@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonal, mat_mul, unit
+from conftest import diagonal, dual, mat_mul, unit
 
 from oigraph import geometry
 from oigraph import graph as graph_module
@@ -22,7 +22,6 @@ from oigraph.geometry import (
     Subspace,
     SubspaceType,
     classify_type,
-    dual,
     eliminate,
     gauss_binomial,
     gram,

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import components, unit, vertex_index
+from conftest import components, dual, unit, vertex_index
 
 from oigraph import graph as graph_module
 from oigraph.gf import GF
-from oigraph.geometry import classify_type, dual, eliminate, gauss_binomial, gram, space_make, subspace_make
+from oigraph.geometry import classify_type, eliminate, gauss_binomial, gram, space_make, subspace_make
 from oigraph.graph import (
     BudgetExceeded,
     OiGraph,

@@ -8,13 +8,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import det, mat_mul
+from conftest import det, dual, mat_mul
 
 from oigraph.geometry import (
     Subspace,
     SubspaceType,
     classify_type,
-    dual,
     eliminate,
     eliminate_stack,
     space_make,

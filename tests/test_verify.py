@@ -154,10 +154,33 @@ def test_matching_edge_rule_finding(ctx):
     assert note
 
 
+def test_matching_edge_rule_fails_on_a_violating_edge(monkeypatch):
+    # one extra edge of Oi(2, 5) joins [(1, 1)] and [(1, 2)], and 1 + 2 != 0
+    ctx = _Ctx()
+    g = ctx.graph(1, 0, 5)
+    index = vertex_index(g)
+    edges = g.edges() + [(index[((1, 1),)], index[((1, 2),)])]
+    monkeypatch.setattr(g, "edges", lambda: edges)
+    assert check_matching_edge_rule(ctx)[2] == STATUS_FAIL
+
+
 def test_e_subgroup_order_check(ctx):
     expected, computed, status, _ = check_e_subgroup_order(ctx)
     assert status == STATUS_PASS
     assert computed["Oi(4, 9)"] == 32
+
+
+# sha256 of run_suite("core").to_json() with every record's seconds set to
+# 0, frozen before the checks shared one grading rule: a changed record,
+# anchor, note or status fails here.
+CORE_REPORT_SHA256 = "b42fa909669f1b7c5996753e98f78afbaaa8fc1d957005a02b5dde7f386124c6"
+
+
+def test_core_report_frozen():
+    report = run_suite("core")
+    for r in report.records:
+        r.seconds = 0
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == CORE_REPORT_SHA256
 
 
 def test_run_suite_rejects_unknown():
