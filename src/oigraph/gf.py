@@ -20,12 +20,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# Largest allocation admitted: the packed adjacency rows (nv * ceil(nv / 8)
-# bytes) with the points' vector-code table (4 q^n bytes), the boolean
-# matrix of adjacency_matrix() (nv * nv bytes), and a field's tables
-# together.  Admits the packed rows of Oi(6,3) (382 MiB) but not those of
-# Oi(5,7) (9.5 GiB), and the tables of GF(3^8) but not GF(3^9)'s.
+# Largest allocation admitted: a build's packed adjacency rows (nv *
+# ceil(nv / 8) bytes), the points' vector-code table (4 q^n bytes) and the
+# field's tables (_table_bytes) as one sum; the boolean matrix of
+# adjacency_matrix() (nv * nv bytes); and a field's tables alone.  Admits
+# the packed rows of Oi(6,3) (382 MiB) but not those of Oi(5,7) (9.5 GiB),
+# and the tables of GF(3^8) but not GF(3^9)'s.
 MAX_ADJACENCY_BYTES = 2**30
+
+
+def _table_bytes(q: int, e: int) -> int:
+    """The bytes of the tables (GF.arrays) of GF(q), q = p^e: add and mul,
+    q x q each, and neg, inv and the e Frobenius rows of q entries, in the
+    least unsigned dtype for q codes."""
+    return np.min_scalar_type(q - 1).itemsize * (2 * q * q + (e + 2) * q)
 
 
 class BudgetExceeded(RuntimeError):
@@ -349,7 +357,7 @@ class GF:
         mul[a, b], neg[a], inv[a] (0 at 0) and frob[j, a] = a^(p^j)."""
         p, e, q = self.p, self.e, self.q
         dtype = np.min_scalar_type(q - 1)
-        needed = dtype.itemsize * (2 * q * q + (e + 2) * q)
+        needed = _table_bytes(q, e)
         if needed > MAX_ADJACENCY_BYTES:
             raise BudgetExceeded(needed, MAX_ADJACENCY_BYTES, f"bytes of GF({q}) tables")
         exp = self._exp.astype(dtype)

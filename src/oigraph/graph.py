@@ -16,10 +16,14 @@ rref_point_ids.  Only the P point vectors ever meet field arithmetic.  By
 bilinearity A ~ B iff every point of A is orthogonal to every point of B,
 and the basis points of each vertex suffice, so the row of A is the AND
 of the rows of its basis points (_fill_adjacency).  Maps of the space act
-as point arrays (point_action), and lift carries a point array to the
-vertices by looking up each vertex's image among the sorted point-id lists
-of its dimension.  graph_from_json rebuilds the graph from its space and
-accepts a file only if it holds exactly that graph.
+as point arrays (point_action).  A vertex's key is its rref_point_ids row
+read as one int64 in base P (_keys); those rows ascend, so the keys are in
+vertex order, and lift and sum_ids find a vertex by one searchsorted in the
+graph's one key table.  lift carries a point array to the vertices: it
+reads each image's rref basis points off its sorted point ids at fixed
+positions, looks up their key and compares whole point sets.
+graph_from_json rebuilds the graph from its space and accepts a file only
+if it holds exactly that graph.
 
 The graph stores one adjacency: the looped matrix packed row by row, rows
 an (nv, ceil(nv / 8)) uint8 array in little-endian bit order.  Bit v of
@@ -50,7 +54,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, factor_prime_power, parse_field
+from .gf import MAX_ADJACENCY_BYTES, BudgetExceeded, _table_bytes, factor_prime_power, parse_field
 from .geometry import (
     OSpace,
     Subspace,
@@ -158,19 +162,19 @@ class OiGraph:
     # -- point representation ----------------------------------------------
 
     @functools.cached_property
-    def _point_sets(self):
-        """Per run of equal-dimension vertices: (first id, each vertex's
-        sorted point ids, those keys sorted, the run position of each)."""
-        f, n = self.space.field, self.space.n
+    def _key_table(self):
+        """The one key table of lift and sum_ids: per dimension m of the
+        graph's own vertices, which come in dimension order from 1, (m,
+        first id, the _keys of its rref_point_ids rows, each vertex's
+        sorted point ids).  Those rows ascend lexicographically, so the keys
+        ascend in vertex order."""
+        f, n, P = self.space.field, self.space.n, len(self.dim1_ids())
         out, start = [], 0
-        for m in range(1, n):
-            bases = rref_bases(f, n, m)
-            coeffs = rref_bases(f, m, 1)[:, 0]  # one combination per point
-            points = np.sort(point_ids(f, f.matmul(coeffs, bases)), axis=1)
-            keys = _id_keys(points)
-            order = np.argsort(keys, kind="stable")
-            out.append((start, points, keys[order], order))
-            start += len(bases)
+        for m in range(1, self.verts[-1].m + 1):
+            coeffs = rref_bases(f, m, 1)[:, 0]  # one combination of the basis rows per point
+            points = np.sort(point_ids(f, f.matmul(coeffs, rref_bases(f, n, m))), axis=1)
+            out.append((m, start, _keys(rref_point_ids(f, n, m), P), points))
+            start += len(points)
         return out
 
     def point_action(self, vec_map) -> np.ndarray:
@@ -188,19 +192,34 @@ class OiGraph:
         """The int64 vertex array of a point permutation of any integer
         dtype: vertex A goes to the vertex whose point set is the image of
         A's.  ValueError unless point_perm permutes the points and every
-        vertex's image is a vertex."""
+        vertex's image is a vertex.
+
+        The image of A, if a vertex, is found by its key, read off its
+        sorted point ids.  Lemma: for an m-dimensional subspace with rref
+        rows r_1..r_m, position (q^i - 1)/(q - 1) of its sorted point ids
+        holds r_{m-i}.  Proof: the points whose leading position is the
+        pivot of r_{m-i} are r_{m-i} plus the combinations of the i later
+        rows, q^i of them.  A point with a later lead is a smaller vector,
+        hence a smaller id, so these come after every point with a later
+        lead, 1 + q + ... + q^(i-1) of them.  The least of them is r_{m-i}:
+        any other adds a nonzero combination of later rows, so it first
+        differs from r_{m-i} at the first pivot that combination uses,
+        where r_{m-i} is 0.  Any image is looked up this way, a vertex or
+        not, so it is then compared with the found vertex's whole point
+        set."""
         p = np.asarray(point_perm)
-        P = len(self.dim1_ids())
+        P, q = len(self.dim1_ids()), self.space.field.q
         if p.shape != (P,) or not np.array_equal(np.sort(p), np.arange(P)):
             raise ValueError("not a permutation of the projective points")
-        p = p.astype(np.int32)  # as the point ids: half the bytes to sort and key
+        p = p.astype(np.int32)  # as the point ids: half the bytes to sort
         out = np.empty(self.nv, dtype=np.int64)
-        for start, points, keys, order in self._point_sets:
-            found = _id_keys(np.sort(p[points], axis=1))
-            pos = np.searchsorted(keys, found).clip(max=len(keys) - 1)
-            if not np.array_equal(keys[pos], found):
+        for m, start, keys, points in self._key_table:
+            image = np.sort(p[points], axis=1)
+            basis = image[:, (q ** np.arange(m - 1, -1, -1) - 1) // (q - 1)]  # top row first
+            pos = np.searchsorted(keys, _keys(basis, P)).clip(max=len(keys) - 1)
+            if not np.array_equal(points[pos], image):
                 raise ValueError("map does not carry vertices to vertices")
-            out[start : start + len(points)] = start + order[pos]
+            out[start : start + len(keys)] = start + pos
         return out
 
     def __eq__(self, other):
@@ -448,7 +467,7 @@ def build_graph(space: OSpace, budget: int | None = None) -> OiGraph:
     cap = vertex_budget(budget)
     if total > cap:
         raise BudgetExceeded(total, cap)
-    _check_bytes(total * ((total + 7) // 8) + 4 * q**n)  # the rows and point_ids' table
+    _check_bytes(total * ((total + 7) // 8) + 4 * q**n + _table_bytes(q, space.field.e))  # rows, point_ids, field
     verts = [Subspace(space, B) for m in range(1, n) for B in rref_bases(space.field, n, m)]
     g = OiGraph(space, verts, np.zeros((len(verts), (len(verts) + 7) // 8), dtype=np.uint8))
     _fill_adjacency(g)
@@ -527,36 +546,37 @@ def classify_types(g: OiGraph) -> list:
 
 def sum_ids(g: OiGraph, u, v) -> np.ndarray:
     """The vertex id of the sum of vertices u[i] and v[i] for each i, or -1
-    where the sum is the whole space.
+    where the sum is no vertex of g: for build_graph's graphs, where it is
+    the whole space.
 
     Each pair's two bases, padded with zero rows to n - 1 rows each, are
     one matrix of a stack that eliminate_stack reduces, a block of pairs
     near _BLOCK bytes at a time.  The rank of a sum is its dimension m, and
-    its first m reduced rows are its rref basis: their point ids, looked up
-    among the ascending id rows of rref_point_ids, give its vertex."""
-    f, n = g.space.field, g.space.n
+    its first m reduced rows are its rref basis: the key of their point
+    ids, looked up in g's key table, gives its vertex."""
+    f, n, P = g.space.field, g.space.n, len(g.dim1_ids())
     u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
-    dims = range(1, n)
-    bases = np.concatenate([np.pad(rref_bases(f, n, m), ((0, 0), (0, n - 1 - m), (0, 0))) for m in dims])
-    keys = [_id_keys(rref_point_ids(f, n, m)) for m in dims]
-    starts = np.cumsum([0] + [len(k) for k in keys])
+    table = g._key_table
+    bases = np.concatenate([np.pad(rref_bases(f, n, m), ((0, 0), (0, n - 1 - m), (0, 0))) for m, *_ in table])
     out = np.full(len(u), -1, dtype=np.intp)
     step = max(1, _BLOCK // (16 * (n - 1) * n))  # the stack's int index temporaries
     for lo in range(0, len(u), step):
         R, rank = eliminate_stack(f, np.concatenate([bases[u[lo : lo + step]], bases[v[lo : lo + step]]], axis=1))[:2]
-        for m, start, table in zip(dims, starts, keys):
+        for m, start, keys, _ in table:
             at = np.flatnonzero(rank == m)
             if len(at):
-                out[lo + at] = start + np.searchsorted(table, _id_keys(point_ids(f, R[at, :m])))
+                out[lo + at] = start + np.searchsorted(keys, _keys(point_ids(f, R[at, :m]), P))
     return out
 
 
-def _id_keys(ids: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array of point ids as one bytes key, big-endian so
-    that the keys order as the rows do lexicographically: the keys of lift
-    and sum_ids."""
-    rows = np.ascontiguousarray(ids, dtype=">u4")
-    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+def _keys(ids: np.ndarray, P: int) -> np.ndarray:
+    """Each row of a 2-d array of point ids as one int64 key, the row's ids
+    its base-P digits, the first most significant, so that the keys order
+    as the rows do lexicographically: the vertex keys of lift and sum_ids.
+    A key is below P^m <= P^(n - 1), which is below 2^63 for every Oi(n, q)
+    that build_graph admits under MAX_ADJACENCY_BYTES: the largest is
+    364^5, about 6.4e12, at Oi(6, 3)."""
+    return ids @ P ** np.arange(ids.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,13 @@ def test_build_bytes_budget_exit(capsys, monkeypatch):
 
 def test_build_point_table_bytes_exit(capsys, monkeypatch):
     # Oi(2,101): 102 * 13 = 1326 bytes of rows, but the vector-code table
-    # of the points takes 4 * 101^2 = 40804 bytes
-    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 1326 + 40804 - 1)
+    # of the points takes 4 * 101^2 = 40804 bytes and the uint8 field
+    # tables 2 * 101^2 + 3 * 101 = 20705, all in the one sum
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 1326 + 40804 + 20705 - 1)
     code, _, err = run(capsys, "build", "--nu", "1", "--field", "101")
     assert code == 3
-    assert "42130 bytes" in err
-    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 1326 + 40804)
+    assert "62835 bytes" in err
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", 1326 + 40804 + 20705)
     assert run(capsys, "build", "--nu", "1", "--field", "101")[0] == 0
 
 

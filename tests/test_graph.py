@@ -1,11 +1,13 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import pathlib
 import random
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +17,19 @@ from hypothesis import strategies as st
 from conftest import components, dual, unit, vertex_index
 
 from oigraph import graph as graph_module
-from oigraph.gf import GF
-from oigraph.geometry import classify_type, eliminate, gauss_binomial, gram, space_make, subspace_make
+from oigraph.autsearch import search_result
+from oigraph.gf import GF, factor_prime_power
+from oigraph.geometry import (
+    classify_type,
+    eliminate,
+    gauss_binomial,
+    gram,
+    point_ids,
+    rref_bases,
+    rref_point_ids,
+    space_make,
+    subspace_make,
+)
 from oigraph.graph import (
     BudgetExceeded,
     OiGraph,
@@ -32,7 +45,9 @@ from oigraph.graph import (
     neighbour_lists,
     pair_blocks,
     recover_parameters,
+    sum_ids,
 )
+from oigraph.symmetry import point_generators, vertex_generators
 
 F3 = GF(3)
 F5 = GF(5)
@@ -649,10 +664,28 @@ def test_budget_bytes_before_allocating(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         build_graph(space_make(2, 1, GF(7)))
     assert exc.value.what == "bytes"
-    assert exc.value.needed == 285702 * 35713 + 4 * 7**5  # the rows and point_ids' table
+    assert exc.value.needed == 285702 * 35713 + 4 * 7**5 + 2 * 49 + 3 * 7  # rows, point_ids, field
     assert exc.value.budget == graph_module.MAX_ADJACENCY_BYTES
     with pytest.raises(Enumerated):
         build_graph(space_make(3, 0, F3))
+
+
+def test_budget_bytes_are_one_sum(monkeypatch):
+    # Oi(3,9): 182 * 23 bytes of rows, 4 * 9^3 of point_ids' table and
+    # 2 * 81 + 4 * 9 of uint8 GF(9) tables, refused one byte under their sum
+    needed = 182 * 23 + 4 * 9**3 + 2 * 81 + 4 * 9
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", needed - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        build_graph(space_make(1, 1, F9))
+    assert (exc.value.needed, exc.value.what) == (needed, "bytes")
+    monkeypatch.setattr(graph_module, "MAX_ADJACENCY_BYTES", needed)
+    assert build_graph(space_make(1, 1, F9)).nv == 182
+    monkeypatch.undo()
+    # Oi(2,11587): the rows and point table (554 MB) fit, and so do the
+    # uint16 field tables (537 MB), but not together
+    with pytest.raises(BudgetExceeded) as exc:
+        build_graph(space_make(1, 0, GF(11587)))
+    assert exc.value.needed == 11588 * 1449 + 4 * 11587**2 + 2 * (2 * 11587**2 + 3 * 11587)
 
 
 def test_adjacency_matrix_budget_bytes(g43, monkeypatch):
@@ -696,3 +729,99 @@ def test_induced_subgraph(g43):
     for new, old in enumerate(g43.dim1_ids()):
         expect = sum(1 for w in indices[indptr[old] : indptr[old + 1]].tolist() if g43.verts[w].m == 1)
         assert d1.degree(new) == expect
+
+
+# -- the vertex key of lift and sum_ids -------------------------------------
+
+
+KEY_SPACES = {
+    "oi43": (2, 0, F3, "one"),
+    "oi53": (2, 1, F3, "one"),
+    "oi39-z": (1, 1, F9, "z"),
+    "oi325": (1, 1, GF(5, 2), "one"),
+}
+
+
+@pytest.mark.parametrize("name", list(KEY_SPACES))
+def test_sorted_point_ids_give_the_rref_basis_points(name):
+    # every nonzero combination of each basis, each point q - 1 times over,
+    # sorted; position (q^i - 1)/(q - 1) holds the point of rref row m - i
+    g = build_graph(space_make(*KEY_SPACES[name]))
+    f, n, q = g.space.field, g.space.n, g.space.field.q
+    for m, _, _, points in g._key_table:
+        coeffs = np.arange(1, q**m)[:, None] // q ** np.arange(m) % q
+        sets = np.sort(point_ids(f, f.matmul(coeffs, rref_bases(f, n, m))), axis=1)[:, :: q - 1]
+        assert np.array_equal(sets, points)
+        assert np.array_equal(sets[:, (q ** np.arange(m - 1, -1, -1) - 1) // (q - 1)], rref_point_ids(f, n, m))
+
+
+def test_vertex_keys_fit_int64(monkeypatch):
+    # a key is below P^(n - 1); build_graph admits or refuses before it
+    # enumerates a vertex, so a stand-in space of the right n and q is
+    # enough to ask it.  The bytes grow with q and with n, so each walk
+    # stops at its first refusal
+    class Enumerated(Exception):
+        pass
+
+    def rref_bases(*args):
+        raise Enumerated
+
+    def admitted(n, q):
+        field = SimpleNamespace(q=q, e=factor_prime_power(q)[1])
+        try:
+            build_graph(SimpleNamespace(n=n, field=field), budget=2**62)
+        except BudgetExceeded:
+            return False
+        except Enumerated:
+            return True
+
+    def odd_prime_powers():
+        for q in itertools.count(3, 2):
+            try:
+                factor_prime_power(q)
+            except ValueError:
+                continue
+            yield q
+
+    monkeypatch.setattr(graph_module, "rref_bases", rref_bases)
+    largest = {}
+    for n in itertools.takewhile(lambda n: admitted(n, 3), itertools.count(2)):
+        for q in itertools.takewhile(lambda q: admitted(n, q), odd_prime_powers()):
+            largest[n, q] = ((q**n - 1) // (q - 1)) ** (n - 1)
+    assert max(largest, key=largest.get) == (6, 3) and largest[6, 3] == 364**5 < 2**63
+    assert max(q for n, q in largest) < 11587  # Oi(2, 11587) is refused
+
+
+@pytest.mark.parametrize("name", ["oi43", "oi39-z", "oi53"])
+def test_sum_ids_equivariant(name):
+    # an automorphism s maps the sum of u and v to the sum of s[u] and
+    # s[v], the whole space (-1) to itself
+    g = build_graph(space_make(*KEY_SPACES[name]))
+    u, v = np.random.default_rng(5).integers(0, g.nv, size=(2, 400))
+    w = sum_ids(g, u, v)
+    assert (w == -1).any() and (w >= 0).any()
+    for s in vertex_generators(g):
+        assert np.array_equal(sum_ids(g, s[u], s[v]), np.where(w == -1, -1, s[w]))
+
+
+@pytest.mark.parametrize("name", ["oi43", "oi39-z"])
+def test_lift_and_search_on_the_points_alone(name):
+    # a graph of the points alone keys only its own vertices
+    g = build_graph(space_make(*KEY_SPACES[name]))
+    h = g.dim1_subgraph()
+    for p in point_generators(g):
+        assert np.array_equal(h.lift(p), p)
+    assert search_result(h).order == search_result(g).order
+
+
+def test_lift_compares_whole_point_sets(g43):
+    # swap the largest point of the first line with a larger point outside
+    # it: the image's two least points, the basis points of its key, are
+    # still the line's, but the image is no line
+    coeffs = np.array([[a, b] for a in range(3) for b in range(3)][1:])
+    line = sorted(set(point_ids(F3, F3.matmul(coeffs, rref_bases(F3, 4, 2)[0])).tolist()))
+    outside = next(b for b in range(line[-1] + 1, 40) if b not in line)
+    p = np.arange(40)
+    p[[line[-1], outside]] = outside, line[-1]
+    with pytest.raises(ValueError, match="vertices"):
+        g43.lift(p)
