@@ -271,11 +271,14 @@ def search_result(g: OiGraph, budget: int | None = None) -> SearchResult:
     """Aut(g) from a search on the points, generators lifted to int64 vertex
     arrays (see the module docstring for why the order is |Aut(g)|).
     seconds is the wall time of the whole call: certificate, search and lift.
-    BudgetExceeded when g has more vertices than budget
-    (DEFAULT_SEARCH_BUDGET if None)."""
+    The budget counts the points searched, not the vertices:
+    BudgetExceeded when g has more than budget points
+    (DEFAULT_SEARCH_BUDGET if None), so Oi(5,3), 2662 vertices on 121
+    points, searches at the default."""
     cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if g.nv > cap:
-        raise BudgetExceeded(g.nv, cap, "search vertices")
+    points = len(g.dim1_ids())
+    if points > cap:
+        raise BudgetExceeded(points, cap, "search points")
     t0 = time.perf_counter()
     certify_dimension_colors(g)
     h = g.dim1_subgraph()

@@ -4,12 +4,20 @@ Elements are plain ints in range(q).  The int a encodes the polynomial
 sum(c[i] * t^i) with little-endian base-p digits c, so for prime fields the
 encoding is just the residue itself.
 
-A field walks the powers of one primitive element g once, at construction
-(exp[k] = g^k), and derives everything else by index arithmetic on it:
-a * b = g^(log a + log b), 1/a = g^(-log a) and so on.  The one table set,
-``arrays``, is built on first use.  Extension fields read it for every
-operation; prime fields compute with % p.  Its q x q add and mul tables
-must fit MAX_ADJACENCY_BYTES (q up to about 16k), else BudgetExceeded.
+The module has one model of F_p[t]/(f): T, the matrix of multiplication
+by t on digit row vectors (``_times_t``).  Powers of T decide whether f is
+irreducible (Rabin's test, ``poly_is_irreducible``), and at construction a
+field walks, through T, the powers of one primitive element g once:
+exp[k] = g^k, with log[g^k] = k beside it.  Everything else is index
+arithmetic on those two: a * b = g^(log a + log b), 1/a = g^(-log a), a is
+a square iff log a is even, and its root is g^(log a / 2).  Rabin's test
+rests on one lemma: in a product of fields of orders p^d with every d | e,
+a is a unit iff a^(p^e - 1) = 1.
+
+The one table set, ``arrays``, is built on first use.  Extension fields
+read it for every operation; prime fields compute with % p.  Its q x q add
+and mul tables must fit MAX_ADJACENCY_BYTES (q up to about 16k), else
+BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -44,91 +52,49 @@ class BudgetExceeded(RuntimeError):
         self.what = what
 
 
-_canonical_modulus_cache: dict = {}
-
-
 def _is_prime(n: int) -> bool:
     return _prime_divisors(n) == [n]
 
 
-# ---------------------------------------------------------------------------
-# dense little-endian polynomial helpers over Z_p (no classes, just lists)
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b, p):
-    """Quotient and remainder of a by b (b monic-or-not, nonzero) over Z_p."""
-    a = list(a)
-    _poly_trim(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = (a[-1] * inv_lb) % p
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] = (a[k + i] - c * bi) % p
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_mulmod(a, b, f, p):
-    """a * b mod f over Z_p."""
-    prod = [0] * (len(a) + len(b))
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] += ai * bj
-    return _poly_divmod([c % p for c in prod], f, p)[1]
-
-
-def _poly_pow_p(a, f, p):
-    """a^p mod f over Z_p, by squaring."""
-    out, k = [1], p
-    while k:
-        if k & 1:
-            out = _poly_mulmod(out, a, f, p)
-        a, k = _poly_mulmod(a, a, f, p), k >> 1
-    return out
-
-
-def _poly_gcd_is_one(a, b, p):
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return len(a) == 1
+def _times_t(modulus, p: int, dtype=np.int64) -> np.ndarray:
+    """T, the matrix of multiplication by t on digit row vectors modulo the
+    monic modulus: row i holds the digits of t^(i+1), the last reduced."""
+    T = np.eye(len(modulus) - 1, len(modulus) - 1, 1, dtype=dtype)
+    T[-1] = [-c % p for c in modulus[:-1]]
+    return T
 
 
 def poly_is_irreducible(coeffs, p) -> bool:
     """Rabin's test: f of degree e >= 1 over Z_p is irreducible iff
     x^(p^e) = x mod f and gcd(x^(p^(e/r)) - x, f) = 1 for each prime r | e.
 
-    x^(p^k) mod f is x raised to the p-th power k times, so the test costs
-    O(e log p) products mod f.
+    Both run on powers of T (``_times_t``) for f made monic: T^k is the
+    matrix of multiplication by t^k in F_p[t]/(f), so the first condition
+    is T^(p^e) = T, and the gcd is 1 iff h = t^(p^(e/r)) - t is a unit.
+    Once the first holds, f divides t^(p^e) - t, so f is squarefree and each
+    irreducible factor has a degree d dividing e: F_p[t]/(f) is a product
+    of fields of order p^d, d | e.  In such a ring a is a unit iff
+    a^(p^e - 1) = 1, as p^d - 1 divides p^e - 1 and a non-unit is 0 in one
+    factor.  So the second condition is (T^(p^(e/r)) - T)^(p^e - 1) = I.
+    The entries are Python ints, exact for every p.
     """
-    f = _poly_trim([c % p for c in coeffs])
+    f = [int(c) % p for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
     e = len(f) - 1
     if e < 1:
         return False
-    x = _poly_divmod([0, 1], f, p)[1]
-    frob = [x]  # frob[k] = x^(p^k) mod f
-    for _ in range(e):
-        frob.append(_poly_pow_p(frob[-1], f, p))
-
-    def minus_x(h):
-        h = h + [0] * (2 - len(h))
-        h[1] = (h[1] - 1) % p
-        return _poly_trim(h)
-
-    if _poly_divmod(minus_x(frob[e]), f, p)[1]:
+    T = _times_t([c * pow(f[-1], -1, p) for c in f], p, object)
+    one, q = np.eye(e, dtype=object), p**e
+    if not np.array_equal(_mat_pow(T, q, p), T):
         return False
-    return all(_poly_gcd_is_one(f, minus_x(frob[e // r]), p) for r in _prime_divisors(e))
+    return all(
+        np.array_equal(_mat_pow((_mat_pow(T, p ** (e // r), p) - T) % p, q - 1, p), one)
+        for r in _prime_divisors(e)
+    )
 
 
+@functools.cache
 def canonical_modulus(p: int, e: int):
     """First monic irreducible of degree e in ascending coefficient order.
 
@@ -137,17 +103,11 @@ def canonical_modulus(p: int, e: int):
     e >= 2 a zero c0 makes x a factor, so those candidates, the first
     p^(e-1) in this order, are skipped untested.
     """
-    key = (p, e)
-    if key not in _canonical_modulus_cache:
-        heads = range(1 if e > 1 else 0, p)
-        for tail in itertools.product(heads, *[range(p)] * (e - 1)):
-            cand = list(tail) + [1]
-            if poly_is_irreducible(cand, p):
-                _canonical_modulus_cache[key] = tuple(cand)
-                break
-        else:  # pragma: no cover - irreducibles of every degree always exist
-            raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")
-    return _canonical_modulus_cache[key]
+    heads = range(1 if e > 1 else 0, p)
+    for tail in itertools.product(heads, *[range(p)] * (e - 1)):
+        if poly_is_irreducible(tail + (1,), p):
+            return tail + (1,)
+    raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")  # pragma: no cover
 
 
 def _prime_divisors(n: int):
@@ -163,8 +123,8 @@ def _prime_divisors(n: int):
 
 
 def _mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
-    """m^k mod p by repeated squaring."""
-    out = np.eye(len(m), dtype=np.int64)
+    """m^k mod p by repeated squaring, in m's dtype."""
+    out = np.eye(len(m), dtype=m.dtype)
     while k:
         if k & 1:
             out = out @ m % p
@@ -213,27 +173,26 @@ class GF:
         self.modulus = modulus
 
         self._exp = self._walk()
-        # the squares of the unit group are the even powers of g
-        self._squares = frozenset(self._exp[::2].tolist())
+        self._log = np.zeros(self.q, np.int64)  # log[g^k] = k, and 0 at 0
+        self._log[self._exp] = np.arange(self.q - 1)
         self._nonsquare = None
 
     def _walk(self) -> np.ndarray:
         """exp[k] = g^k (k < q - 1) for g the least primitive unit in
-        coefficient order.  Multiplying by g is a linear map on digit vectors
-        (t shifts them, the modulus reduces).  A candidate is rejected unless
+        coefficient order.  Multiplying by g is the linear map g(T) on digit
+        vectors, T from ``_times_t``.  A candidate is rejected unless
         g^((q - 1) / r) != 1 for every prime r | q - 1, each power found by
         squaring that map, so only the winner is walked; the walk doubles too:
         g^n..g^(2n-1) are g^0..g^(n-1) times g^n."""
         p, e, q = self.p, self.e, self.q
-        shift = np.eye(e, e, 1, dtype=np.int64)  # row i: the digits of t^(i+1)
-        shift[-1] = [-c % p for c in self.modulus[:-1]]
+        times_t = _times_t(self.modulus, p)
         one = np.eye(e, dtype=np.int64)
         cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
         for g in itertools.islice(itertools.product(range(p), repeat=e), 1, None):
             times_g, t_power = np.zeros((e, e), np.int64), one
             for c in g:
                 times_g += c * t_power
-                t_power = t_power @ shift % p
+                t_power = t_power @ times_t % p
             times_g %= p
             if any(np.array_equal(_mat_pow(times_g, k, p), one) for k in cofactors):
                 continue
@@ -321,7 +280,7 @@ class GF:
         """Membership of nonzero a in the index-2 subgroup of squares."""
         if self._check(a) == 0:
             raise ValueError("is_square is defined on nonzero elements")
-        return a in self._squares
+        return self._log.item(a) % 2 == 0  # the squares are the even powers of g
 
     def canonical_nonsquare(self) -> int:
         """The non-square unit least in little-endian coefficient lex order."""
@@ -332,9 +291,9 @@ class GF:
     def sqrt_of_square(self, a: int) -> int:
         """The root of a whose coefficient encoding is lex-least (a must be
         a nonzero square; the two roots are b and -b)."""
-        if self._check(a) == 0 or a not in self._squares:
+        if self._check(a) == 0 or self._log.item(a) % 2:
             raise ValueError(f"{a} is not a nonzero square")
-        b = int(self._exp[np.flatnonzero(self._exp == a)[0] // 2])  # a = g^2k, b = g^k
+        b = self._exp.item(self._log.item(a) // 2)  # a = g^2k, b = g^k
         return min(b, self.neg(b), key=self.coeffs)
 
     def frobenius(self, a: int, j: int) -> int:
@@ -360,9 +319,7 @@ class GF:
         needed = _table_bytes(q, e)
         if needed > MAX_ADJACENCY_BYTES:
             raise BudgetExceeded(needed, MAX_ADJACENCY_BYTES, f"bytes of GF({q}) tables")
-        exp = self._exp.astype(dtype)
-        log = np.zeros(q, np.int64)
-        log[self._exp] = np.arange(q - 1)
+        exp, log = self._exp.astype(dtype), self._log
 
         def g_to(k):  # g^k at each unit's slot, 0 at the slot of 0
             out = np.zeros(np.shape(k)[:-1] + (q,), dtype)

@@ -226,15 +226,11 @@ check_oi43_generated_order = functools.partial(_generated_order, 2, 0, 3)
 check_oi53_generated_order = functools.partial(_generated_order, 2, 1, 3)
 
 
-# Oi(5, 3) has 2662 vertices, above DEFAULT_SEARCH_BUDGET.
-_FULL_SEARCH_BUDGET = 3000
-
-
 def _full_aut_order(nu, delta, q, ctx):
     """The independent search's order of the automorphism group, graded
     against "Aut = PO*E", whose order is aut_order_formula's."""
     expected = aut_order_formula(nu, delta, q)
-    computed = search_result(ctx.graph(nu, delta, q), budget=_FULL_SEARCH_BUDGET).order
+    computed = search_result(ctx.graph(nu, delta, q)).order
     note = ""
     if computed == 2 * expected:
         note = (

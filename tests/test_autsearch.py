@@ -212,7 +212,7 @@ def test_preserves_adjacency_matches_dense_check(key):
     g = build(*key, "one")
     A = g.adjacency_matrix(include_loops=True)
     rng = np.random.default_rng(19)
-    gens = po_e_generators(g) + search_result(g, budget=3000).generators
+    gens = po_e_generators(g) + search_result(g).generators
     spoilt = []
     for p in gens[::5]:
         q = p.copy()
@@ -373,7 +373,7 @@ def test_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
 def test_point_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
     # search_result searches the P points and lifts its generators.
     g = build(nu, delta, q, disc)
-    res = search_result(g, budget=3000)
+    res = search_result(g)
     assert (res.node_count, res.order) == (nodes, order)
     assert all(g.is_automorphism(p) for p in res.generators)
 
@@ -412,3 +412,12 @@ def test_search_budget(g23):
     with pytest.raises(BudgetExceeded):
         search_result(g23, budget=3)
     assert DEFAULT_SEARCH_BUDGET == 2000
+
+
+def test_search_budget_counts_points():
+    # Oi(5,3) has 2662 vertices on 121 points, and the search covers the points
+    g = build(2, 1, 3, "one")
+    assert (g.nv, len(g.dim1_ids())) == (2662, 121)
+    assert search_result(g, budget=121).order == 51840
+    with pytest.raises(BudgetExceeded, match="121 search points, budget is 120"):
+        search_result(g, budget=120)

@@ -268,6 +268,14 @@ def test_aut_search_prints_vertex_automorphisms(capsys):
     assert all(g.is_automorphism(gen) for gen in payload["generators"])
 
 
+def test_aut_search_oi53_at_the_default_budget(capsys):
+    # 2662 vertices, above the default search budget of 2000, but the search
+    # runs on the 121 points
+    code, out, _ = run(capsys, "aut", "--method", "search", "--nu", "2", "--delta", "1", "--field", "3")
+    assert code == 0
+    assert json.loads(out)["order"] == 51840
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -12,7 +12,6 @@ from oigraph.gf import (
     canonical_modulus,
     factor_prime_power,
     parse_field,
-    _poly_divmod,
     poly_is_irreducible,
     primitive_unit,
 )
@@ -100,22 +99,44 @@ def test_canonical_modulus_values():
     assert canonical_modulus(3, 16) == (1,) + (0,) * 12 + (1, 1, 0, 1)
 
 
+def remainder_mod_monic(a, b, p):
+    """a mod b over Z_p by long division, b monic; little-endian lists."""
+    a = [c % p for c in a]
+    for k in range(len(a) - len(b), -1, -1):  # cancel a's t^(k + deg b) term
+        c = a[k + len(b) - 1]
+        for i, bi in enumerate(b):
+            a[k + i] = (a[k + i] - c * bi) % p
+    return a[: len(b) - 1]
+
+
 def trial_division_is_irreducible(coeffs, p):
     """Reference: no monic polynomial of degree 1..deg/2 divides coeffs."""
     deg = len(coeffs) - 1
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            if not _poly_divmod(coeffs, list(tail) + [1], p)[1]:
+            if not any(remainder_mod_monic(coeffs, list(tail) + [1], p)):
                 return False
     return True
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_rabin_matches_trial_division(p):
-    for e in range(1, 5):
-        for tail in itertools.product(range(p), repeat=e):
-            coeffs = list(tail) + [1]
-            assert poly_is_irreducible(coeffs, p) == trial_division_is_irreducible(coeffs, p), coeffs
+    # every polynomial of degree 1..4 (1..3 for p = 11) with leading
+    # coefficient 1 or 2
+    for e in range(1, 5 if p < 11 else 4):
+        for lead in (1, 2):
+            for tail in itertools.product(range(p), repeat=e):
+                coeffs = list(tail) + [lead]
+                assert poly_is_irreducible(coeffs, p) == trial_division_is_irreducible(coeffs, p), coeffs
+
+
+def test_rabin_edge_inputs():
+    # a constant is no irreducible; trailing zeros are dropped; the
+    # entries are exact past the int64 range
+    assert not poly_is_irreducible([0], 3)
+    assert not poly_is_irreducible([5], 3)
+    assert poly_is_irreducible([1, 1, 0], 3)
+    assert poly_is_irreducible([1, 1], 4294967311)
 
 
 def test_rabin_rejects_factors_of_coprime_degrees():
@@ -411,6 +432,19 @@ def test_table_build_peak_within_twice_the_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * sum(a.nbytes for a in vars(tables).values())
+
+
+def test_field_holds_only_its_walk():
+    # a prime field keeps exp and log and builds no table; a frozenset of
+    # its squares once held 4.29 MiB against the 1.53 MiB of exp and log
+    tracemalloc.start()
+    try:
+        f = parse_field("100003")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "arrays" not in vars(f)
+    assert held <= f._exp.nbytes + f._log.nbytes + 2**19
 
 
 def test_table_guard_before_allocating():

@@ -79,3 +79,30 @@ def test_readme_library_block():
         assert repr(eval(expr, env)) == comment.strip().split("  ")[0], line
         checked += 1
     assert checked == 5
+
+
+def test_code_lines_script(tmp_path):
+    # docstrings, comments and blank lines drop out; a statement over two
+    # lines counts two, and a string that is no docstring counts
+    (tmp_path / "a.py").write_text(
+        '"""Module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        '    s = "not a docstring"  # a trailing comment\n'
+        '    """nor is this"""\n'
+        "    return (x +\n"
+        "            1)\n"
+    )
+    (tmp_path / "b.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 2\n")
+    assert run_script("code_lines.py", str(tmp_path)) == [
+        "     6  a.py",
+        "     1  b.py",
+        "     7  total",
+    ]
