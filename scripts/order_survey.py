@@ -2,10 +2,11 @@
 
 For every space that fits the vertex budget this prints the order of the
 generated (reflection + semilinear) group, the closed-form value where
-one applies, and the independent search order where the graph is small
-enough.  The search/generated ratio column makes the even-dimension
-doubling visible: whenever n = 2*nu + delta is even, scaling the form by
-the nonsquare z is an extra automorphism that the generated group misses.
+one applies, and the independent search order where the points fit the
+search's point budget ("-" where they do not).  The search/generated
+ratio column makes the even-dimension doubling visible: whenever
+n = 2*nu + delta is even, scaling the form by the nonsquare z is an extra
+automorphism that the generated group misses.
 
 Usage: python3 scripts/order_survey.py [MAX_VERTICES]
 """
@@ -17,7 +18,7 @@ sys.path.insert(0, "src")
 from oigraph.autsearch import search_result
 from oigraph.geometry import space_make
 from oigraph.gf import GF
-from oigraph.graph import build_graph
+from oigraph.graph import BudgetExceeded, build_graph
 from oigraph.symmetry import aut_order_formula, group_order, point_generators
 
 CASES = [
@@ -52,10 +53,10 @@ def main(argv):
             formula = aut_order_formula(nu, delta, f.q, disc)
         except ValueError:
             formula = "-"
-        if g.nv <= 700:
+        try:
             searched = search_result(g).order
             ratio = f"{searched // generated}x" if searched % generated == 0 else "?"
-        else:
+        except BudgetExceeded:
             searched, ratio = "-", "-"
         print(f"{space.label():<14} {nu:>2} {delta:>5} {g.nv:>6} {generated:>10} "
               f"{str(formula):>10} {str(searched):>8} {ratio:>6}")

@@ -8,14 +8,32 @@ the stabilizer chain accounts for every leaf equivalence.
 
 Refinement reads neighbour lists (the CSR pair graph.neighbour_lists makes
 from the packed looped rows, loops dropped, kept on a graph as
-OiGraph.nbrs) and keeps the partition as positions: an order array
-holding each cell's vertices contiguously, each vertex's cell start and
-each cell's size.  A splitter costs a bincount of its members'
-neighbours; only the cells those neighbours fall in are examined, and
-only the cells that split are reordered.  Splitters are processed in the
-same first-in first-out order as a rescan of every cell would use, and
-no fragment is skipped, so the cell order that the search trace depends
-on is fixed by the input.
+OiGraph.nbrs).  The search carries one partition from the colors to the
+leaves, as positions: an order array holding each cell's vertices
+contiguously, and cell_at, the size of the cell starting at each position
+(0 inside a cell).  A node's trace entry is its cell_at, and a leaf is its
+order.  A splitter costs a bincount of its members' neighbours; only the
+cells those neighbours fall in are examined, and only the cells that split
+are reordered.  Splitters are processed first in, first out, and no
+fragment is skipped, so the cell order that the search trace depends on is
+fixed by the input.  The loop stops once the partition is discrete, as
+nothing can split then.
+
+The root is refined from all of its cells.  A child is refined from the
+two cells individualising w makes, {w} and C - {w} (McKay and Piperno's
+R(pi, alpha), "Practical graph isomorphism, II", J. Symb. Comput. 60,
+2014), and this gives the partition a rescan of every cell would: let pi
+be equitable and w be split off the cell C.
+
+- Every other cell of pi is a union of current cells, and each vertex's
+  count into it is constant on the cells of pi, so on every current cell:
+  it splits nothing, whenever it is processed.
+- Once {w} has been processed, C - {w} splits nothing: a vertex's count
+  into it is its count into C, constant on the cells of pi, minus its
+  adjacency to w, now constant on every current cell.
+
+So the same splitters split, in the same order, and the fragments they
+queue follow in the same order.
 
 Loops never enter the refinement counting; they sit in the initial colors
 (and in the final adjacency verification, which includes the diagonal).
@@ -66,7 +84,6 @@ their oracle on small instances.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -83,38 +100,40 @@ DEFAULT_SEARCH_BUDGET = 2000
 # equitable refinement
 
 
-def _cells_from_colors(colors):
-    order = sorted(set(colors))
-    return [[v for v, c in enumerate(colors) if c == col] for col in order]
+def color_partition(colors):
+    """The partition of the vertices by color as (order, cell_at): cells in
+    ascending color order, each keeping ascending vertex order."""
+    _, inverse, sizes = np.unique(np.asarray(colors), axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    cell_at = np.zeros(len(order), dtype=np.intp)
+    cell_at[sizes.cumsum() - sizes] = sizes
+    return order, cell_at
 
 
-def refine_cells(nbrs, cells):
-    """Coarsest equitable refinement; splits order by neighbor count.
+def refine(nbrs, order, cell_at, splitters=None):
+    """Refine the partition (order, cell_at) in place from splitters.
 
-    cells partition the vertices; nbrs are their neighbour lists.  Every
-    cell, then every part a split produces, is queued as a splitter in
-    turn.  A splitter splits each cell whose members differ in their number
-    of neighbours in it into parts of ascending count, each keeping the
-    cell's vertex order, and queues the parts in cell order.
+    order holds each cell's vertices contiguously; cell_at holds the size of
+    the cell starting at each position, else 0.  splitters is a sequence of
+    (start, size) cells, every cell if None; every part a split produces is
+    queued after them.  A splitter splits each cell whose members differ in
+    their number of neighbours in it into parts of ascending count, each
+    keeping the cell's vertex order, and queues the parts in cell order.
+    The loop stops once every cell is a singleton, as nothing can split.
     """
     indptr, indices = nbrs
-    nv = len(indptr) - 1
+    nv = len(order)
     degree = np.diff(indptr)
-    sizes = np.array([len(c) for c in cells], dtype=np.intp)
-    order = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.intp, count=sizes.sum())
-    if not np.array_equal(np.sort(order), np.arange(nv)):
-        raise ValueError("cells do not partition the vertices")
-    starts = sizes.cumsum() - sizes
-    cell_at = np.zeros(nv, dtype=np.intp)  # size of the cell starting at each position, else 0
-    cell_at[starts] = sizes
+    heads = np.flatnonzero(cell_at)
     start_of = np.empty(nv, dtype=np.intp)  # start position of each vertex's cell
-    start_of[order] = np.repeat(starts, sizes)
+    start_of[order] = np.repeat(heads, cell_at[heads])
     pos = np.empty(nv, dtype=np.intp)
     pos[order] = np.arange(nv)
     # A cell's vertex set never changes once it exists, only its order inside
     # its positions, so a queued splitter is just (start, size).
-    work = deque(zip(starts.tolist(), sizes.tolist()))
-    while work:
+    work = deque(zip(heads.tolist(), cell_at[heads].tolist()) if splitters is None else splitters)
+    cells = len(heads)
+    while work and cells < nv:
         s, k = work.popleft()
         members = order[s : s + k]
         lo, deg = indptr[members], degree[members]
@@ -139,12 +158,25 @@ def refine_cells(nbrs, cells):
             pos[seg] = np.arange(t, t + len(seg))
             c = count[seg]
             cuts = [0, *((c[1:] != c[:-1]).nonzero()[0] + 1).tolist(), len(seg)]
+            cells += len(cuts) - 2
             for a, b in zip(cuts, cuts[1:]):
                 start_of[seg[a:b]] = t + a
                 cell_at[t + a] = b - a
                 work.append((t + a, b - a))
-    flat, heads = order.tolist(), np.flatnonzero(cell_at)
-    return [flat[s : s + k] for s, k in zip(heads.tolist(), cell_at[heads].tolist())]
+
+
+def individualize(nbrs, order, cell_at, t, w):
+    """A copy of the equitable partition (order, cell_at) with w split off at
+    the head of its cell, which starts at t, refined from {w} and the rest
+    of that cell only (see the module docstring for why that suffices)."""
+    k = cell_at[t]
+    order, cell_at = order.copy(), cell_at.copy()
+    seg = order[t : t + k]
+    order[t + 1 : t + k] = seg[seg != w]
+    order[t] = w
+    cell_at[t : t + 2] = 1, k - 1
+    refine(nbrs, order, cell_at, [(t, 1), (t + 1, k - 1)])
+    return order, cell_at
 
 
 def _vertex_colors(g: OiGraph):
@@ -172,80 +204,66 @@ class _Search:
         self.colors = colors
         self.gens: list[np.ndarray] = []
         self.nodes = 0
-        self.trace: list[tuple] = []
-        self.first_leaf: list[int] | None = None
+        self.trace: list[np.ndarray] = []  # cell_at at each depth of the first path
+        self.first_leaf: np.ndarray | None = None
         self.base_seq: list[int] = []
 
     def run(self) -> SearchResult:
         t0 = time.perf_counter()
-        start = refine_cells(self.nbrs, _cells_from_colors(self.colors))
-        self._first_path(start, 0)
-        order = PermGroup(self.nv, self.gens).order() if self.gens else 1
-        return SearchResult(order, self.gens, self.nodes, time.perf_counter() - t0)
+        order, cell_at = color_partition(self.colors)
+        refine(self.nbrs, order, cell_at)
+        self._first_path(order, cell_at, 0)
+        group_order = PermGroup(self.nv, self.gens).order() if self.gens else 1
+        return SearchResult(group_order, self.gens, self.nodes, time.perf_counter() - t0)
 
     @staticmethod
-    def _target(cells):
-        best = None
-        for i, c in enumerate(cells):
-            if len(c) > 1 and (best is None or len(c) < len(cells[best])):
-                best = i
-        return best
+    def _target(cell_at):
+        """Start of the first smallest non-singleton cell, None if discrete."""
+        t = int(np.where(cell_at > 1, cell_at, len(cell_at) + 1).argmin())
+        return t if cell_at[t] > 1 else None
 
-    @staticmethod
-    def _individualize(cells, ti, w):
-        cell = cells[ti]
-        return cells[:ti] + [[w], [x for x in cell if x != w]] + cells[ti + 1 :]
-
-    def _check_leaf(self, cells) -> np.ndarray | None:
-        leaf = [c[0] for c in cells]
+    def _check_leaf(self, order) -> np.ndarray | None:
         p = np.empty(self.nv, dtype=np.int64)
-        p[self.first_leaf] = leaf
+        p[self.first_leaf] = order
         return p if preserves_adjacency(self.rows, self.nbrs, p) else None
 
     def _orbit_labels(self, prefix) -> np.ndarray:
         """orbit_labels of the generators found so far that fix prefix."""
         return orbit_labels(self.nv, [g for g in self.gens if all(g[v] == v for v in prefix)])
 
-    def _first_path(self, cells, depth):
+    def _first_path(self, order, cell_at, depth):
         self.nodes += 1
-        self.trace.append(tuple(len(c) for c in cells))
-        ti = self._target(cells)
-        if ti is None:
-            self.first_leaf = [c[0] for c in cells]
+        self.trace.append(cell_at)
+        t = self._target(cell_at)
+        if t is None:
+            self.first_leaf = order
             return
-        cell = cells[ti]
-        c0 = cell[0]
+        c0, *rest = order[t : t + cell_at[t]].tolist()
         self.base_seq.append(c0)
         prefix = self.base_seq[:depth]
-        self._first_path(
-            refine_cells(self.nbrs, self._individualize(cells, ti, c0)), depth + 1
-        )
+        self._first_path(*individualize(self.nbrs, order, cell_at, t, c0), depth + 1)
         # skip w when it lies in the orbit of an explored vertex
         explored = [c0]
         label = self._orbit_labels(prefix)
-        for w in cell[1:]:
+        for w in rest:
             if label[w] in label[explored]:
                 continue
             explored.append(w)
-            found = self._descend(
-                refine_cells(self.nbrs, self._individualize(cells, ti, w)), depth + 1
-            )
+            found = self._descend(*individualize(self.nbrs, order, cell_at, t, w), depth + 1)
             if found is not None:
                 self.gens.append(found)
                 label = self._orbit_labels(prefix)
 
-    def _descend(self, cells, depth) -> np.ndarray | None:
+    def _descend(self, order, cell_at, depth) -> np.ndarray | None:
         """Exhaust a non-first subtree, stopping at the first automorphism."""
         self.nodes += 1
-        if tuple(len(c) for c in cells) != self.trace[depth]:
+        if not np.array_equal(cell_at, self.trace[depth]):
             return None
-        ti = self._target(cells)
-        if ti is None:
-            return self._check_leaf(cells)
-        for w in cells[ti]:
-            found = self._descend(
-                refine_cells(self.nbrs, self._individualize(cells, ti, w)), depth + 1
-            )
+        t = self._target(cell_at)
+        if t is None:
+            return self._check_leaf(order)
+        for w in order[t : t + cell_at[t]].tolist():
+            found = self._descend(*individualize(self.nbrs, order, cell_at, t, w), depth + 1)
             if found is not None:
                 return found
         return None

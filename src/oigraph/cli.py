@@ -31,7 +31,7 @@ def _add_space_flags(p):
     p.add_argument("--disc", default="one", choices=("one", "z"), help="discriminant class for delta=1")
     p.add_argument("--field", required=True, help="field order: q or p^e, odd characteristic")
     p.add_argument("--modulus", default=None, help="extension modulus, little-endian comma coefficients")
-    p.add_argument("--budget", type=int, default=None, help="vertex budget override")
+    p.add_argument("--budget", type=int, default=None, help="vertex budget, and aut --method search's point budget")
 
 
 def _add_output_flags(p, formats):

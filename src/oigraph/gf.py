@@ -163,13 +163,14 @@ class GF:
         self.p = p
         self.e = e
         self.q = p**e
-        if modulus is None:
+        if modulus is None:  # canonical_modulus picks an irreducible one
             modulus = canonical_modulus(p, e) if e > 1 else (0, 1)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {e}")
-        if e > 1 and not poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {e}")
+            if e > 1 and not poly_is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
 
         self._exp = self._walk()

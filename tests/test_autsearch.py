@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import time
 from collections import deque
 
@@ -11,13 +13,15 @@ from oigraph import autsearch
 from oigraph import graph as graph_module
 from oigraph.autsearch import (
     DEFAULT_SEARCH_BUDGET,
-    _cells_from_colors,
     _Search,
     _vertex_colors,
     certify_dimension_colors,
-    refine_cells,
+    color_partition,
+    individualize,
+    refine,
     search_result,
 )
+from oigraph.cli import main
 from oigraph.gf import GF, factor_prime_power
 from oigraph.geometry import classify_type, space_make, subspace_make
 from oigraph.graph import BudgetExceeded, OiGraph, build_graph, neighbour_lists, preserves_adjacency
@@ -67,26 +71,38 @@ def brute_order(A):
 # -- refinement ------------------------------------------------------------
 
 
+def cells_of(order, cell_at):
+    """The partition (order, cell_at) as a list of cells, each a list."""
+    heads = np.flatnonzero(cell_at).tolist()
+    return [order[s : s + cell_at[s]].tolist() for s in heads]
+
+
+def refined_cells(g, colors):
+    order, cell_at = color_partition(colors)
+    refine(g.nbrs, order, cell_at)
+    return cells_of(order, cell_at)
+
+
 def test_refine_trivial_coloring_oi23(g23):
-    cells = refine_cells(g23.nbrs, [[0, 1, 2, 3]])
-    assert cells == [[0, 1], [2, 3]]  # loops split from edge endpoints by degree
+    # loops split from edge endpoints by degree
+    assert refined_cells(g23, [0, 0, 0, 0]) == [[0, 1], [2, 3]]
 
 
 def test_refine_discrete_fixed_point(g23):
-    discrete = [[0], [1], [2], [3]]
-    assert refine_cells(g23.nbrs, discrete) == discrete
+    order, cell_at = color_partition([3, 2, 1, 0])
+    refine(g23.nbrs, order, cell_at)
+    assert (order.tolist(), cell_at.tolist()) == ([3, 2, 1, 0], [1, 1, 1, 1])
 
 
-def test_refine_rejects_non_partition(g23):
-    with pytest.raises(ValueError):
-        refine_cells(g23.nbrs, [[0, 1], [2]])
-    with pytest.raises(ValueError):
-        refine_cells(g23.nbrs, [[0, 1], [1, 2, 3]])
+def cells_from_colors(colors):
+    """The vertices grouped by color, colors ascending, each group in
+    ascending vertex order: the reference for color_partition."""
+    return [[v for v, c in enumerate(colors) if c == col] for col in sorted(set(colors))]
 
 
 def reference_refine_cells(adj, cells):
     """Reference refinement over bitsets: every splitter rescans every cell.
-    The oracle for refine_cells' ordered output."""
+    The oracle for refine's ordered output."""
     cells = [list(c) for c in cells]
     work = deque(sum(1 << v for v in c) for c in cells)
     while work:
@@ -110,18 +126,33 @@ def reference_refine_cells(adj, cells):
     "nu,delta,q,disc", [(1, 1, 3, "one"), (2, 0, 3, "one"), (1, 0, 9, "one"), (1, 1, 9, "z")]
 )
 def test_refine_matches_bitset_reference(nu, delta, q, disc):
-    # Same ordered cells, same vertex order inside each, on the partitions
-    # the search starts from, the certificate's (loop, degree) partition and
-    # every individualisation of the first target cell.
+    # Same ordered cells, same vertex order inside each, as a rescan of every
+    # cell: on the search's colors, on the certificate's (loop, degree)
+    # colors, and at every node of the first path, each depth and each w of
+    # its target cell, where individualize refines from {w} and the rest of
+    # w's cell only.
     g = build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
-    start = _cells_from_colors(_vertex_colors(g))
-    inputs = [start, _cells_from_colors([(g.loop_at(v), g.degree(v)) for v in range(g.nv)])]
-    cells = refine_cells(g.nbrs, start)
-    ti = _Search._target(cells)
-    inputs += [_Search._individualize(cells, ti, w) for w in cells[ti]]
     adj = [sum(1 << int(w) for w in np.flatnonzero(row)) for row in g.adjacency_matrix()]
-    for cells in inputs:
-        assert refine_cells(g.nbrs, cells) == reference_refine_cells(adj, cells)
+    loop_degree = [(g.loop_at(v), g.degree(v)) for v in range(g.nv)]
+    assert refined_cells(g, loop_degree) == reference_refine_cells(adj, cells_from_colors(loop_degree))
+    colors = _vertex_colors(g)
+    order, cell_at = color_partition(colors)
+    assert cells_of(order, cell_at) == cells_from_colors(colors)
+    refine(g.nbrs, order, cell_at)
+    assert cells_of(order, cell_at) == reference_refine_cells(adj, cells_from_colors(colors))
+    depth = 0
+    while (t := _Search._target(cell_at)) is not None:
+        cells = cells_of(order, cell_at)
+        i = np.flatnonzero(cell_at).tolist().index(t)
+        children = []
+        for w in cells[i]:
+            split = cells[:i] + [[w], [x for x in cells[i] if x != w]] + cells[i + 1 :]
+            children.append(individualize(g.nbrs, order, cell_at, t, w))
+            assert cells_of(*children[-1]) == reference_refine_cells(adj, split)
+        assert cells_of(order, cell_at) == cells  # the parent is left as it was
+        order, cell_at = children[0]
+        depth += 1
+    assert depth > 1
 
 
 def rank_profile(g, v):
@@ -145,7 +176,7 @@ def test_refine_cells_are_rank_profile_fibers(g43):
     # On a 2nu-dimensional space the two square-class tags of each odd-rank
     # profile are interchangeable (scaling the form by a nonsquare is a graph
     # automorphism), and 1-WL refinement lands exactly on the merged fibers.
-    cells = sorted(tuple(sorted(c)) for c in refine_cells(g43.nbrs, _cells_from_colors(_vertex_colors(g43))))
+    cells = sorted(tuple(sorted(c)) for c in refined_cells(g43, _vertex_colors(g43)))
     fibers = {}
     for v in range(g43.nv):
         fibers.setdefault((rank_profile(g43, v), g43.loop_at(v)), []).append(v)
@@ -158,7 +189,7 @@ def test_refine_cells_are_rank_profile_fibers(g43):
 def test_refine_respects_types_odd_dimension():
     # dimension 2nu+1: no form-scaling symmetry, cells match tagged types
     g33 = build_graph(space_make(1, 1, F3))
-    cells = sorted(tuple(sorted(c)) for c in refine_cells(g33.nbrs, _cells_from_colors(_vertex_colors(g33))))
+    cells = sorted(tuple(sorted(c)) for c in refined_cells(g33, _vertex_colors(g33)))
     fibers = {}
     for v in range(g33.nv):
         fibers.setdefault((classify_type(g33.verts[v]).as_tuple(), g33.loop_at(v)), []).append(v)
@@ -258,10 +289,10 @@ def test_check_leaf_accepts_only_automorphisms():
         A = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)], loops)
         rows = np.packbits(A, axis=1, bitorder="little")
         search = _Search(rows, neighbour_lists(rows), [0] * 4)
-        search.first_leaf = [0, 1, 2, 3]
-        assert (search._check_leaf([[3], [2], [1], [0]]) is not None) == reversal_ok
-        assert search._check_leaf([[1], [0], [2], [3]]) is None  # edge 1-2 goes to 0-2
-        assert list(search._check_leaf([[0], [1], [2], [3]])) == [0, 1, 2, 3]
+        search.first_leaf = np.arange(4)
+        assert (search._check_leaf(np.array([3, 2, 1, 0])) is not None) == reversal_ok
+        assert search._check_leaf(np.array([1, 0, 2, 3])) is None  # edge 1-2 goes to 0-2
+        assert list(search._check_leaf(np.arange(4))) == [0, 1, 2, 3]
 
 
 def test_search_matches_bruteforce_random():
@@ -376,6 +407,34 @@ def test_point_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
     res = search_result(g)
     assert (res.node_count, res.order) == (nodes, order)
     assert all(g.is_automorphism(p) for p in res.generators)
+
+
+# sha256 of `oigraph aut --method search` JSON with "runtime" removed, and of
+# the tests' full-vertex search's generator bytes (int64) on Oi(4,3), frozen
+# before the search carried one position-array partition
+FROZEN_SEARCH_DIGESTS = {
+    ("2", "0", "one", "3"): "9cb90586007bf1dd6aa0e349c10c8aac6684556941db0eb1ba900f9859d20327",
+    ("1", "2", "one", "3"): "c9cf9c4ea206c68f0e347e3ee65f206d111833525c97f9be6cce19a12eb8ca9d",
+    ("1", "1", "z", "9"): "a7c769d34aeb35f1bd4fa254aecb0203f28448e0b9d98e998e66bc8457925ecb",
+    ("2", "1", "one", "3"): "cf62bbf0f62c29ab3ec692fa048dee3d43c1c14c801c7e9b6ecbfb7d5e03717d",
+    ("2", "0", "one", "5"): "71953272caa94d4c264b61b784394f1a9478533a50fe6c8e5536133c4e0a1d68",
+}
+FROZEN_FULL_SEARCH_GENERATORS_OI43 = "abbae60eff2000abf36f10e630651abb5625deceeed475257ce05df07da13ccd"
+
+
+@pytest.mark.parametrize("key", list(FROZEN_SEARCH_DIGESTS), ids=["oi43", "oi43-delta2", "oi39-z", "oi53", "oi45"])
+def test_search_output_digests_frozen(key, capsys):
+    nu, delta, disc, q = key
+    assert main(["aut", "--method", "search", "--nu", nu, "--delta", delta, "--disc", disc, "--field", q]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["runtime"]
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == FROZEN_SEARCH_DIGESTS[key]
+
+
+def test_full_search_generators_frozen(g43):
+    res = search_automorphisms(g43.adjacency_matrix(include_loops=True), colors=_vertex_colors(g43))
+    gens = np.array(res.generators, dtype=np.int64).tobytes()
+    assert hashlib.sha256(gens).hexdigest() == FROZEN_FULL_SEARCH_GENERATORS_OI43
 
 
 def test_search_seconds_cover_the_certificate(g43, monkeypatch):

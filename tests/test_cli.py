@@ -276,6 +276,14 @@ def test_aut_search_oi53_at_the_default_budget(capsys):
     assert json.loads(out)["order"] == 51840
 
 
+def test_aut_budget_help_names_both_units(capsys):
+    # aut --method search passes --budget to the build (vertices) and to the
+    # search (points)
+    code, out, _ = run(capsys, "aut", "--help")
+    assert code == 0
+    assert "vertex budget, and aut --method search's point budget" in " ".join(out.split())
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
 

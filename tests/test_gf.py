@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oigraph import gf as gf_module
 from oigraph.gf import (
     GF,
     BudgetExceeded,
@@ -73,6 +74,26 @@ def test_field_construction():
         GF(3, 0)
     with pytest.raises(ValueError):
         GF(3, 2, (0, 0, 1))  # t^2 is reducible
+    with pytest.raises(ValueError, match="monic of degree 2"):
+        GF(3, 2, (1, 0, 2))  # 2t^2 + 1 is not monic
+    with pytest.raises(ValueError, match="monic of degree 2"):
+        GF(3, 2, (2, 0, 0, 1))  # degree 3
+
+
+def test_only_a_given_modulus_is_tested(monkeypatch):
+    # canonical_modulus picks an irreducible modulus, so GF tests only one it
+    # is given
+    tested = []
+
+    def recording(f, p):
+        tested.append(tuple(f))
+        return poly_is_irreducible(f, p)
+
+    canonical_modulus(5, 3)
+    monkeypatch.setattr(gf_module, "poly_is_irreducible", recording)
+    assert GF(5, 3).modulus == canonical_modulus(5, 3) and tested == []
+    assert GF(5, 3, (6, 0, 1, 1)).modulus == (1, 0, 1, 1)
+    assert tested == [(1, 0, 1, 1)]
 
 
 def test_canonical_modulus_is_first_irreducible_sympy_oracle():
