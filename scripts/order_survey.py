@@ -31,6 +31,7 @@ CASES = [
     (1, 1, GF(5), "one"),
     (1, 2, GF(3), "one"),
     (2, 0, GF(3), "one"),
+    (2, 0, GF(5), "one"),
     (2, 1, GF(3), "one"),
 ]
 

@@ -14,26 +14,39 @@ contiguously, and cell_at, the size of the cell starting at each position
 (0 inside a cell).  A node's trace entry is its cell_at, and a leaf is its
 order.  A splitter costs a bincount of its members' neighbours; only the
 cells those neighbours fall in are examined, and only the cells that split
-are reordered.  Splitters are processed first in, first out, and no
-fragment is skipped, so the cell order that the search trace depends on is
-fixed by the input.  The loop stops once the partition is discrete, as
-nothing can split then.
+are reordered.  The loop stops once the partition is discrete, as nothing
+can split then.  The search targets the first non-singleton cell.
 
-The root is refined from all of its cells.  A child is refined from the
-two cells individualising w makes, {w} and C - {w} (McKay and Piperno's
-R(pi, alpha), "Practical graph isomorphism, II", J. Symb. Comput. 60,
-2014), and this gives the partition a rescan of every cell would: let pi
-be equitable and w be split off the cell C.
+Splitters wait in a first-in, first-out queue, and a split cell that is
+not queued does not queue its first largest part (Hopcroft's rule, "An n
+log n algorithm for minimizing states in a finite automaton", 1971; McKay
+and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
+2014).  The refinement still ends at the coarsest equitable partition
+finer than its input.  Every split is forced, and the queue keeps this
+invariant: each vertex's count into a cell that is not queued is fixed by
+the vertex's cell and its counts into the queued cells.  When the queue is
+empty the counts into every cell are constant on every cell.
 
-- Every other cell of pi is a union of current cells, and each vertex's
-  count into it is constant on the cells of pi, so on every current cell:
-  it splits nothing, whenever it is processed.
-- Once {w} has been processed, C - {w} splits nothing: a vertex's count
-  into it is its count into C, constant on the cells of pi, minus its
-  adjacency to w, now constant on every current cell.
+- Processing a splitter makes the counts into it constant on every cell,
+  so it drops out of every other cell's dependence.
+- A queued cell that splits leaves the queue, and all of its parts join
+  it: a count into the cell is the sum of the counts into its parts.
+- A cell that is not queued queues every part but the first largest.  A
+  vertex's count into that part is its count into the parent, fixed as
+  the invariant says, minus its counts into the parent's other parts,
+  which are queued.
+- The root is refined from all of its cells, so nothing starts unqueued.
+  A child is refined from {w} alone, where w has been split off the cell
+  C of an equitable partition pi.  Every other cell of pi has counts
+  constant on the cells of pi, and so on every current cell.  A vertex's
+  count into C - {w} is its count into C minus its adjacency to w, its
+  count into the queued {w}.
 
-So the same splitters split, in the same order, and the fragments they
-queue follow in the same order.
+The target rule and the queue rule, like the rest of the refinement, read
+only positions and counts, never vertex labels.  So relabelling the graph
+and the starting order together relabels the result, order entry by
+entry, with the same cell_at; the search's target cells, traces and leaves
+follow the graph, as an individualisation-refinement search needs.
 
 Loops never enter the refinement counting; they sit in the initial colors
 (and in the final adjacency verification, which includes the diagonal).
@@ -115,11 +128,12 @@ def refine(nbrs, order, cell_at, splitters=None):
 
     order holds each cell's vertices contiguously; cell_at holds the size of
     the cell starting at each position, else 0.  splitters is a sequence of
-    (start, size) cells, every cell if None; every part a split produces is
-    queued after them.  A splitter splits each cell whose members differ in
-    their number of neighbours in it into parts of ascending count, each
-    keeping the cell's vertex order, and queues the parts in cell order.
-    The loop stops once every cell is a singleton, as nothing can split.
+    (start, size) cells, every cell if None.  A splitter splits each cell
+    whose members differ in their number of neighbours in it into parts of
+    ascending count, each keeping the cell's vertex order.  If the split
+    cell is queued, it leaves the queue and every part joins it, in cell
+    order; if not, every part but the first largest does.  The loop stops
+    once every cell is a singleton, as nothing can split.
     """
     indptr, indices = nbrs
     nv = len(order)
@@ -130,11 +144,16 @@ def refine(nbrs, order, cell_at, splitters=None):
     pos = np.empty(nv, dtype=np.intp)
     pos[order] = np.arange(nv)
     # A cell's vertex set never changes once it exists, only its order inside
-    # its positions, so a queued splitter is just (start, size).
+    # its positions, so a queued splitter is just (start, size), and one
+    # popped after its cell has split is stale.
     work = deque(zip(heads.tolist(), cell_at[heads].tolist()) if splitters is None else splitters)
+    pending = set(work)
     cells = len(heads)
     while work and cells < nv:
         s, k = work.popleft()
+        if (s, k) not in pending:
+            continue
+        pending.remove((s, k))
         members = order[s : s + k]
         lo, deg = indptr[members], degree[members]
         # the members' neighbour lists, concatenated, counted per vertex
@@ -159,23 +178,31 @@ def refine(nbrs, order, cell_at, splitters=None):
             c = count[seg]
             cuts = [0, *((c[1:] != c[:-1]).nonzero()[0] + 1).tolist(), len(seg)]
             cells += len(cuts) - 2
-            for a, b in zip(cuts, cuts[1:]):
-                start_of[seg[a:b]] = t + a
-                cell_at[t + a] = b - a
-                work.append((t + a, b - a))
+            parts = [(t + a, b - a) for a, b in zip(cuts, cuts[1:])]
+            for u, size in parts:
+                start_of[order[u : u + size]] = u
+                cell_at[u] = size
+            # a queued cell hands its place to all of its parts; any other
+            # cell leaves out its first largest part (see the module docstring)
+            if (t, len(seg)) in pending:
+                pending.remove((t, len(seg)))
+            else:
+                parts.remove(max(parts, key=lambda part: part[1]))
+            work.extend(parts)
+            pending.update(parts)
 
 
 def individualize(nbrs, order, cell_at, t, w):
     """A copy of the equitable partition (order, cell_at) with w split off at
-    the head of its cell, which starts at t, refined from {w} and the rest
-    of that cell only (see the module docstring for why that suffices)."""
+    the head of its cell, which starts at t, refined from {w} only (see the
+    module docstring for why that suffices)."""
     k = cell_at[t]
     order, cell_at = order.copy(), cell_at.copy()
     seg = order[t : t + k]
     order[t + 1 : t + k] = seg[seg != w]
     order[t] = w
     cell_at[t : t + 2] = 1, k - 1
-    refine(nbrs, order, cell_at, [(t, 1), (t + 1, k - 1)])
+    refine(nbrs, order, cell_at, [(t, 1)])
     return order, cell_at
 
 
@@ -218,8 +245,8 @@ class _Search:
 
     @staticmethod
     def _target(cell_at):
-        """Start of the first smallest non-singleton cell, None if discrete."""
-        t = int(np.where(cell_at > 1, cell_at, len(cell_at) + 1).argmin())
+        """Start of the first non-singleton cell, None if discrete."""
+        t = int((cell_at > 1).argmax())
         return t if cell_at[t] > 1 else None
 
     def _check_leaf(self, order) -> np.ndarray | None:

@@ -30,6 +30,7 @@ from oigraph.symmetry import (
     aut_order_formula,
     group_order,
     po_e_generators,
+    point_generators,
     vertex_orbits,
 )
 
@@ -46,6 +47,10 @@ def g23():
 @pytest.fixture(scope="module")
 def g43():
     return build_graph(space_make(2, 0, F3))
+
+
+def build(nu, delta, q, disc):
+    return build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
 
 
 def adj_from_edges(nv, edges, loops=()):
@@ -100,39 +105,95 @@ def cells_from_colors(colors):
     return [[v for v, c in enumerate(colors) if c == col] for col in sorted(set(colors))]
 
 
-def reference_refine_cells(adj, cells):
-    """Reference refinement over bitsets: every splitter rescans every cell.
-    The oracle for refine's ordered output."""
+def bits(cell):
+    return sum(1 << v for v in cell)
+
+
+def split_by_count(adj, cell, splitter):
+    """The parts of cell by number of neighbours in the bitset splitter,
+    counts ascending, each keeping the cell's vertex order."""
+    buckets = {}
+    for v in cell:
+        buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+    return [buckets[key] for key in sorted(buckets)]
+
+
+def reference_refine_cells(adj, cells, splitters=None):
+    """Reference refinement over bitsets, with refine's queue rule: a stale
+    splitter is skipped, and a split cell that is not queued does not queue
+    its first largest part.  Every splitter rescans every cell.  splitters
+    lists vertex sets, every cell if None.  The oracle for refine's ordered
+    output."""
     cells = [list(c) for c in cells]
-    work = deque(sum(1 << v for v in c) for c in cells)
+    work = deque(map(bits, cells if splitters is None else splitters))
+    pending = set(work)
     while work:
         splitter = work.popleft()
+        if splitter not in pending:
+            continue
+        pending.remove(splitter)
         out = []
         for cell in cells:
-            buckets = {}
-            for v in cell:
-                buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            if len(buckets) == 1:
-                out.append(cell)
+            parts = split_by_count(adj, cell, splitter)
+            out += parts
+            if len(parts) == 1:
                 continue
-            for key in sorted(buckets):
-                out.append(buckets[key])
-                work.append(sum(1 << v for v in buckets[key]))
+            if bits(cell) in pending:
+                pending.remove(bits(cell))
+            else:
+                parts.remove(max(parts, key=len))
+            work.extend(map(bits, parts))
+            pending.update(map(bits, parts))
         cells = out
     return cells
 
 
-@pytest.mark.parametrize(
-    "nu,delta,q,disc", [(1, 1, 3, "one"), (2, 0, 3, "one"), (1, 0, 9, "one"), (1, 1, 9, "z")]
-)
+def fifo_refine_cells(adj, cells):
+    """Refinement over bitsets from every cell, every part of every split
+    queued, first in first out: the rule refine used before it skipped
+    parts, whose partition, as a set of cells, refine must still reach."""
+    cells = [list(c) for c in cells]
+    work = deque(map(bits, cells))
+    while work:
+        splitter = work.popleft()
+        out = []
+        for cell in cells:
+            parts = split_by_count(adj, cell, splitter)
+            out += parts
+            if len(parts) > 1:
+                work.extend(map(bits, parts))
+        cells = out
+    return cells
+
+
+def bitset_rows(g):
+    return [bits(np.flatnonzero(row).tolist()) for row in g.adjacency_matrix()]
+
+
+def first_path_children(g, order, cell_at):
+    """(cells, i, w, child) for every w of the target cell at every depth of
+    the first path below the equitable partition (order, cell_at): the
+    parent's cells, the index of its target cell, and the child."""
+    while (t := _Search._target(cell_at)) is not None:
+        cells = cells_of(order, cell_at)
+        i = np.flatnonzero(cell_at).tolist().index(t)
+        children = [individualize(g.nbrs, order, cell_at, t, w) for w in cells[i]]
+        assert cells_of(order, cell_at) == cells  # the parent is left as it was
+        yield from ((cells, i, w, child) for w, child in zip(cells[i], children))
+        order, cell_at = children[0]
+
+
+SPACES = [(1, 1, 3, "one"), (2, 0, 3, "one"), (1, 0, 9, "one"), (1, 1, 9, "z")]
+
+
+@pytest.mark.parametrize("nu,delta,q,disc", SPACES)
 def test_refine_matches_bitset_reference(nu, delta, q, disc):
     # Same ordered cells, same vertex order inside each, as a rescan of every
-    # cell: on the search's colors, on the certificate's (loop, degree)
-    # colors, and at every node of the first path, each depth and each w of
-    # its target cell, where individualize refines from {w} and the rest of
-    # w's cell only.
-    g = build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
-    adj = [sum(1 << int(w) for w in np.flatnonzero(row)) for row in g.adjacency_matrix()]
+    # cell with the same queue: on the search's colors, on the certificate's
+    # (loop, degree) colors, and at every node of the first path, each depth
+    # and each w of its target cell, where individualize refines from {w}.
+    g = build(nu, delta, q, disc)
+    adj = bitset_rows(g)
     loop_degree = [(g.loop_at(v), g.degree(v)) for v in range(g.nv)]
     assert refined_cells(g, loop_degree) == reference_refine_cells(adj, cells_from_colors(loop_degree))
     colors = _vertex_colors(g)
@@ -140,19 +201,56 @@ def test_refine_matches_bitset_reference(nu, delta, q, disc):
     assert cells_of(order, cell_at) == cells_from_colors(colors)
     refine(g.nbrs, order, cell_at)
     assert cells_of(order, cell_at) == reference_refine_cells(adj, cells_from_colors(colors))
-    depth = 0
-    while (t := _Search._target(cell_at)) is not None:
-        cells = cells_of(order, cell_at)
-        i = np.flatnonzero(cell_at).tolist().index(t)
-        children = []
-        for w in cells[i]:
-            split = cells[:i] + [[w], [x for x in cells[i] if x != w]] + cells[i + 1 :]
-            children.append(individualize(g.nbrs, order, cell_at, t, w))
-            assert cells_of(*children[-1]) == reference_refine_cells(adj, split)
-        assert cells_of(order, cell_at) == cells  # the parent is left as it was
-        order, cell_at = children[0]
-        depth += 1
-    assert depth > 1
+    depths = 0
+    for cells, i, w, child in first_path_children(g, order, cell_at):
+        split = cells[:i] + [[w], [x for x in cells[i] if x != w]] + cells[i + 1 :]
+        assert cells_of(*child) == reference_refine_cells(adj, split, splitters=[[w]])
+        depths += w == cells[i][0]  # each depth has one first child
+    assert depths > 1
+
+
+@pytest.mark.parametrize("nu,delta,q,disc", SPACES)
+def test_refine_partition_matches_fifo_reference(nu, delta, q, disc):
+    # Skipping parts changes the order of the cells, never the cells: the
+    # root and every first-path child give the set partition that the old
+    # all-parts queue gives from every cell.
+    g = build(nu, delta, q, disc)
+    adj = bitset_rows(g)
+    as_set = lambda cells: {frozenset(c) for c in cells}
+    colors = _vertex_colors(g)
+    order, cell_at = color_partition(colors)
+    refine(g.nbrs, order, cell_at)
+    assert as_set(cells_of(order, cell_at)) == as_set(fifo_refine_cells(adj, cells_from_colors(colors)))
+    for cells, i, w, child in first_path_children(g, order, cell_at):
+        split = cells[:i] + [[w], [x for x in cells[i] if x != w]] + cells[i + 1 :]
+        assert as_set(cells_of(*child)) == as_set(fifo_refine_cells(adj, split))
+
+
+@pytest.mark.parametrize("key", [(2, 0, 3, "one"), (1, 1, 9, "z")], ids=["oi43", "oi39-z"])
+def test_refine_is_label_equivariant(key):
+    # Refining a relabelled graph from the relabelled partition gives the
+    # same cell_at and the relabelled order, at the root and on the first
+    # path of the relabelled search.
+    g = build(*key)
+    rng = np.random.default_rng(29)
+    A = g.adjacency_matrix(include_loops=True)
+    for _ in range(3):
+        rho = rng.permutation(g.nv)  # vertex v is relabelled rho[v]
+        inv = np.argsort(rho)
+        rows = np.packbits(A[np.ix_(inv, inv)], axis=1, bitorder="little")
+        nbrs = neighbour_lists(rows)
+        order, cell_at = color_partition(_vertex_colors(g))
+        order2, cell_at2 = rho[order], cell_at.copy()
+        refine(g.nbrs, order, cell_at)
+        refine(nbrs, order2, cell_at2)
+        while True:
+            assert np.array_equal(cell_at2, cell_at)
+            assert np.array_equal(order2, rho[order])
+            if (t := _Search._target(cell_at)) is None:
+                break
+            w = order[t + cell_at[t] - 1]  # the last vertex, not the one the order puts first
+            order, cell_at = individualize(g.nbrs, order, cell_at, t, w)
+            order2, cell_at2 = individualize(nbrs, order2, cell_at2, t, rho[w])
 
 
 def rank_profile(g, v):
@@ -367,18 +465,15 @@ def test_search_generators_preserve_rank_profile(g43):
     assert orbits == sorted(tuple(sorted(f)) for f in fibers.values())
 
 
-def build(nu, delta, q, disc):
-    return build_graph(space_make(nu, delta, GF(*factor_prime_power(q)), disc))
-
-
 @pytest.mark.parametrize(
     "nu,delta,q,disc,nodes,order",
     [
-        (2, 0, 3, "one", 28, 1152),
-        (1, 1, 9, "one", 24, 1440),
-        (1, 1, 9, "z", 21, 1440),
-        (1, 2, 3, "one", 33, 1440),
+        (2, 0, 3, "one", 18, 1152),
+        (1, 1, 9, "one", 16, 1440),
+        (1, 1, 9, "z", 16, 1440),
+        (1, 2, 3, "one", 22, 1440),
     ],
+    ids=["oi43", "oi39", "oi39-z", "oi43-delta2"],
 )
 def test_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
     # The oracle: the same search on all nv vertices, seeded with dimension
@@ -393,13 +488,14 @@ def test_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
 @pytest.mark.parametrize(
     "nu,delta,q,disc,nodes,order",
     [
-        (2, 0, 3, "one", 25, 1152),
-        (1, 1, 9, "one", 24, 1440),
-        (1, 1, 9, "z", 21, 1440),
-        (1, 2, 3, "one", 28, 1440),
-        (2, 1, 3, "one", 40, 51840),
-        (2, 0, 5, "one", 458, 28800),  # twice the generated 14400, four times the formula
+        (2, 0, 3, "one", 18, 1152),
+        (1, 1, 9, "one", 16, 1440),
+        (1, 1, 9, "z", 16, 1440),
+        (1, 2, 3, "one", 22, 1440),
+        (2, 1, 3, "one", 25, 51840),
+        (2, 0, 5, "one", 18, 28800),  # twice the generated 14400, four times the formula
     ],
+    ids=["oi43", "oi39", "oi39-z", "oi43-delta2", "oi53", "oi45"],
 )
 def test_point_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
     # search_result searches the P points and lifts its generators.
@@ -409,17 +505,30 @@ def test_point_search_node_counts_frozen(nu, delta, q, disc, nodes, order):
     assert all(g.is_automorphism(p) for p in res.generators)
 
 
+@pytest.mark.parametrize(
+    "q,nodes,order", [(5, 18, 28800), (7, 27, 225792), (9, 39, 2073600)], ids=["oi45", "oi47", "oi49"]
+)
+def test_hyperbolic_ladder_search(q, nodes, order):
+    # Oi(4,q), nu = 2 and delta = 0: the search order is twice PO*E, the
+    # similitude that scales the form by a nonsquare being the extra factor
+    g = build(2, 0, q, "one")
+    res = search_result(g)
+    assert (res.order, res.node_count) == (order, nodes)
+    assert res.order == 2 * group_order(point_generators(g))
+
+
 # sha256 of `oigraph aut --method search` JSON with "runtime" removed, and of
 # the tests' full-vertex search's generator bytes (int64) on Oi(4,3), frozen
-# before the search carried one position-array partition
+# once the search targeted the first non-singleton cell and the refinement
+# left out the largest part of a cell that was not queued
 FROZEN_SEARCH_DIGESTS = {
-    ("2", "0", "one", "3"): "9cb90586007bf1dd6aa0e349c10c8aac6684556941db0eb1ba900f9859d20327",
-    ("1", "2", "one", "3"): "c9cf9c4ea206c68f0e347e3ee65f206d111833525c97f9be6cce19a12eb8ca9d",
-    ("1", "1", "z", "9"): "a7c769d34aeb35f1bd4fa254aecb0203f28448e0b9d98e998e66bc8457925ecb",
-    ("2", "1", "one", "3"): "cf62bbf0f62c29ab3ec692fa048dee3d43c1c14c801c7e9b6ecbfb7d5e03717d",
-    ("2", "0", "one", "5"): "71953272caa94d4c264b61b784394f1a9478533a50fe6c8e5536133c4e0a1d68",
+    ("2", "0", "one", "3"): "682f84962df0e051d2db330b3af066062251f66b30311e9a440226cf312f97fd",
+    ("1", "2", "one", "3"): "459350ef45035e7d1091f1d115230b80efb18f26f91f5f76e363be1f5f7f2037",
+    ("1", "1", "z", "9"): "a08686d1373181f71c0c6ecdc5cc2a98e1439d3f5d310894ebabf97c1453f13e",
+    ("2", "1", "one", "3"): "0925472d176028b23f28d1008c3fce0e86217a007ba385b526acb249dcf7cafe",
+    ("2", "0", "one", "5"): "f07913be04653bd7f8b971132fdc3e1bdd2b62c3840b30d1d09f886da71ee4c5",
 }
-FROZEN_FULL_SEARCH_GENERATORS_OI43 = "abbae60eff2000abf36f10e630651abb5625deceeed475257ce05df07da13ccd"
+FROZEN_FULL_SEARCH_GENERATORS_OI43 = "66448222a7701f1eb65a90adda642e2aa7057dda7afd3b5e6debe7215a84b331"
 
 
 @pytest.mark.parametrize("key", list(FROZEN_SEARCH_DIGESTS), ids=["oi43", "oi43-delta2", "oi39-z", "oi53", "oi45"])

@@ -262,7 +262,7 @@ def test_aut_search_prints_vertex_automorphisms(capsys):
     code, out, _ = run(capsys, "aut", "--method", "search", "--nu", "2", "--delta", "0", "--field", "3")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["order"], payload["node-count"]) == (1152, 25)
+    assert (payload["order"], payload["node-count"]) == (1152, 18)
     g = build_graph(space_make(2, 0, GF(3)))
     assert payload["generators"]
     assert all(g.is_automorphism(gen) for gen in payload["generators"])

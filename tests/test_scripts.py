@@ -31,10 +31,11 @@ def test_order_survey_script():
     assert rows["Oi(2, 9)"] == ["10", "16", "768", "768", "48x"]
     assert rows["Oi(3, 3)[z]"] == ["26", "24", "-", "24", "1x"]
     assert lines[-1] == "Oi(5, 3)[one]  skipped: instance needs 2662 vertices, budget is 300"
-    # at the default vertex cap the point search decides: Oi(5,3) has 121 points
-    assert run_script("order_survey.py")[-1].split() == [
-        "Oi(5,", "3)[one]", "2", "1", "2662", "51840", "51840", "51840", "1x"
-    ]
+    # at the default vertex cap the point search decides: Oi(5,3) has 121
+    # points, and Oi(4,5)'s search finds twice the generated group
+    lines = run_script("order_survey.py")
+    assert lines[-2].split() == ["Oi(4,", "5)", "2", "0", "1118", "14400", "7200", "28800", "2x"]
+    assert lines[-1].split() == ["Oi(5,", "3)[one]", "2", "1", "2662", "51840", "51840", "51840", "1x"]
 
 
 def test_distance_profile_script():
