@@ -11,12 +11,14 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .autsearch import search_result
 from .geometry import classify_type, space_make
 from .gf import parse_field
 from .graph import BudgetExceeded, _json_text, build_graph, classify_types, dot_pieces, json_pieces
-from .symmetry import PermGroup, aut_order_formula, point_generators, vertex_generators, vertex_orbits
+from .symmetry import PermGroup, aut_order_formula, orbit_labels, point_generators, vertex_generators
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -154,18 +156,12 @@ def cmd_classify(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = build_graph(_space(args), args.budget)
-    orbits = vertex_orbits(g, vertex_generators(g))
-    rows = []
-    for i, orb in enumerate(orbits):
-        rep = min(orb)
-        rows.append(
-            {
-                "orbit": i,
-                "size": len(orb),
-                "representative": rep,
-                "type": _type_json(classify_type(g.verts[rep])),
-            }
-        )
+    # each label is its orbit's least member; np.unique lists them in order
+    reps, sizes = np.unique(orbit_labels(g.nv, vertex_generators(g)), return_counts=True)
+    rows = [
+        {"orbit": i, "size": size, "representative": rep, "type": _type_json(classify_type(g.verts[rep]))}
+        for i, (rep, size) in enumerate(zip(reps.tolist(), sizes.tolist()))
+    ]
     _emit_table(args, g, "orbits", ("orbit", "size", "representative", "type"), rows)
     return EXIT_OK
 

@@ -132,8 +132,11 @@ class OiGraph:
         """The number of non-loop edges, len(edges()) without listing them."""
         return int(degrees(self.rows).sum()) // 2
 
-    def edge_pairs_with_loops(self):
-        return self.edges() + [(v, v) for v in self.loop_ids()]
+    def edge_pairs_with_loops(self) -> np.ndarray:
+        """An (E, 2) intp array: the edges u < v in row-major order, then
+        each loop (v, v)."""
+        loops = np.flatnonzero(_diagonal(self.rows))
+        return np.concatenate([*(np.stack(uv, axis=1) for uv in upper_pairs(self.rows)), np.stack([loops, loops], axis=1)])
 
     def adjacency_matrix(self, include_loops: bool = False) -> np.ndarray:
         _check_bytes(self.nv * self.nv)

@@ -22,7 +22,9 @@ Schreier-Sims: its base points are first moved points, taken in generator
 order, and a generator joins it only if it does not sift through the chain
 built so far.  So its level_gens[0] is a small generating set of the same
 group, and the set vertex_generators lifts.  Orbits, of vertices, of
-edges and in the search, all come from orbit_labels.
+edges and in the search, all come from orbit_labels, and a partition is
+its least-member label array: each item's label is the least index in its
+class, so two partitions are equal exactly when their arrays are.
 """
 
 from __future__ import annotations
@@ -198,7 +200,8 @@ class PermGroup:
     level_gens[i] generates the stabilizer of base[:i]; level_gens[0] is a
     small generating set of the whole group.  transversals[i][gamma] is the
     inverse of the coset representative that maps base[i] to gamma, which
-    is the form sifting and Schreier generators use.
+    is the form sifting and Schreier generators use; its keys are the orbit
+    of base[i] in the order the search found them.
     """
 
     def __init__(self, degree: int, generators):
@@ -216,7 +219,6 @@ class PermGroup:
         self.base: list[int] = []
         self.level_gens: list[list[np.ndarray]] = []
         self.transversals: list[dict[int, np.ndarray]] = []
-        self._orbit_order: list[list[int]] = []
         self._done: list[int] = []
         if seeds:
             self._build(seeds)
@@ -242,13 +244,11 @@ class PermGroup:
         self.base.append(point)
         self.level_gens.append([])
         self.transversals.append({point: self.identity})
-        self._orbit_order.append([point])
         self._done.append(0)
 
     def _recompute(self, i: int):
         b = self.base[i]
         trans = {b: self.identity}
-        order = [b]
         queue = [b]
         gens = self.level_gens[i]
         while queue:
@@ -258,10 +258,8 @@ class PermGroup:
                 gamma = int(s[beta])
                 if gamma not in trans:
                     trans[gamma] = _div(u_inv, s)  # (s u)^-1 = u^-1 s^-1
-                    order.append(gamma)
                     queue.append(gamma)
         self.transversals[i] = trans
-        self._orbit_order[i] = order
         self._done[i] = 0
 
     def _sift(self, g: np.ndarray, start: int):
@@ -298,9 +296,9 @@ class PermGroup:
 
     def _close_level(self, i: int):
         """Sift this level's Schreier generators; report the level to fix."""
-        orbit = self._orbit_order[i]
         gens = self.level_gens[i]
         trans = self.transversals[i]
+        orbit = list(trans)
         total = len(orbit) * len(gens)
         k = self._done[i]
         while k < total:
@@ -395,21 +393,22 @@ def vertex_orbits(g: OiGraph, perms):
     return [c.tolist() for c in _classes(orbit_labels(g.nv, perms))]
 
 
-def edge_orbits(g: OiGraph, perms):
-    """Orbit partition of edges, loops included as (v, v) pairs."""
+def edge_orbits(g: OiGraph, perms) -> np.ndarray:
+    """orbit_labels of the edges, loops included, indexed as the rows of
+    g.edge_pairs_with_loops(): each edge's label is the least index of an
+    edge in its orbit.  ValueError if a map does not carry edges to edges."""
     pairs = g.edge_pairs_with_loops()
-    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    keys = u * g.nv + v
+    keys = pairs[:, 0] * g.nv + pairs[:, 1]
     by_key = np.argsort(keys)
     edge_perms = []
     for p in perms:
-        a, b = p[u], p[v]
+        a, b = p[pairs].T
         image = np.minimum(a, b) * g.nv + np.maximum(a, b)
         at = by_key[np.searchsorted(keys, image, sorter=by_key).clip(max=len(keys) - 1)]
         if not np.array_equal(keys[at], image):
             raise ValueError("map does not carry edges to edges")
         edge_perms.append(at)
-    return [[pairs[i] for i in c.tolist()] for c in _classes(orbit_labels(len(pairs), edge_perms))]
+    return orbit_labels(len(pairs), edge_perms)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .autsearch import search_result
-from .geometry import SubspaceType, space_make, witt_bruteforce_oracle, witt_decompose, witt_stack
+from .geometry import space_make, witt_bruteforce_oracle, witt_stack
 from .gf import GF, factor_prime_power
 from .graph import _json_text, build_graph, classify_types, max_clique_dim1, recover_parameters, sum_ids
 from .symmetry import (
@@ -32,10 +32,10 @@ from .symmetry import (
     e_subgroup_order,
     edge_orbits,
     group_order,
+    orbit_labels,
     point_generators,
     reflection_group_order,
     vertex_generators,
-    vertex_orbits,
 )
 
 STATUS_PASS = "pass"
@@ -183,11 +183,6 @@ def _per_space(ctx, spaces, expect, compute):
     return expected, computed
 
 
-def _partition(parts):
-    """parts as one canonical list: each part sorted, then the parts."""
-    return sorted(tuple(sorted(p)) for p in parts)
-
-
 def _diameter_value(g):
     d = g.diameter()
     return "infinite" if d == math.inf else d
@@ -249,26 +244,33 @@ check_oi43_full_aut_order = functools.partial(_full_aut_order, 2, 0, 3)
 check_oi53_full_aut_order = functools.partial(_full_aut_order, 2, 1, 3)
 
 
-def _vertex_fiber_partition(types):
-    fibers = {}
-    for i, t in enumerate(types):
-        fibers.setdefault(t, []).append(i)
-    return _partition(fibers.values())
+def _least_members(keys):
+    """The partition of the indices of the 1-d array keys by equal key, as
+    a label array: each index's label is the least index with its key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
-def _edge_fiber_partition(g, types):
-    """Edges, loops included, grouped by their endpoints' types and the type
-    of the endpoints' sum.  One stacked sum_ids gives every sum: a vertex,
-    whose type is looked up, or the whole space (-1), whose Gram matrix is
-    the form, classified once here."""
-    s, gamma, tag = witt_decompose(g.space.field, g.space.form)
-    whole = SubspaceType(g.space.n, 2 * s + gamma, s, tag)
-    pairs = np.array(g.edge_pairs_with_loops(), dtype=np.intp).reshape(-1, 2)
-    fibers = {}
-    for (u, v), w in zip(pairs.tolist(), sum_ids(g, pairs[:, 0], pairs[:, 1]).tolist()):
-        key = (*sorted((types[u], types[v])), types[w] if w >= 0 else whole)
-        fibers.setdefault(key, []).append((u, v))
-    return _partition(fibers.values())
+def _type_ids(types):
+    """Each type's number, the distinct types numbered by first occurrence."""
+    ids = {}
+    return np.array([ids.setdefault(t, len(ids)) for t in types])
+
+
+def _edge_fibers(g, types):
+    """The rows of g.edge_pairs_with_loops() grouped by their endpoints'
+    types and the type of the endpoints' sum, as least-member labels.  One
+    stacked sum_ids gives every sum: a vertex, or the whole space (-1),
+    which takes one more type number than the vertices use; no vertex has
+    the whole space's dimension, so no vertex type is the whole space's.
+    A key is below span^3, span the count of type numbers, far inside int64."""
+    t = _type_ids(types)
+    t = np.append(t, t.max() + 1)  # t[-1]: the whole space
+    pairs = g.edge_pairs_with_loops()
+    a, b = t[pairs].T
+    c = t[sum_ids(g, pairs[:, 0], pairs[:, 1])]
+    span = int(t[-1]) + 1
+    return _least_members((np.minimum(a, b) * span + np.maximum(a, b)) * span + c)
 
 
 # The two spaces whose generated-group orbits the orbit checks compare.
@@ -277,14 +279,14 @@ _ORBIT_SPACES = ((2, 0, 3, "one"), (1, 1, 3, "one"))
 
 def check_vertex_orbits_are_types(ctx):
     def agree(g):
-        return _partition(vertex_orbits(g, ctx.generators(g))) == _vertex_fiber_partition(ctx.types(g))
+        return np.array_equal(orbit_labels(g.nv, ctx.generators(g)), _least_members(_type_ids(ctx.types(g))))
 
     return _grade(*_per_space(ctx, _ORBIT_SPACES, lambda g: True, agree))
 
 
 def check_edge_orbits_are_type_triples(ctx):
     def agree(g):
-        return _partition(edge_orbits(g, ctx.generators(g))) == _edge_fiber_partition(g, ctx.types(g))
+        return np.array_equal(edge_orbits(g, ctx.generators(g)), _edge_fibers(g, ctx.types(g)))
 
     return _grade(*_per_space(ctx, _ORBIT_SPACES, lambda g: True, agree))
 
@@ -375,14 +377,8 @@ def check_matching_edge_rule(ctx):
 def check_o2_exhaustive(ctx):
     F3 = GF(3)
     sp = space_make(1, 0, F3)
-    S = sp.form.tolist()
-    census = 0
-    for T in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
-        # (T S Tt)[i][j] = sum over k, l of T[i][k] S[k][l] T[j][l]
-        TSTt = [[0] * 2 for _ in range(2)]
-        for i, j, k, l in itertools.product(range(2), repeat=4):
-            TSTt[i][j] = F3.add(TSTt[i][j], F3.mul(F3.mul(T[i][k], S[k][l]), T[j][l]))
-        census += TSTt == S
+    T = np.array(list(itertools.product(range(3), repeat=4))).reshape(-1, 2, 2)  # all 81 matrices
+    census = int((F3.matmul(F3.matmul(T, sp.form), T.transpose(0, 2, 1)) == sp.form).all(axis=(1, 2)).sum())
     return _grade({"census": 4, "closure": 4}, {"census": census, "closure": reflection_group_order(sp)})
 
 

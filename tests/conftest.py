@@ -44,6 +44,16 @@ def vertex_index(g):
     return {P.rows: i for i, P in enumerate(g.verts)}
 
 
+def label_parts(labels, items):
+    """The partition a label array names, as the sorted list of its parts,
+    each the sorted tuple of items[i] over the indices i in it: the list
+    form the frozen partition digests were taken of."""
+    parts = {}
+    for i, label in enumerate(labels.tolist()):
+        parts.setdefault(label, []).append(items[i])
+    return sorted(tuple(sorted(p)) for p in parts.values())
+
+
 def components(g):
     """The connected components of g as ascending id lists, each the union
     of the bfs_levels from its least vertex."""

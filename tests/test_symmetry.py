@@ -524,7 +524,18 @@ def test_vertex_orbits_identity():
 
 def test_edge_orbits_loops_oi23():
     g = build_graph(space_make(1, 0, F3))
-    orbs = edge_orbits(g, po_e_generators(g))
-    assert sorted(map(sorted, orbs)) == [[(0, 0), (1, 1)], [(2, 3)]]
+    assert g.edge_pairs_with_loops().tolist() == [[2, 3], [0, 0], [1, 1]]
+    assert edge_orbits(g, po_e_generators(g)).tolist() == [0, 1, 1]
     with pytest.raises(ValueError, match="edges"):
         edge_orbits(g, [np.array([2, 1, 0, 3])])  # swaps a looped and an unlooped point
+
+
+@pytest.mark.parametrize("nu,delta,field,disc", [(1, 1, F3, "one"), (2, 0, F3, "one"), (1, 1, F9, "z")], ids=["oi33", "oi43", "oi39-z"])
+def test_edge_orbit_labels_are_least_members(nu, delta, field, disc):
+    # a label is never above its edge's index and labels itself, as the
+    # least index in each orbit does
+    g = build_graph(space_make(nu, delta, field, disc))
+    label = edge_orbits(g, vertex_generators(g))
+    assert label.shape == (len(g.edge_pairs_with_loops()),)
+    assert (label <= np.arange(len(label))).all()
+    assert np.array_equal(label[label], label)

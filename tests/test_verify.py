@@ -2,9 +2,10 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from conftest import vertex_index
+from conftest import label_parts, vertex_index
 
 from oigraph import graph as graph_module
 from oigraph.geometry import classify_type, subspace_span
@@ -16,8 +17,9 @@ from oigraph.verify import (
     CheckRecord,
     VerifyReport,
     _Ctx,
-    _edge_fiber_partition,
-    _vertex_fiber_partition,
+    _edge_fibers,
+    _least_members,
+    _type_ids,
     check_e_subgroup_order,
     check_matching_edge_rule,
     check_nu1_aut_orders,
@@ -71,7 +73,9 @@ FROZEN_FIBER_PARTITIONS = {
 @pytest.mark.parametrize("key", list(FROZEN_FIBER_PARTITIONS), ids=["oi43", "oi33"])
 def test_fiber_partitions_frozen(ctx, key):
     g = ctx.graph(*key)
-    vertex, edge = _vertex_fiber_partition(ctx.types(g)), _edge_fiber_partition(g, ctx.types(g))
+    pairs = list(map(tuple, g.edge_pairs_with_loops().tolist()))
+    vertex = label_parts(_least_members(_type_ids(ctx.types(g))), range(g.nv))
+    edge = label_parts(_edge_fibers(g, ctx.types(g)), pairs)
     computed = (
         len(vertex),
         len(edge),
@@ -83,12 +87,12 @@ def test_fiber_partitions_frozen(ctx, key):
 
 
 def per_pair_edge_fibers(g, types):
-    """_edge_fiber_partition one pair at a time: each sum by the scalar
-    subspace_span and its vertex by vertex_index, the whole space classified
-    by classify_type."""
+    """_edge_fibers one pair at a time, as a sorted list of sorted parts:
+    each sum by the scalar subspace_span and its vertex by vertex_index, the
+    whole space classified by classify_type."""
     index = vertex_index(g)
     fibers = {}
-    for u, v in g.edge_pairs_with_loops():
+    for u, v in g.edge_pairs_with_loops().tolist():
         total = subspace_span(g.space, g.verts[u].rows + g.verts[v].rows)
         key = (*sorted((types[u], types[v])), types[index[total.rows]] if total.is_vertex else classify_type(total))
         fibers.setdefault(key, []).append((u, v))
@@ -102,7 +106,21 @@ def test_edge_fibers_match_per_pair_sums(ctx, key, block, monkeypatch):
         monkeypatch.setattr(graph_module, "_BLOCK", block)
     g = ctx.graph(*key)
     types = [classify_type(P) for P in g.verts]
-    assert _edge_fiber_partition(g, types) == per_pair_edge_fibers(g, types)
+    pairs = list(map(tuple, g.edge_pairs_with_loops().tolist()))
+    assert label_parts(_edge_fibers(g, types), pairs) == per_pair_edge_fibers(g, types)
+
+
+def test_least_members_match_dict_of_lists():
+    rng = np.random.default_rng(30)
+    for n in (2, 7, 50, 400):
+        keys = rng.integers(0, max(1, n // 3), size=n)  # fewer keys than indices: ties in every draw
+        parts = {}
+        for i, k in enumerate(keys.tolist()):
+            parts.setdefault(k, []).append(i)
+        want = np.empty(n, dtype=np.intp)
+        for p in parts.values():
+            want[p] = p[0]
+        assert np.array_equal(_least_members(keys), want)
 
 
 def test_o2_exhaustive(ctx):
