@@ -4,7 +4,7 @@ Aut(Oi(n, q)) keeps dimension and a vertex is its set of projective points,
 so it acts faithfully on the P points, and generators are plain int64 point
 arrays (point a goes to p[a]).  OiGraph.lift makes vertex arrays of them
 only where a caller needs those: vertex_generators, for the orbits, and
-po_e_generators, which lifts every generator.
+po_e_generators, for every generator.
 
 Two generator families: reflections through anisotropic vectors (these
 generate the full orthogonal group of the form in odd characteristic), all
@@ -13,7 +13,12 @@ sigma_{(k_1..k_nu, d1, d2, pi)} acting as entrywise Frobenius followed by
 diag(k_1..k_nu, k_1^-1..k_nu^-1, d1, d2).  Both act on row vectors through
 the field's lookup arrays and OiGraph.point_action.  +-T induce the same
 point map, so the action quotients the matrix group by its center for free.
-Each generator set is checked once on the point graph (_check_on_points).
+
+Conjugation permutes the reflections: for an isometry c, c r_v c^-1 =
+r_{c(v)}.  So only a few seed reflections (4 to 9 per space) and E are
+checked on the point graph (_check_on_points) and lifted; every other
+reflection is checked to equal a conjugate r_c r_t r_c of known ones, and
+its vertex array is composed from theirs (_conjugation_seeds).
 
 Orders are certified by a deterministic stabilizer chain over the point
 action, never by formula alone; the closed-form counts live in
@@ -36,29 +41,35 @@ import numpy as np
 
 from .gf import GF, factor_prime_power, primitive_unit
 from .graph import OiGraph
-from .geometry import OSpace, check_space_params, rref_bases
+from .geometry import OSpace, check_space_params, point_ids, rref_bases
 
 
 # ---------------------------------------------------------------------------
 # generators as point arrays
 
 
-def reflect(space: OSpace, X) -> np.ndarray:
-    """The images of the vectors X (rows of field-element codes) under every
-    reflection x -> x - 2 (x.S.v / v.S.v) v, one axis v per anisotropic
-    point: shape (axes, len(X), n).  The axes are ordered by the position
-    of their leading 1, then by their later entries, the last one most
-    significant."""
-    f, t = space.field, space.field.arrays
+def _axes(space: OSpace):
+    """The reflections' axes v, one per anisotropic point, with v.S (the
+    transpose of S.vt) and v.S.v.  They are ordered by the position of their
+    leading 1, then by their later entries, the last one most significant."""
+    f = space.field
     points = rref_bases(f, space.n, 1)[:, 0]
     # not the vertex order: the stabilizer chain's base follows the order of
     # its generators, and the frozen group answers follow the base
     axes = points[np.lexsort((*points.T, (points != 0).argmax(axis=1)))]
-    w = f.matmul(axes, space.form)  # v.S, the transpose of S.vt
+    w = f.matmul(axes, space.form)
     norm = f.matmul(w[:, None, :], axes[:, :, None])[:, 0, 0]
     aniso = norm != 0
-    axes, w = axes[aniso], w[aniso]
-    c = t.mul[f.add(1, 1), t.inv[norm[aniso]]]
+    return axes[aniso], w[aniso], norm[aniso]
+
+
+def reflect(space: OSpace, X) -> np.ndarray:
+    """The images of the vectors X (rows of field-element codes) under every
+    reflection x -> x - 2 (x.S.v / v.S.v) v, one per axis v of _axes, in
+    their order: shape (axes, len(X), n)."""
+    f, t = space.field, space.field.arrays
+    axes, w, norm = _axes(space)
+    c = t.mul[f.add(1, 1), t.inv[norm]]
     X = np.asarray(X)
     coef = t.mul[f.matmul(X, w.T).T, c[:, None]]  # c (x.S.vt), per axis and vector
     return t.add[X, t.neg[t.mul[coef[..., None], axes[:, None, :]]]]
@@ -67,6 +78,8 @@ def reflect(space: OSpace, X) -> np.ndarray:
 def _check_on_points(g: OiGraph, gens):
     """gens, each checked as an automorphism of the point graph
     g.dim1_subgraph() (ValueError otherwise), g as build_graph makes it.
+    point_generators passes only the conjugation seeds and E, about ten
+    arrays: a composition of checked automorphisms is one.
 
     This proves g.lift(p) an automorphism of g.  The lift sends a vertex A
     to the vertex whose point set is exactly p(points(A)), raising if there
@@ -150,21 +163,98 @@ def e_subgroup_generators(g: OiGraph):
     return _check_on_points(g, _semilinear_maps(g))
 
 
+def _conjugation_seeds(R: np.ndarray, axis: np.ndarray):
+    """How to derive the reflections whose point arrays are the rows of R,
+    axis[i] being the point id of row i's axis, from a few seeds; nothing
+    is checked here.
+
+    For an isometry c, c r_v c^-1 = r_{c(v)} (Taylor, The Geometry of the
+    Classical Groups, 1992), and a reflection is its own inverse, so the
+    axis of r_c r_t r_c is R[c][axis[t]].  The reflections are walked in
+    order, and one not yet known is a seed.  The known ones are taken
+    breadth first, and taking u finds by one gather the conjugates of u by
+    every known reflection and of every known one by u.  So every conjugate
+    of a known reflection by a known one is known once the queue is empty.
+
+    Returns the reflections in the order they became known, and per
+    reflection j the pair (c, t) it was derived from, claiming
+    R[j] = R[c][R[t][R[c]]], or (-1, -1) for a seed.  c and t become known
+    before j.
+    """
+    k = len(R)
+    at = np.full(R.shape[1], -1)
+    at[axis] = np.arange(k)
+    known = np.zeros(k, dtype=bool)
+    order = np.empty(k, dtype=np.int64)
+    source = np.full((k, 2), -1)
+    head = tail = 0
+    for s in range(k):
+        if known[s]:
+            continue
+        known[s], order[tail], tail = True, s, tail + 1
+        while head < tail < k:
+            u, K = np.full(tail, order[head]), order[:tail]
+            head += 1
+            c, t = np.concatenate((u, K)), np.concatenate((K, u))  # r_u r_t r_u, r_c r_u r_c
+            j = at[R[c, axis[t]]]
+            new = np.flatnonzero((j >= 0) & ~known[j])  # known[-1] is masked
+            j, first = np.unique(j[new], return_index=True)
+            source[j] = np.stack((c, t), axis=1)[new[first]]
+            known[j] = True
+            order[tail : tail + len(j)] = j
+            tail += len(j)
+    return order, source
+
+
+def _checked_generators(g: OiGraph):
+    """The reflections' point arrays R, the order and sources of
+    _conjugation_seeds, and E's point arrays, all checked.
+
+    Only the seeds and E go through _check_on_points.  Each derived j is
+    accepted once R[j] equals R[c][R[t][R[c]]] exactly; then it is a
+    composition of checked automorphisms, by induction on derivation order,
+    and so one itself.  The identities are checked after the seeds, so a
+    bad seed is reported as one."""
+    R = g.point_action(lambda X: reflect(g.space, X))
+    order, source = _conjugation_seeds(R, point_ids(g.space.field, _axes(g.space)[0]))
+    E = _semilinear_maps(g)
+    _check_on_points(g, [*R[source[:, 0] < 0], *E])
+    j = np.flatnonzero(source[:, 0] >= 0)
+    c, t = R[source[j, 0]], R[source[j, 1]]
+    if not np.array_equal(R[j], np.take_along_axis(c, np.take_along_axis(t, c, axis=1), axis=1)):
+        raise ValueError("a derived reflection is not its conjugate r_c r_t r_c")
+    return R, order, source, E
+
+
 def point_generators(g: OiGraph):
-    """Checked int64 point arrays of the reflections, then of E."""
-    reflections = g.point_action(lambda X: reflect(g.space, X))
-    return _check_on_points(g, [*reflections, *_semilinear_maps(g)])
+    """Checked int64 point arrays of the reflections, in _axes order, then
+    of E.  Only the few seeds of _conjugation_seeds and E are checked on the
+    point graph, about ten arrays where there are 723 on Oi(4, 9); every
+    other reflection is checked to be a conjugate of checked ones."""
+    R, _, _, E = _checked_generators(g)
+    return [*R, *E]
 
 
 def po_e_generators(g: OiGraph):
-    """point_generators lifted to int64 vertex arrays, in the same order."""
-    return [g.lift(p) for p in point_generators(g)]
+    """point_generators lifted to int64 vertex arrays, in the same order,
+    lifting only the seeds and E.
+
+    Lemma: lift(p o q) = lift(p) o lift(q) whenever lift(p) and lift(q)
+    exist, as both send a vertex A to the vertex whose point set is
+    p(q(points(A))).  So a derived reflection's array is
+    L[c][L[t][L[c]]], byte for byte the array g.lift would make of it."""
+    R, order, source, E = _checked_generators(g)
+    L, source = [None] * len(R), source.tolist()
+    for j in order.tolist():
+        c, t = source[j]
+        L[j] = g.lift(R[j]) if c < 0 else L[c][L[t][L[c]]]
+    return L + [g.lift(p) for p in E]
 
 
 def vertex_generators(g: OiGraph):
     """int64 vertex arrays generating the same group as po_e_generators(g):
     the point chain's level_gens[0] lifted, about ten arrays where
-    po_e_generators lifts all of them (723 on Oi(4, 9))."""
+    po_e_generators returns all of them (723 on Oi(4, 9))."""
     chain = PermGroup(len(g.dim1_ids()), point_generators(g))
     return [g.lift(p) for p in chain.level_gens[0]]
 

@@ -10,6 +10,7 @@ from oigraph.cli import main
 from oigraph.gf import GF
 from oigraph.geometry import space_make, subspace_make
 from oigraph.graph import build_graph
+from oigraph import symmetry
 from oigraph.symmetry import (
     PermGroup,
     _check_on_points,
@@ -260,7 +261,10 @@ def test_lift_input_checks_and_dtypes(g43):
             g43.lift(bad)
 
 
-@pytest.mark.parametrize("params", [(2, 0, 3, "one"), (2, 1, 3, "one"), (1, 1, 9, "z"), (1, 2, 3, "one")])
+@pytest.mark.parametrize(
+    "params",
+    [(2, 0, 3, "one"), (2, 1, 3, "one"), (1, 1, 9, "z"), (1, 2, 3, "one"), (2, 0, 5, "one"), (1, 2, 5, "one")],
+)
 def test_lift_extends_point_generators(params):
     nu, delta, q, disc = params
     g = build_graph(space_make(nu, delta, GF(3, 2) if q == 9 else GF(q), disc))
@@ -272,6 +276,53 @@ def test_lift_extends_point_generators(params):
         assert np.array_equal(lifted, v)
         assert np.array_equal(lifted[:P], p)
         assert g.is_automorphism(lifted)  # the full-graph reference check
+
+
+def test_only_seeds_and_e_are_checked(monkeypatch):
+    # Oi(4, 5): 120 reflections, 4 of them conjugation seeds, and E of 2
+    g45 = build_graph(space_make(2, 0, GF(5)))
+    checked = []
+
+    def counting(g, gens):
+        checked.append(len(gens))
+        return _check_on_points(g, gens)
+
+    monkeypatch.setattr(symmetry, "_check_on_points", counting)
+    assert len(point_generators(g45)) == 122
+    assert checked == [4 + 2]
+
+
+def tamper_reflection(monkeypatch, g, i):
+    """Make reflection i swap the images of an isotropic and an anisotropic
+    point, so that its point array is no automorphism."""
+    d1 = g.dim1_subgraph()
+    a = next(v for v in range(d1.nv) if d1.loop_at(v))
+    b = next(v for v in range(d1.nv) if not d1.loop_at(v))
+
+    def tampered(space, X):
+        out = reflect(space, X)
+        out[i, [a, b]] = out[i, [b, a]]
+        return out
+
+    monkeypatch.setattr(symmetry, "reflect", tampered)
+
+
+def test_tampered_derived_reflection_rejected(monkeypatch, g43):
+    _, _, source, _ = symmetry._checked_generators(g43)
+    derived = np.flatnonzero(source[:, 0] >= 0)
+    assert len(derived) == 24 - 5
+    tamper_reflection(monkeypatch, g43, derived[-1])
+    for make in (point_generators, po_e_generators):
+        with pytest.raises(ValueError, match="conjugate"):
+            make(g43)
+
+
+def test_tampered_seed_rejected(monkeypatch, g43):
+    _, _, source, _ = symmetry._checked_generators(g43)
+    assert source[0, 0] < 0  # the first reflection is always a seed
+    tamper_reflection(monkeypatch, g43, 0)
+    with pytest.raises(ValueError, match="orthogonality"):
+        point_generators(g43)
 
 
 def reference_perm(g, row_map):
