@@ -22,8 +22,7 @@ graph.adjacent, the reference the packed adjacency is tested against,
 stays on the scalar field ops (OSpace.pair), off GF.matmul.  The stacked one
 (eliminate_stack) reduces a (k, r, c) stack of code matrices at once
 through the GF.arrays tables: witt_stack types a stack of forms with it,
-graph.classify_types every vertex of a graph, and graph.sum_ids finds the
-vertex that each pair of vertices spans.
+and graph.classify_types every vertex of a graph.
 
 Subspaces are canonical: the reduced-row-echelon basis identifies them
 uniquely.  rref_bases is the one enumeration of them, an array per

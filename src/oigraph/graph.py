@@ -15,13 +15,15 @@ geometry.point_ids, and a vertex's basis points are its row of
 rref_point_ids.  Only the P point vectors ever meet field arithmetic.  By
 bilinearity A ~ B iff every point of A is orthogonal to every point of B,
 and the basis points of each vertex suffice, so the row of A is the AND
-of the rows of its basis points (_fill_adjacency).  Maps of the space act
-as point arrays (point_action).  A vertex's key is its rref_point_ids row
-read as one int64 in base P (_keys); those rows ascend, so the keys are in
-vertex order, and lift and sum_ids find a vertex by one searchsorted in the
-graph's one key table.  lift carries a point array to the vertices: it
-reads each image's rref basis points off its sorted point ids at fixed
-positions, looks up their key and compares whole point sets.
+of the rows of its basis points (_fill_adjacency).  So bit p of row A,
+for a point p, is set iff p lies in the dual of A, and the points adjacent
+to both A and B are those of the dual of A + B (common_points).  Maps of
+the space act as point arrays (point_action).  A vertex's key is its
+rref_point_ids row read as one int64 in base P (_keys); those rows ascend,
+so the keys are in vertex order, and lift finds a vertex by one
+searchsorted in the graph's one key table.  lift carries a point array to
+the vertices: it reads each image's rref basis points off its sorted point
+ids at fixed positions, looks up their key and compares whole point sets.
 graph_from_json rebuilds the graph from its space and accepts a file only
 if it holds exactly that graph.
 
@@ -61,7 +63,6 @@ from .geometry import (
     SubspaceType,
     check_space_params,
     eliminate,
-    eliminate_stack,
     gauss_binomial,
     point_ids,
     rref_bases,
@@ -166,11 +167,11 @@ class OiGraph:
 
     @functools.cached_property
     def _key_table(self):
-        """The one key table of lift and sum_ids: per dimension m of the
-        graph's own vertices, which come in dimension order from 1, (m,
-        first id, the _keys of its rref_point_ids rows, each vertex's
-        sorted point ids).  Those rows ascend lexicographically, so the keys
-        ascend in vertex order."""
+        """The one key table of lift: per dimension m of the graph's own
+        vertices, which come in dimension order from 1, (m, first id, the
+        _keys of its rref_point_ids rows, each vertex's sorted point ids).
+        Those rows ascend lexicographically, so the keys ascend in vertex
+        order."""
         f, n, P = self.space.field, self.space.n, len(self.dim1_ids())
         out, start = [], 0
         for m in range(1, self.verts[-1].m + 1):
@@ -341,10 +342,7 @@ class OiGraph:
 
     def dim1_subgraph(self) -> "OiGraph":
         P = len(self.dim1_ids())
-        sub = self.rows[:P, : (P + 7) // 8].copy()
-        if P % 8:
-            sub[:, -1] &= (1 << P % 8) - 1  # bits of vertices past the points
-        return OiGraph(self.space, self.verts[:P], sub)
+        return OiGraph(self.space, self.verts[:P], _point_columns(self.rows[:P], P))
 
 
 def preserves_adjacency(rows: np.ndarray, nbrs, p: np.ndarray) -> bool:
@@ -515,7 +513,7 @@ def _fill_adjacency(g: OiGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# vertex types and vertex sums, stacked
+# vertex types and common points, stacked
 
 
 def classify_types(g: OiGraph) -> list:
@@ -547,35 +545,34 @@ def classify_types(g: OiGraph) -> list:
     return out
 
 
-def sum_ids(g: OiGraph, u, v) -> np.ndarray:
-    """The vertex id of the sum of vertices u[i] and v[i] for each i, or -1
-    where the sum is no vertex of g: for build_graph's graphs, where it is
-    the whole space.
-
-    Each pair's two bases, padded with zero rows to n - 1 rows each, are
-    one matrix of a stack that eliminate_stack reduces, a block of pairs
-    near _BLOCK bytes at a time.  The rank of a sum is its dimension m, and
-    its first m reduced rows are its rref basis: the key of their point
-    ids, looked up in g's key table, gives its vertex."""
-    f, n, P = g.space.field, g.space.n, len(g.dim1_ids())
-    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
-    table = g._key_table
-    bases = np.concatenate([np.pad(rref_bases(f, n, m), ((0, 0), (0, n - 1 - m), (0, 0))) for m, *_ in table])
-    out = np.full(len(u), -1, dtype=np.intp)
-    step = max(1, _BLOCK // (16 * (n - 1) * n))  # the stack's int index temporaries
+def common_points(g: OiGraph, u, v) -> np.ndarray:
+    """The number of points adjacent to both u[i] and v[i], loops counted,
+    for each i.  They are the points of the dual of u[i] + v[i]; the form
+    is nondegenerate, so for a sum of dimension d they number
+    (q^(n - d) - 1)/(q - 1).  Each pair is one AND of the two vertices'
+    point columns and one popcount, a block of pairs near _BLOCK bytes at
+    a time."""
+    cols = _point_columns(g.rows, len(g.dim1_ids()))
+    out = np.empty(len(u), dtype=np.intp)
+    step = max(1, _BLOCK // (2 * cols.shape[1]))
     for lo in range(0, len(u), step):
-        R, rank = eliminate_stack(f, np.concatenate([bases[u[lo : lo + step]], bases[v[lo : lo + step]]], axis=1))[:2]
-        for m, start, keys, _ in table:
-            at = np.flatnonzero(rank == m)
-            if len(at):
-                out[lo + at] = start + np.searchsorted(keys, _keys(point_ids(f, R[at, :m]), P))
+        out[lo : lo + step] = np.bitwise_count(cols[u[lo : lo + step]] & cols[v[lo : lo + step]]).sum(axis=1)
+    return out
+
+
+def _point_columns(rows: np.ndarray, P: int) -> np.ndarray:
+    """A copy of the packed rows' columns of the P points, ids 0..P-1: the
+    bytes that hold them, with the bits past P in the last byte cleared."""
+    out = rows[:, : (P + 7) // 8].copy()
+    if P % 8:
+        out[:, -1] &= (1 << P % 8) - 1  # bits of vertices past the points
     return out
 
 
 def _keys(ids: np.ndarray, P: int) -> np.ndarray:
     """Each row of a 2-d array of point ids as one int64 key, the row's ids
     its base-P digits, the first most significant, so that the keys order
-    as the rows do lexicographically: the vertex keys of lift and sum_ids.
+    as the rows do lexicographically: the vertex keys of lift.
     A key is below P^m <= P^(n - 1), which is below 2^63 for every Oi(n, q)
     that build_graph admits under MAX_ADJACENCY_BYTES: the largest is
     364^5, about 6.4e12, at Oi(6, 3)."""

@@ -25,7 +25,7 @@ from . import __version__
 from .autsearch import search_result
 from .geometry import space_make, witt_bruteforce_oracle, witt_stack
 from .gf import GF, factor_prime_power
-from .graph import _json_text, build_graph, classify_types, max_clique_dim1, recover_parameters, sum_ids
+from .graph import _json_text, build_graph, classify_types, common_points, max_clique_dim1, recover_parameters
 from .symmetry import (
     aut_order_formula,
     e_subgroup_generators,
@@ -259,18 +259,29 @@ def _type_ids(types):
 
 def _edge_fibers(g, types):
     """The rows of g.edge_pairs_with_loops() grouped by their endpoints'
-    types and the type of the endpoints' sum, as least-member labels.  One
-    stacked sum_ids gives every sum: a vertex, or the whole space (-1),
-    which takes one more type number than the vertices use; no vertex has
-    the whole space's dimension, so no vertex type is the whole space's.
-    A key is below span^3, span the count of type numbers, far inside int64."""
+    types and the type of the endpoints' sum, as least-member labels.
+
+    Lemma: for X1 ~ X2 (X1 = X2 for a loop), t(X1 + X2) is fixed by t(X1),
+    t(X2) and dim(X1 + X2), and fixes that dimension, so the key (smaller
+    type, larger type, dim(X1 + X2)) makes the same partition.  Proof: X1
+    is orthogonal to X2, so on the external direct sum of X1 and X2 the
+    form is the orthogonal sum of its restrictions to them.  X1 + X2 is
+    the quotient of that sum by the pairs (x, -x) with x in both X1 and
+    X2; such an x is orthogonal to X1 and to X2, so those pairs lie in the
+    radical.  So the nondegenerate part of X1 + X2 is the orthogonal sum
+    of those of X1 and X2, and its isometry class, which with the
+    dimension is the type, follows from theirs, which t(X1) and t(X2)
+    name (Taylor 1992; Wan 2002 for the types).  The dimension is read off
+    common_points, the points of the dual of the sum, one count per
+    dimension.  A key is below span^2 P, span the count of type numbers
+    and P the count of points (the sum is nonzero, so fewer than P points
+    are in its dual), far inside int64."""
     t = _type_ids(types)
-    t = np.append(t, t.max() + 1)  # t[-1]: the whole space
     pairs = g.edge_pairs_with_loops()
     a, b = t[pairs].T
-    c = t[sum_ids(g, pairs[:, 0], pairs[:, 1])]
-    span = int(t[-1]) + 1
-    return _least_members((np.minimum(a, b) * span + np.maximum(a, b)) * span + c)
+    span, P = int(t.max()) + 1, len(g.dim1_ids())
+    c = common_points(g, pairs[:, 0], pairs[:, 1])
+    return _least_members((np.minimum(a, b) * span + np.maximum(a, b)) * P + c)
 
 
 # The two spaces whose generated-group orbits the orbit checks compare.

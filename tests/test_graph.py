@@ -29,12 +29,14 @@ from oigraph.geometry import (
     rref_point_ids,
     space_make,
     subspace_make,
+    subspace_span,
 )
 from oigraph.graph import (
     BudgetExceeded,
     OiGraph,
     adjacent,
     build_graph,
+    common_points,
     degrees,
     diameter_sources,
     graph_from_json,
@@ -45,9 +47,8 @@ from oigraph.graph import (
     neighbour_lists,
     pair_blocks,
     recover_parameters,
-    sum_ids,
 )
-from oigraph.symmetry import point_generators, vertex_generators
+from oigraph.symmetry import point_generators
 
 F3 = GF(3)
 F5 = GF(5)
@@ -731,7 +732,7 @@ def test_induced_subgraph(g43):
         assert d1.degree(new) == expect
 
 
-# -- the vertex key of lift and sum_ids -------------------------------------
+# -- the vertex key of lift, and the points two vertices share --------------
 
 
 KEY_SPACES = {
@@ -792,16 +793,29 @@ def test_vertex_keys_fit_int64(monkeypatch):
     assert max(q for n, q in largest) < 11587  # Oi(2, 11587) is refused
 
 
-@pytest.mark.parametrize("name", ["oi43", "oi39-z", "oi53"])
-def test_sum_ids_equivariant(name):
-    # an automorphism s maps the sum of u and v to the sum of s[u] and
-    # s[v], the whole space (-1) to itself
-    g = build_graph(space_make(*KEY_SPACES[name]))
-    u, v = np.random.default_rng(5).integers(0, g.nv, size=(2, 400))
-    w = sum_ids(g, u, v)
-    assert (w == -1).any() and (w >= 0).any()
-    for s in vertex_generators(g):
-        assert np.array_equal(sum_ids(g, s[u], s[v]), np.where(w == -1, -1, s[w]))
+@pytest.mark.parametrize(
+    "space", [(2, 1, F3, "one"), (1, 2, F5, "one"), (1, 1, F9, "z")], ids=["oi53", "oi45-d2", "oi39-z"]
+)
+def test_common_points_count_the_dual_of_the_sum(space):
+    # the points adjacent to both u and v are those of the dual of u + v,
+    # (q^(n - m) - 1)/(q - 1) of them for m = dim(u + v).  P is no multiple
+    # of 8, so the last byte of a point column also holds other vertices'
+    # bits: point pairs are the ones that see them
+    g = build_graph(space_make(*space))
+    n, q, P = g.space.n, g.space.field.q, len(g.dim1_ids())
+    rng = np.random.default_rng(32)
+    edges = g.edge_pairs_with_loops()
+    loops = edges[edges[:, 0] == edges[:, 1]]
+    pairs = np.concatenate(
+        [
+            rng.integers(0, g.nv, size=(100, 2)),
+            rng.integers(0, P, size=(100, 2)),
+            edges[rng.integers(0, len(edges), size=100)],
+            loops[rng.integers(0, len(loops), size=20)],
+        ]
+    )
+    m = [len(subspace_span(g.space, g.verts[u].rows + g.verts[v].rows).rows) for u, v in pairs.tolist()]
+    assert common_points(g, pairs[:, 0], pairs[:, 1]).tolist() == [(q ** (n - d) - 1) // (q - 1) for d in m]
 
 
 @pytest.mark.parametrize("name", ["oi43", "oi39-z"])

@@ -100,7 +100,11 @@ def per_pair_edge_fibers(g, types):
 
 
 @pytest.mark.parametrize("block", [None, 1 << 12], ids=["one-block", "many-blocks"])
-@pytest.mark.parametrize("key", [(2, 0, 3, "one"), (1, 1, 9, "one")], ids=["oi43", "oi39"])
+@pytest.mark.parametrize(
+    "key",
+    [(2, 0, 3, "one"), (1, 1, 9, "one"), (1, 2, 3, "one"), (1, 1, 3, "z")],
+    ids=["oi43", "oi39", "oi43-d2", "oi33-z"],
+)
 def test_edge_fibers_match_per_pair_sums(ctx, key, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(graph_module, "_BLOCK", block)
